@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
+from .blocks import diag_blocks, neumann_diag_block
 from .errors import DimensionMismatch
 from .recursive import (
     ConstantInputs,
@@ -278,12 +279,7 @@ def limit_temporal_inf(
     # when the walk contracts fast enough that the truncated series actually
     # resums; a spectral radius near one (weak measurements against strong
     # coupling) would leave the truncation nowhere near its limit.
-    diag = inputs.lambda_d + np.stack(
-        [
-            inputs.spatial_slice[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
-            for k in range(K)
-        ]
-    )
+    diag = inputs.lambda_d + diag_blocks(inputs.spatial_slice)
     x = np.zeros_like(m_slice)
     for j in range(K):
         sj = slice(2 * j, 2 * j + 2)
@@ -293,17 +289,7 @@ def limit_temporal_inf(
     if walk_radius < 0.99:
         series_gap = 0.0
         for k in range(K):
-            sl = slice(2 * k, 2 * k + 2)
-            slab = np.zeros((2 * K, 2))
-            slab[sl, :] = np.eye(2)
-            total = np.zeros((2, 2))
-            for _ in range(10_000):
-                slab = x @ slab
-                total = total + slab[sl, :]
-                # odd powers of the hollow spatial walk have zero diagonal
-                # blocks, so convergence must be judged on the whole slab
-                if np.linalg.norm(slab) < 1e-10:
-                    break
+            total, _, _ = neumann_diag_block(x, k, 10_000, 1e-10)
             via_series = diag[k] @ npl.inv(np.eye(2) + total)
             gap = np.linalg.norm(via_series - predicted[k]) / np.linalg.norm(
                 predicted[k]

@@ -205,6 +205,53 @@ class BlockMatrix:
         return cls(data.reshape(side, side).astype(float), n_steps, n_users)
 
 
+def block_diag(blocks: np.ndarray) -> np.ndarray:
+    """(K, 2, 2) stack -> (2K, 2K) block diagonal."""
+    K = blocks.shape[0]
+    out = np.zeros((2 * K, 2 * K))
+    for k in range(K):
+        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[k]
+    return out
+
+
+def diag_blocks(mat: np.ndarray) -> np.ndarray:
+    """(2K, 2K) matrix -> (K, 2, 2) stack of its diagonal blocks."""
+    K = mat.shape[0] // 2
+    return np.stack([mat[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] for k in range(K)])
+
+
+def off_part(mat: np.ndarray) -> np.ndarray:
+    """Positive coupling part: minus the matrix with its diagonal blocks zeroed."""
+    out = -np.asarray(mat, dtype=float).copy()
+    K = mat.shape[0] // 2
+    for k in range(K):
+        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = 0.0
+    return out
+
+
+def neumann_diag_block(
+    walk: np.ndarray, g: int, max_terms: int, tol: float
+) -> tuple[np.ndarray, int, bool]:
+    """Sum over n >= 1 of the (g, g) 2x2 block of walk^n.
+
+    Propagates a (side, 2) slab so no matrix power is ever formed. The sum
+    stops once the whole slab's norm drops below ``tol``: a single diagonal
+    term can vanish structurally (odd powers of a hollow walk) long before
+    the tail does. Returns the sum, the number of powers accumulated, and
+    whether the tolerance was met within ``max_terms``.
+    """
+    rows = block_slice(g)
+    slab = np.zeros((walk.shape[0], 2))
+    slab[rows, :] = np.eye(2)
+    total = np.zeros((2, 2))
+    for n in range(1, max_terms + 1):
+        slab = walk @ slab
+        total = total + slab[rows, :]
+        if np.linalg.norm(slab) < tol:
+            return total, n, True
+    return total, max_terms, False
+
+
 def blocks_to_matrix(blocks: np.ndarray, n_steps: int, n_users: int) -> BlockMatrix:
     """Block-diagonal BlockMatrix from per-(t, k) 2x2 blocks.
 
@@ -214,8 +261,4 @@ def blocks_to_matrix(blocks: np.ndarray, n_steps: int, n_users: int) -> BlockMat
         Shape (T, K, 2, 2) (or (T*K, 2, 2)) diagonal blocks, step-major.
     """
     arr = np.asarray(blocks, dtype=float).reshape(n_steps * n_users, 2, 2)
-    side = 2 * n_steps * n_users
-    out = np.zeros((side, side))
-    for g in range(n_steps * n_users):
-        out[block_slice(g), block_slice(g)] = arr[g]
-    return BlockMatrix(out, n_steps, n_users)
+    return BlockMatrix(block_diag(arr), n_steps, n_users)

@@ -270,21 +270,3 @@ def channel_jacobian(
         effective_noise_variance=effective_noise_variance(config, br_gains, gains),
     )
 
-
-def dump_geometry_csv(
-    config: ScenarioConfig, trajectory: Trajectory, path: str
-) -> None:
-    """Per-link angle/gain table as ``t,k,i,theta_ru,rho_ru`` (1-based ids)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,k,i,theta_ru,rho_ru\n")
-        for t in range(trajectory.num_steps):
-            for k in range(trajectory.num_users):
-                for i in range(config.num_ris):
-                    geo = geometry_params(
-                        config.ris_positions[i],
-                        trajectory.position(t, k),
-                        config.path_loss_exponent,
-                    )
-                    fh.write(
-                        f"{t + 1},{k + 1},{i + 1},{geo.angle!r},{geo.gain!r}\n"
-                    )

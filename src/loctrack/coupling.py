@@ -17,6 +17,11 @@ Three quantities per state follow:
 * first-passage probabilities of the walk: F (return to the state before
   absorption) and F_to_B (absorption first), with F + F_to_B = I and
   F_to_B = E.
+
+``eoc_report`` takes Delta and E from the diagonal blocks of one dense
+inverse of J. The walk itself (``build_ptpm``, ``hitting_probabilities``,
+``delta_series``) is the random-walk reading of the same numbers and the
+reference the identities are checked against.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ import numpy.linalg as npl
 
 from .blocks import (
     BlockMatrix,
+    block_diag,
     block_index,
     block_slice,
+    neumann_diag_block,
     spd_sqrt_and_inv_sqrt,
     spectral_radius,
     symmetrize,
@@ -110,11 +117,7 @@ def split_d_a(efim: BlockMatrix, mfim: MeasurementFim, pfim: PriorFim) -> DASpli
                 block = block + pfim.temporal[t, k]
             nominal[t, k] = block
 
-    diag = np.zeros_like(efim.data)
-    for t in range(T):
-        for k in range(K):
-            g = block_index(t, k, K)
-            diag[block_slice(g), block_slice(g)] = nominal[t, k]
+    diag = block_diag(nominal.reshape(T * K, 2, 2))
     coupling = BlockMatrix(diag - efim.data, T, K)
 
     absorb_extra = np.zeros((T, K, 2, 2))
@@ -129,14 +132,12 @@ class Ptpm:
     """Pseudo transition probability matrix of the information walk.
 
     ``transient`` is the (2TK, 2TK) operator Q = D^{-1} A between transient
-    states; ``absorption`` the (2TK, 2) column R into the absorbing state;
-    ``matrix`` the assembled [[Q, R], [0, I]]. Every block row of [Q, R]
-    sums to the 2x2 identity.
+    states; ``absorption`` the (2TK, 2) column R into the absorbing state.
+    Every block row of [Q, R] sums to the 2x2 identity.
     """
 
     transient: np.ndarray
     absorption: np.ndarray
-    matrix: np.ndarray
     n_steps: int
     n_users: int
 
@@ -145,13 +146,6 @@ class Ptpm:
         stacked = np.tile(np.eye(2), (self.n_steps * self.n_users, 1))
         resid = self.transient @ stacked + self.absorption - stacked
         return float(np.max(np.abs(resid)))
-
-    def to_csv(self, path: str) -> None:
-        """Dense dump of the full transition matrix (debug aid)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in self.matrix:
-                fh.write(",".join(repr(float(x)) for x in row))
-                fh.write("\n")
 
 
 def _solve_nominal(split: DASplit, t: int, k: int, rhs: np.ndarray) -> np.ndarray:
@@ -163,6 +157,20 @@ def _solve_nominal(split: DASplit, t: int, k: int, rhs: np.ndarray) -> np.ndarra
         ) from exc
 
 
+def _transient(split: DASplit) -> np.ndarray:
+    """The walk operator Q = D^{-1} A, solved block row by block row."""
+    T, K = split.n_steps, split.n_users
+    side = 2 * T * K
+    transient = np.zeros((side, side))
+    for t in range(T):
+        for k in range(K):
+            rows = block_slice(block_index(t, k, K))
+            transient[rows, :] = _solve_nominal(
+                split, t, k, split.coupling.data[rows, :]
+            )
+    return transient
+
+
 def build_ptpm(split: DASplit, mfim: MeasurementFim) -> Ptpm:
     """Left-normalise the split by D into walk operators Q and R.
 
@@ -172,28 +180,16 @@ def build_ptpm(split: DASplit, mfim: MeasurementFim) -> Ptpm:
     exactly what absorption means for the walk.
     """
     T, K = split.n_steps, split.n_users
-    side = 2 * T * K
-    transient = np.zeros((side, side))
-    absorption = np.zeros((side, 2))
+    absorption = np.zeros((2 * T * K, 2))
     for t in range(T):
         for k in range(K):
-            g = block_index(t, k, K)
-            rows = block_slice(g)
-            transient[rows, :] = _solve_nominal(
-                split, t, k, split.coupling.data[rows, :]
-            )
+            rows = block_slice(block_index(t, k, K))
             absorption[rows, :] = _solve_nominal(
                 split, t, k, mfim.lambda_d[t, k] + split.absorb_extra[t, k]
             )
-
-    matrix = np.zeros((side + 2, side + 2))
-    matrix[:side, :side] = transient
-    matrix[:side, side:] = absorption
-    matrix[side:, side:] = np.eye(2)
     return Ptpm(
-        transient=transient,
+        transient=_transient(split),
         absorption=absorption,
-        matrix=matrix,
         n_steps=T,
         n_users=K,
     )
@@ -204,8 +200,8 @@ class SeriesResult:
     """Truncated Neumann sum of the coupling excess for one state.
 
     ``value`` is the raw (possibly asymmetric) 2x2 sum; ``terms_used`` how
-    many powers were accumulated; ``converged`` whether the block-Frobenius
-    increment fell below tolerance before the term budget ran out.
+    many powers were accumulated; ``converged`` whether the propagated slab
+    fell below tolerance before the term budget ran out.
     """
 
     value: np.ndarray
@@ -220,14 +216,14 @@ def coupling_spectral_radius(split: DASplit) -> float:
     D^{1/2} Q D^{-1/2} = D^{-1/2} A D^{-1/2} shares Q's (real) spectrum and
     is symmetric, which keeps power iteration well behaved.
     """
-    T, K = split.n_steps, split.n_users
-    side = 2 * T * K
-    inv_roots = np.zeros((side, side))
-    for t in range(T):
-        for k in range(K):
-            g = block_index(t, k, K)
-            _, inv_root = spd_sqrt_and_inv_sqrt(split.nominal_blocks[t, k])
-            inv_roots[block_slice(g), block_slice(g)] = inv_root
+    inv_roots = block_diag(
+        np.stack(
+            [
+                spd_sqrt_and_inv_sqrt(block)[1]
+                for block in split.nominal_blocks.reshape(-1, 2, 2)
+            ]
+        )
+    )
     similar = inv_roots @ split.coupling.data @ inv_roots
     return spectral_radius(similar)
 
@@ -241,9 +237,9 @@ def delta_series(
 ) -> SeriesResult:
     """Coupling excess of state (t, k) by explicit Neumann summation.
 
-    Accumulates the (t, k) diagonal blocks of Q^n for n >= 1, propagating a
-    (2TK, 2) slab so no full matrix power is ever formed. Raises
-    SeriesDiverged when the walk operator has spectral radius >= 1.
+    Accumulates the (t, k) diagonal blocks of Q^n for n >= 1 with Q built
+    once as in ``build_ptpm``. Raises SeriesDiverged when the walk operator
+    has spectral radius >= 1.
     """
     radius = coupling_spectral_radius(split)
     if radius >= 1.0:
@@ -251,35 +247,9 @@ def delta_series(
             f"coupling operator has spectral radius {radius:.6f} >= 1; "
             "the Neumann series has no sum"
         )
-    T, K = split.n_steps, split.n_users
-    side = 2 * T * K
-    g = block_index(t, k, K)
-    rows = block_slice(g)
-
-    slab = np.zeros((side, 2))
-    slab[rows, :] = np.eye(2)
-    total = np.zeros((2, 2))
-    converged = False
-    terms = 0
-    coupling = split.coupling.data
-    previous_increment = np.inf
-    for n in range(1, max_terms + 1):
-        # one walk step: left-multiply by Q = D^{-1} A, block row by block row
-        slab = coupling @ slab
-        for tt in range(T):
-            for kk in range(K):
-                r = block_slice(block_index(tt, kk, K))
-                slab[r, :] = _solve_nominal(split, tt, kk, slab[r, :])
-        term = slab[rows, :]
-        total = total + term
-        terms = n
-        increment = float(np.linalg.norm(term))
-        # walks with no self loop contribute only on even/odd powers, so a
-        # single vanishing increment proves nothing; require two in a row
-        if increment < tol and previous_increment < tol:
-            converged = True
-            break
-        previous_increment = increment
+    total, terms, converged = neumann_diag_block(
+        _transient(split), block_index(t, k, split.n_users), max_terms, tol
+    )
     return SeriesResult(
         value=total, terms_used=terms, converged=converged, spectral_radius=radius
     )
@@ -357,18 +327,15 @@ class EocReport:
     """Per-state efficiency-of-coupling summary of one EFIM.
 
     Scalar fields are (T, K) arrays: ``eoc`` = half-trace of the efficiency
-    matrix, ``delta_trace`` the trace of the coupling excess,
-    ``f_to_b_trace`` the trace of the absorption-first probability, and
-    ``bcrb`` the per-state trace bound. Matrix fields keep symmetrised
+    matrix, ``delta_trace`` the trace of the coupling excess, and ``bcrb``
+    the per-state trace bound. ``efficiency_matrices`` keeps symmetrised
     copies for inspection; traces are unaffected by the symmetrisation.
     """
 
     eoc: np.ndarray
     delta_trace: np.ndarray
-    f_to_b_trace: np.ndarray
     bcrb: np.ndarray
     efficiency_matrices: np.ndarray
-    absorb_matrices: np.ndarray
     mean_eoc: float
     mean_bcrb: float
     total_bcrb: float
@@ -382,20 +349,24 @@ class EocReport:
         return self.eoc.shape[1]
 
     def to_csv(self, path: str) -> None:
-        """Write ``t,k,eoc,delta_trace,f_to_b_trace,bcrb`` (1-based ids)."""
+        """Write ``t,k,eoc,delta_trace,bcrb`` (1-based ids)."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,k,eoc,delta_trace,f_to_b_trace,bcrb\n")
+            fh.write("t,k,eoc,delta_trace,bcrb\n")
             for t in range(self.n_steps):
                 for k in range(self.n_users):
                     fh.write(
                         f"{t + 1},{k + 1},{self.eoc[t, k]!r},"
-                        f"{self.delta_trace[t, k]!r},"
-                        f"{self.f_to_b_trace[t, k]!r},{self.bcrb[t, k]!r}\n"
+                        f"{self.delta_trace[t, k]!r},{self.bcrb[t, k]!r}\n"
                     )
 
 
-def eoc_report(efim: BlockMatrix, split: DASplit, ptpm: Ptpm) -> EocReport:
-    """Efficiency, coupling excess, hitting probabilities, and bounds."""
+def eoc_report(efim: BlockMatrix, split: DASplit) -> EocReport:
+    """Efficiency, coupling excess, and bounds from one dense inverse.
+
+    The efficiency matrix (I + Delta)^{-1} equals the walk's absorb-first
+    probability F_to_B (``hitting_probabilities``), so the walk is not
+    solved here.
+    """
     T, K = efim.n_steps, efim.n_users
     try:
         chol = cho_factor(efim.data, lower=True)
@@ -405,32 +376,24 @@ def eoc_report(efim: BlockMatrix, split: DASplit, ptpm: Ptpm) -> EocReport:
 
     eoc = np.zeros((T, K))
     delta_tr = np.zeros((T, K))
-    f_to_b_tr = np.zeros((T, K))
     per_bcrb = np.zeros((T, K))
     eff_mats = np.zeros((T, K, 2, 2))
-    absorb_mats = np.zeros((T, K, 2, 2))
     for t in range(T):
         for k in range(K):
-            g = block_index(t, k, K)
-            rows = block_slice(g)
+            rows = block_slice(block_index(t, k, K))
             inv_block = inverse[rows, rows]
             delta = inv_block @ split.nominal_blocks[t, k] - np.eye(2)
             eff = npl.inv(np.eye(2) + delta)
-            hit = hitting_probabilities(ptpm, t, k)
             eoc[t, k] = 0.5 * float(np.trace(eff))
             delta_tr[t, k] = float(np.trace(delta))
-            f_to_b_tr[t, k] = float(np.trace(hit.absorb_first))
             per_bcrb[t, k] = float(np.trace(inv_block))
             eff_mats[t, k] = symmetrize(eff)
-            absorb_mats[t, k] = symmetrize(hit.absorb_first)
 
     return EocReport(
         eoc=eoc,
         delta_trace=delta_tr,
-        f_to_b_trace=f_to_b_tr,
         bcrb=per_bcrb,
         efficiency_matrices=eff_mats,
-        absorb_matrices=absorb_mats,
         mean_eoc=float(np.mean(eoc)),
         mean_bcrb=float(np.mean(per_bcrb)),
         total_bcrb=float(np.trace(inverse)),

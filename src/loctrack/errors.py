@@ -58,7 +58,7 @@ class SingularState(LocTrackError):
 
 
 class SchemaMismatch(LocTrackError):
-    """A result table or file does not carry the columns a consumer needs."""
+    """A spec, setting, table or file does not have the form a consumer needs."""
 
 
 class CampaignAborted(LocTrackError):

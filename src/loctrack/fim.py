@@ -26,6 +26,8 @@ from .blocks import (
     block_index,
     block_slice,
     blocks_to_matrix,
+    diag_blocks,
+    off_part,
     symmetrize,
 )
 from .channel import channel_jacobian
@@ -261,10 +263,7 @@ class PriorFim:
 
     def spatial_diag(self, t: int) -> np.ndarray:
         """(K, 2, 2) diagonal blocks of the step-t spatial slice."""
-        K = self.n_users
-        return np.stack(
-            [self.spatial_slices[t][2 * k : 2 * k + 2, 2 * k : 2 * k + 2] for k in range(K)]
-        )
+        return diag_blocks(self.spatial_slices[t])
 
     def spatial_off(self, t: int) -> np.ndarray:
         """Positive off-diagonal coupling part of the step-t slice.
@@ -272,11 +271,7 @@ class PriorFim:
         Zero diagonal blocks; entry (i, j) equals minus the slice's (i, j)
         block, so for a quadratic prior it is +precision * I per edge.
         """
-        K = self.n_users
-        out = -np.asarray(self.spatial_slices[t]).copy()
-        for k in range(K):
-            out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = 0.0
-        return out
+        return off_part(self.spatial_slices[t])
 
     def lambda_ps(self) -> BlockMatrix:
         """Block-diagonal spatial prior over the full (step, user) grid."""

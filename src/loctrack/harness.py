@@ -13,14 +13,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .asymptotics import ASYMPTOTIC_LARGE, ASYMPTOTIC_SMALL
-from .coupling import build_ptpm, eoc_report, split_d_a
-from .errors import CampaignAborted, SchemaMismatch
+from .coupling import eoc_report, split_d_a
+from .errors import CampaignAborted, LocTrackError, SchemaMismatch
 from .fim import assemble_efim, measurement_fim, prior_fim
 from .recursive import constant_inputs, run_recursion, stationary_point
 from .scenario import (
@@ -28,6 +29,7 @@ from .scenario import (
     AlignedPhases,
     RandomPhases,
     ScenarioConfig,
+    Trajectory,
     load_scenario,
     prior_model,
     random_walk_trajectory,
@@ -65,6 +67,13 @@ _SWEEPABLE = {
     KIND_ASYMPTOTIC_TEMPORAL: (SWEEP_SIGMA_T,),
     KIND_TRAJECTORY: (),
 }
+
+# Kinds that run the step recursion and so read ``constant_from_step``.
+_RECURSION_KINDS = (
+    KIND_EP_CONVERGENCE,
+    KIND_ASYMPTOTIC_SPATIAL,
+    KIND_ASYMPTOTIC_TEMPORAL,
+)
 
 FIGURE_KINDS = {
     "fig3": KIND_TRAJECTORY,
@@ -132,9 +141,7 @@ class ExperimentSpec:
             )
         elif not values:
             raise SchemaMismatch("sweep parameter given without values")
-        object.__setattr__(
-            self, "disturbance_steps", tuple(int(s) for s in self.disturbance_steps)
-        )
+        object.__setattr__(self, "disturbance_steps", tuple(self.disturbance_steps))
 
 
 def experiment_from_json(payload: dict, base_dir: str = ".") -> ExperimentSpec:
@@ -240,10 +247,29 @@ class ResultTable:
 
 
 def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    if raw.strip():
-        return max(1, int(raw))
-    return max(1, os.cpu_count() or 1)
+    raw = os.environ.get(THREADS_ENV, "").strip()
+    if not raw:
+        return max(1, os.cpu_count() or 1)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise SchemaMismatch(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return count
+
+
+def _check_step_labels(spec: ExperimentSpec, num_steps: int) -> None:
+    """Reject 1-based step labels the scenario does not have."""
+    labels = [("disturbance.steps", s) for s in spec.disturbance_steps]
+    if spec.kind in _RECURSION_KINDS and spec.constant_from_step is not None:
+        labels.append(("constant-from-step", spec.constant_from_step))
+    for name, label in labels:
+        integral = isinstance(label, numbers.Integral) and not isinstance(label, bool)
+        if not (integral and 1 <= label <= num_steps):
+            raise SchemaMismatch(
+                f"{name} label {label!r} is not an integer step in 1..{num_steps}"
+            )
 
 
 def _apply_sweep(config: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
@@ -273,9 +299,7 @@ def _eoc_pipeline(config: ScenarioConfig, trajectory: Trajectory, ensemble):
         config, prior_model(config, include_anchor=True), trajectory_ensemble=ensemble
     )
     efim = assemble_efim(mfim, pfim)
-    split = split_d_a(efim, mfim, pfim)
-    ptpm = build_ptpm(split, mfim)
-    return eoc_report(efim, split, ptpm)
+    return eoc_report(efim, split_d_a(efim, mfim, pfim))
 
 
 def _run_eoc_point(config: ScenarioConfig, seed: int):
@@ -410,11 +434,15 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     Run ``r`` of every sweep value uses seed ``base_seed + r``, so sweep
     points are paired across the grid.  Failures are recorded in the
     manifest and skipped; a failure fraction of 10 percent or more aborts
-    the campaign.
+    the campaign.  Only the numerical failures the package expects
+    (``LocTrackError`` and numpy's ``LinAlgError``) count as failed runs;
+    any other exception propagates.
     """
+    workers = _worker_count()
     with open(spec.scenario_path, "rb") as fh:
         scenario_bytes = fh.read()
     base_config = load_scenario(spec.scenario_path)
+    _check_step_labels(spec, base_config.num_steps)
     if spec.snr_db_offset:
         base_config = base_config.with_snr_offset_db(spec.snr_db_offset)
 
@@ -436,10 +464,10 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         value, seed = job
         try:
             return ("ok", job, _run_one(spec, configs[value], seed))
-        except Exception as exc:  # noqa: BLE001 - every run failure is recorded
+        except (LocTrackError, np.linalg.LinAlgError) as exc:
             return ("fail", job, f"{type(exc).__name__}: {exc}")
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         outcomes = list(pool.map(work, jobs))
 
     samples: dict = {}

@@ -30,7 +30,15 @@ import numpy as np
 import numpy.linalg as npl
 from scipy.linalg import cho_factor, cho_solve
 
-from .blocks import require_spd, spd_sqrt_and_inv_sqrt, symmetrize
+from .blocks import (
+    block_diag,
+    diag_blocks,
+    neumann_diag_block,
+    off_part,
+    require_spd,
+    spd_sqrt_and_inv_sqrt,
+    symmetrize,
+)
 from .errors import DimensionMismatch, SingularState
 from .fim import measurement_blocks_at, prior_fim
 from .scenario import ScenarioConfig, Trajectory, prior_model
@@ -56,29 +64,6 @@ __all__ = [
 # Loewner comparisons tolerate eigenvalues this far below zero (relative to
 # the spectral norm of the compared difference).
 LOEWNER_SLACK = 1e-10
-
-
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """(K, 2, 2) stack -> (2K, 2K) block diagonal."""
-    K = blocks.shape[0]
-    out = np.zeros((2 * K, 2 * K))
-    for k in range(K):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[k]
-    return out
-
-
-def _diag_blocks(mat: np.ndarray) -> np.ndarray:
-    K = mat.shape[0] // 2
-    return np.stack([mat[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] for k in range(K)])
-
-
-def _off_part(mat: np.ndarray) -> np.ndarray:
-    """Positive coupling part: minus the slice with its diagonal blocks zeroed."""
-    out = -np.asarray(mat, dtype=float).copy()
-    K = mat.shape[0] // 2
-    for k in range(K):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = 0.0
-    return out
 
 
 @dataclass(frozen=True)
@@ -144,15 +129,15 @@ def check_convergence(
     gamma_prev: np.ndarray,
 ) -> ConvergenceCheck:
     """Evaluate the monotone-information condition for one prospective step."""
-    gamma = _block_diag(np.asarray(gamma_prev, dtype=float))
+    gamma = block_diag(np.asarray(gamma_prev, dtype=float))
     carry = _temporal_carry(np.asarray(prev_efim, dtype=float), gamma)
-    nominal = _block_diag(
+    nominal = block_diag(
         np.asarray(lambda_d_t, dtype=float)
-        + _diag_blocks(np.asarray(lambda_ps_t, dtype=float))
+        + diag_blocks(np.asarray(lambda_ps_t, dtype=float))
         + np.asarray(gamma_prev, dtype=float)
     )
     diff = nominal - (
-        np.asarray(prev_efim, dtype=float) + _off_part(lambda_ps_t) + carry
+        np.asarray(prev_efim, dtype=float) + off_part(lambda_ps_t) + carry
     )
     diff = symmetrize(diff)
     eigs = npl.eigvalsh(diff)
@@ -209,19 +194,19 @@ def recursive_step(
         scale = prev.next_measurement_scale
         gamma_blocks = np.asarray(gamma_prev, dtype=float)
         condition = check_convergence(prev.efim, scale * lam, slice_ps, gamma_blocks)
-        carry = _temporal_carry(prev.efim, _block_diag(gamma_blocks))
+        carry = _temporal_carry(prev.efim, block_diag(gamma_blocks))
 
     lam = scale * lam
-    off = _off_part(slice_ps)
-    nominal = lam + _diag_blocks(slice_ps) + gamma_blocks
-    nominal_full = _block_diag(nominal)
+    off = off_part(slice_ps)
+    nominal = lam + diag_blocks(slice_ps) + gamma_blocks
+    nominal_full = block_diag(nominal)
     efim = symmetrize(nominal_full - off - carry)
 
     try:
         nominal_inv = np.stack([npl.inv(nominal[k]) for k in range(K)])
     except npl.LinAlgError as exc:
         raise SingularState(f"nominal block at step {t} is singular") from exc
-    efficiency = np.eye(2 * K) - _block_diag(nominal_inv) @ (off + carry)
+    efficiency = np.eye(2 * K) - block_diag(nominal_inv) @ (off + carry)
 
     try:
         chol = cho_factor(efim, lower=True)
@@ -274,21 +259,10 @@ def per_user_series(
     """
     K = state.n_users
     coupling = state.spatial_off + state.temporal_carry
-    nominal_inv = _block_diag(
+    nominal_inv = block_diag(
         np.stack([npl.inv(state.nominal[j]) for j in range(K)])
     )
-    x = nominal_inv @ coupling
-    sl = slice(2 * k, 2 * k + 2)
-    slab = np.zeros((2 * K, 2))
-    slab[sl, :] = np.eye(2)
-    total = np.zeros((2, 2))
-    for _ in range(max_terms):
-        slab = x @ slab
-        total = total + slab[sl, :]
-        # stop on the whole slab: individual diagonal terms can vanish
-        # structurally (odd powers of a hollow walk) long before the tail does
-        if np.linalg.norm(slab) < tol:
-            break
+    total, _, _ = neumann_diag_block(nominal_inv @ coupling, k, max_terms, tol)
     return npl.inv(np.eye(2) + total)
 
 
@@ -322,20 +296,20 @@ class ConstantInputs:
 
     @property
     def m_full(self) -> np.ndarray:
-        return _block_diag(self.lambda_d) + self.spatial_slice
+        return block_diag(self.lambda_d) + self.spatial_slice
 
     @property
     def t_full(self) -> np.ndarray:
-        return _block_diag(self.gamma)
+        return block_diag(self.gamma)
 
     @property
     def spatial_off(self) -> np.ndarray:
-        return _off_part(self.spatial_slice)
+        return off_part(self.spatial_slice)
 
     @property
     def nominal_diag(self) -> np.ndarray:
         """(K, 2, 2) own-information blocks D_k = Lambda_D_k + Xi_kk + Gamma_k."""
-        return self.lambda_d + _diag_blocks(self.spatial_slice) + self.gamma
+        return self.lambda_d + diag_blocks(self.spatial_slice) + self.gamma
 
 
 def constant_inputs(

@@ -376,8 +376,8 @@ def test_criterion_09_toy_trends():
 
     def measure(config):
         traj = static_trajectory(config)
-        mfim, _, efim, split = _pipeline(config, traj, include_anchor=False)
-        report = eoc_report(efim, split, build_ptpm(split, mfim))
+        _, _, efim, split = _pipeline(config, traj, include_anchor=False)
+        report = eoc_report(efim, split)
         return report.mean_eoc, report.total_bcrb
 
     snr = [measure(base.with_snr_offset_db(db)) for db in range(-30, 31, 10)]

@@ -9,6 +9,7 @@ from loctrack.blocks import (
     block_slice,
     blocks_to_matrix,
     is_spd,
+    neumann_diag_block,
     require_spd,
     spd_sqrt_and_inv_sqrt,
     spectral_radius,
@@ -136,3 +137,21 @@ def test_block_matrix_csv_round_trips_exact_floats(rng, tmp_path):
         for line in path.read_text().strip().splitlines()
     ]
     assert np.array_equal(np.array(rows), bm.data)
+
+
+def test_neumann_sum_survives_zero_odd_terms():
+    """A hollow two-state walk has zero diagonal blocks on every odd power,
+    so the sum must not stop on a vanishing diagonal term."""
+    a = 0.5
+    walk = np.zeros((4, 4))
+    walk[0:2, 2:4] = a * np.eye(2)
+    walk[2:4, 0:2] = a * np.eye(2)
+    total, terms, converged = neumann_diag_block(walk, 0, 10_000, 1e-10)
+    assert converged
+    assert terms > 2
+    # sum over even n >= 2 of a^n
+    assert np.allclose(total, a**2 / (1.0 - a**2) * np.eye(2), rtol=0, atol=1e-10)
+    # one term is the zero odd power; the budget runs out before tol is met
+    first, terms, converged = neumann_diag_block(walk, 0, 1, 1e-10)
+    assert (terms, converged) == (1, False)
+    assert np.array_equal(first, np.zeros((2, 2)))

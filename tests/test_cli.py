@@ -8,6 +8,7 @@ import os
 import pytest
 
 import loctrack.cli as cli
+import loctrack.harness as harness
 from loctrack.errors import CampaignAborted
 from loctrack.scenario import save_scenario, toy_scenario
 
@@ -67,6 +68,67 @@ def test_run_abort_maps_to_exit_3(spec_file, monkeypatch, capsys):
     rc = cli.main(["run", spec_file])
     assert rc == 3
     assert "campaign aborted" in capsys.readouterr().err
+
+
+def _run_recursion_spec(tmp_path, monkeypatch, **extra):
+    """Run a 3-step EP_CONVERGENCE spec; returns the exit code and how many
+    runs started."""
+    payload = {
+        "scenario": "scene.json",
+        "kind": "EP_CONVERGENCE",
+        "sweep": {"parameter": "sigma-t-inv2", "values": [10.0]},
+        "num-monte-carlo": 3,
+        "base-seed": 3,
+        "output-dir": "campaign",
+        **extra,
+    }
+    path = tmp_path / "recursion.json"
+    path.write_text(json.dumps(payload))
+    started = []
+
+    def no_run(spec, config, seed):
+        started.append(seed)
+        return []
+
+    monkeypatch.setattr(harness, "_run_one", no_run)
+    return cli.main(["run", str(path)]), len(started)
+
+
+def test_run_rejects_disturbance_step_outside_scenario(
+    scenario_file, tmp_path, monkeypatch, capsys
+):
+    rc, started = _run_recursion_spec(
+        tmp_path, monkeypatch, disturbance={"steps": [99], "scale": 0.1}
+    )
+    assert (rc, started) == (2, 0)
+    assert "disturbance.steps label 99" in capsys.readouterr().err
+
+
+def test_run_rejects_constant_step_outside_scenario(
+    scenario_file, tmp_path, monkeypatch, capsys
+):
+    rc, started = _run_recursion_spec(
+        tmp_path, monkeypatch, **{"constant-from-step": 500}
+    )
+    assert (rc, started) == (2, 0)
+    assert "constant-from-step label 500" in capsys.readouterr().err
+
+
+def test_run_rejects_fractional_constant_step(
+    scenario_file, tmp_path, monkeypatch, capsys
+):
+    rc, started = _run_recursion_spec(
+        tmp_path, monkeypatch, **{"constant-from-step": 1.5}
+    )
+    assert (rc, started) == (2, 0)
+    assert "constant-from-step label 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_run_rejects_bad_thread_count(spec_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("LOCTRACK_THREADS", value)
+    assert cli.main(["run", spec_file]) == 2
+    assert "LOCTRACK_THREADS must be a positive integer" in capsys.readouterr().err
 
 
 def test_validate_ok(scenario_file, capsys):

@@ -7,7 +7,7 @@ import os
 import pytest
 
 import loctrack.harness as harness
-from loctrack.errors import CampaignAborted, SchemaMismatch
+from loctrack.errors import CampaignAborted, SchemaMismatch, SingularEfim
 from loctrack.harness import (
     ExperimentSpec,
     ResultTable,
@@ -150,7 +150,7 @@ def test_failures_recorded_below_abort_threshold(
 
     def flaky(inner_spec, config, seed):
         if seed == bad_seed:
-            raise RuntimeError("synthetic run failure")
+            raise SingularEfim("synthetic run failure")
         return real(inner_spec, config, seed)
 
     monkeypatch.setattr(harness, "_run_one", flaky)
@@ -172,13 +172,13 @@ def test_abort_at_ten_percent_failures(scenario_file, tmp_path, monkeypatch):
     )
 
     def always_fail(inner_spec, config, seed):
-        raise RuntimeError("synthetic hard failure")
+        raise SingularEfim("synthetic hard failure")
 
     real = harness._run_one
 
     def one_in_ten(inner_spec, config, seed):
         if seed == spec.base_seed:
-            raise RuntimeError("synthetic hard failure")
+            raise SingularEfim("synthetic hard failure")
         return real(inner_spec, config, seed)
 
     monkeypatch.setattr(harness, "_run_one", one_in_ten)
@@ -186,6 +186,20 @@ def test_abort_at_ten_percent_failures(scenario_file, tmp_path, monkeypatch):
         run_experiment(spec)
     monkeypatch.setattr(harness, "_run_one", always_fail)
     with pytest.raises(CampaignAborted):
+        run_experiment(spec)
+
+
+def test_programming_error_escapes_run_experiment(
+    scenario_file, tmp_path, monkeypatch
+):
+    """Only expected numerical failures count as failed runs."""
+    spec = make_spec(scenario_file, tmp_path, sweep_values=(0.0,), num_monte_carlo=20)
+
+    def broken(inner_spec, config, seed):
+        raise TypeError("synthetic programming error")
+
+    monkeypatch.setattr(harness, "_run_one", broken)
+    with pytest.raises(TypeError, match="synthetic programming error"):
         run_experiment(spec)
 
 
