@@ -5,7 +5,8 @@ Cascaded channel, Jacobians, and the measurement information matrix
 
 Walks one (step, user) pair through the physical layer:
 
-* steering vectors and the aligned reflection gain sqrt(N_r);
+* steering vectors, the per-step (R, N_r) phase stack, and the aligned
+  reflection gain sqrt(N_r);
 * the channel Jacobian in (angle, gain) coordinates, checked against
   central finite differences on the spot;
 * the position Jacobian T_u mapping (angle, gain) sensitivities to (x, y);
@@ -27,6 +28,7 @@ from loctrack import (
     steering_vector,
     toy_scenario,
 )
+from loctrack.channel import cascade_from_parameters, resolve_phases
 from loctrack.scenario import static_trajectory
 
 config = toy_scenario()
@@ -37,12 +39,16 @@ traj = static_trajectory(config)
 # =========================================================================
 
 print("=" * 70)
-print("STEERING AND REFLECTION (step 1, user 1, surface 1)")
+print("STEERING AND REFLECTION (step 1, user 1)")
 print("=" * 70)
 
-a_bs = steering_vector("bs", np.deg2rad(40.0), config.n_bs_antennas)
+a_bs = steering_vector(np.deg2rad(40.0), config.n_bs_antennas)
 print(f"BS steering vector: {config.n_bs_antennas} entries, "
       f"|a| = {np.linalg.norm(a_bs):.4f} (= sqrt(N_B))")
+
+phases = resolve_phases(config, traj, t=0)
+print(f"aligned phase stack at step 1: shape {phases.shape} "
+      "(one row of N_r phases per surface)")
 
 channel = cascaded_channel(config, traj, t=0, k=0)
 print(f"user-side angles (deg): {np.rad2deg(channel.ru_angles).round(2)}")
@@ -60,8 +66,6 @@ print()
 print("=" * 70)
 print("CHANNEL JACOBIAN VS CENTRAL DIFFERENCES")
 print("=" * 70)
-
-from loctrack.channel import cascade_from_parameters
 
 jac = channel_jacobian(config, traj, t=0, k=0)
 R = config.num_ris

@@ -39,57 +39,62 @@ from .scenario import (
 
 @dataclass(frozen=True)
 class GeometryParams:
-    """Angle/gain/distance of one surface-to-user link."""
+    """Angle/gain/distance of surface-to-user links.
 
-    angle: float
-    gain: float
-    distance: float
+    Fields are floats for one link and arrays for a stack of links.
+    """
+
+    angle: float | np.ndarray
+    gain: float | np.ndarray
+    distance: float | np.ndarray
 
 
 def geometry_params(
     ris_position, user_position, path_loss_exponent: float
 ) -> GeometryParams:
-    """Arrival angle at the surface, amplitude gain, and distance of a link.
+    """Arrival angle at the surface, amplitude gain, and distance of links.
 
-    The angle is measured from the +x axis, ``arccos((u_x - r_x)/d)``, so it
-    lives in [0, pi]. The gain uses the attenuating reading of the path-loss
-    exponent regardless of its configured sign.
+    Positions broadcast over leading axes, so an (R, 2) stack of surfaces
+    gives (R,) fields. The angle is measured from the +x axis,
+    ``arccos((u_x - r_x)/d)``, so it lives in [0, pi]. The gain uses the
+    attenuating reading of the path-loss exponent regardless of its
+    configured sign.
     """
     delta = np.asarray(user_position, dtype=float) - np.asarray(
         ris_position, dtype=float
     )
-    dist = float(np.linalg.norm(delta))
-    if dist <= GEOMETRY_GUARD:
+    dist = np.sqrt(np.vecdot(delta, delta))
+    if np.any(dist <= GEOMETRY_GUARD):
         raise DegenerateGeometry(
-            f"surface-user distance {dist:.3e} m below guard {GEOMETRY_GUARD} m"
+            f"surface-user distance {np.min(dist):.3e} m below guard "
+            f"{GEOMETRY_GUARD} m"
         )
-    angle = float(np.arccos(np.clip(delta[0] / dist, -1.0, 1.0)))
+    angle = np.arccos(np.clip(delta[..., 0] / dist, -1.0, 1.0))
     gain = dist ** (-abs(path_loss_exponent) / 2.0)
     return GeometryParams(angle=angle, gain=gain, distance=dist)
 
 
-def steering_vector(kind: str, angle: float, n_elements: int) -> np.ndarray:
-    """ULA steering vector exp(j*pi*m*cos(angle)), m = 0..n-1.
+def steering_vector(angle, n_elements: int) -> np.ndarray:
+    """ULA steering vectors exp(j*pi*m*cos(angle)), m = 0..n-1.
 
-    ``kind`` ("bs" or "ris") only labels the array; both use half-wavelength
-    spacing so the response formula is identical.
+    The BS and the surfaces both use half-wavelength spacing, so one
+    formula serves every array. An (R,) stack of angles gives (R, n).
     """
-    if kind not in ("bs", "ris"):
-        raise DimensionMismatch(f"unknown array kind {kind!r}")
     m = np.arange(n_elements)
-    return np.exp(1j * np.pi * m * np.cos(angle))
+    return np.exp(1j * np.pi * m * np.cos(np.asarray(angle))[..., None])
 
 
-def steering_derivative(angle: float, n_elements: int) -> np.ndarray:
+def steering_derivative(angle, n_elements: int) -> np.ndarray:
     """Elementwise derivative of the ULA steering vector w.r.t. the angle."""
     m = np.arange(n_elements)
-    return -1j * np.pi * m * np.sin(angle) * np.exp(1j * np.pi * m * np.cos(angle))
+    sine = np.sin(np.asarray(angle))[..., None]
+    return -1j * np.pi * m * sine * steering_vector(angle, n_elements)
 
 
 def resolve_phases(
-    config: ScenarioConfig, trajectory: Trajectory, t: int, ris: int
+    config: ScenarioConfig, trajectory: Trajectory, t: int
 ) -> np.ndarray:
-    """Phase shifts applied by surface ``ris`` at step ``t``, radians.
+    """(R, N_r) phase shifts applied by every surface at step ``t``, radians.
 
     Aligned policy: surface i serves user i mod K and conjugates that user's
     cascade phase elementwise, which drives the reflection response to its
@@ -98,19 +103,19 @@ def resolve_phases(
     profile = config.ris_phase_profiles
     n = config.n_ris_elements
     if isinstance(profile, ExplicitPhases):
-        return np.asarray(profile.values[t, ris], dtype=float)
+        return np.asarray(profile.values[t], dtype=float)
     if isinstance(profile, RandomPhases):
-        return profile.values_for(t, ris, n)
+        return np.stack([profile.values_for(t, i, n) for i in range(config.num_ris)])
     if isinstance(profile, AlignedPhases):
         _, aoa, _ = config.bs_ris_geometry()
-        served = ris % config.num_users
+        served = np.arange(config.num_ris) % config.num_users
         geo = geometry_params(
-            config.ris_positions[ris],
-            trajectory.position(t, served),
+            config.ris_positions,
+            trajectory.positions[t, served],
             config.path_loss_exponent,
         )
         m = np.arange(n)
-        return np.pi * m * (np.cos(aoa[ris]) - np.cos(geo.angle))
+        return np.pi * m * (np.cos(aoa) - np.cos(geo.angle))[:, None]
     raise DimensionMismatch(f"unknown phase profile {profile!r}")
 
 
@@ -163,36 +168,40 @@ class ChannelVector:
     effective_noise_variance: float
 
 
+def _surface_terms(
+    config: ScenarioConfig, trajectory: Trajectory, t: int, ru_angles: np.ndarray
+):
+    """Per-surface terms of the cascade at step t, all R surfaces at once.
+
+    For user-hop arrival angles ``ru_angles`` (R,), returns the reflection
+    responses g (R,), their angle derivatives dg (R,), the BS rows
+    rho_mix * g_br_i * a_bs(aod_i) as an (R, N_b) array, so the cascade is
+    ``(ru_gains * g) @ rows``, and the BS-RIS gains g_br (R,).
+    """
+    aod, aoa, br_gains = config.bs_ris_geometry()
+    n_b, n_r = config.n_bs_antennas, config.n_ris_elements
+    omega = np.exp(1j * resolve_phases(config, trajectory, t)) / np.sqrt(n_r)
+    ris_in = steering_vector(aoa, n_r)
+    g = np.vecdot(ris_in, omega * steering_vector(ru_angles, n_r))
+    dg = np.vecdot(ris_in, omega * steering_derivative(ru_angles, n_r))
+    rows = (_rician_mix(config) * br_gains)[:, None] * steering_vector(aod, n_b)
+    return g, dg, rows, br_gains
+
+
 def cascaded_channel(
     config: ScenarioConfig, trajectory: Trajectory, t: int, k: int
 ) -> ChannelVector:
     """LoS cascade of user k at step t, summed over every surface."""
-    aod, aoa, br_gains = config.bs_ris_geometry()
-    mix = _rician_mix(config)
-    n_b, n_r = config.n_bs_antennas, config.n_ris_elements
-    user = trajectory.position(t, k)
-
-    total = np.zeros(n_b, dtype=complex)
-    angles = np.zeros(config.num_ris)
-    gains = np.zeros(config.num_ris)
-    reflect = np.zeros(config.num_ris, dtype=complex)
-    for i in range(config.num_ris):
-        geo = geometry_params(config.ris_positions[i], user, config.path_loss_exponent)
-        phases = resolve_phases(config, trajectory, t, i)
-        omega = np.exp(1j * phases) / np.sqrt(n_r)
-        g = np.vdot(
-            steering_vector("ris", aoa[i], n_r),
-            omega * steering_vector("ris", geo.angle, n_r),
-        )
-        total += mix * br_gains[i] * geo.gain * g * steering_vector("bs", aod[i], n_b)
-        angles[i], gains[i], reflect[i] = geo.angle, geo.gain, g
-
+    geo = geometry_params(
+        config.ris_positions, trajectory.position(t, k), config.path_loss_exponent
+    )
+    g, _, rows, br_gains = _surface_terms(config, trajectory, t, geo.angle)
     return ChannelVector(
-        vector=total,
-        ru_angles=angles,
-        ru_gains=gains,
-        reflection=reflect,
-        effective_noise_variance=effective_noise_variance(config, br_gains, gains),
+        vector=(geo.gain * g) @ rows,
+        ru_angles=geo.angle,
+        ru_gains=geo.gain,
+        reflection=g,
+        effective_noise_variance=effective_noise_variance(config, br_gains, geo.gain),
     )
 
 
@@ -210,22 +219,8 @@ def cascade_from_parameters(
     per-surface arrival angles and gains vary; this is the function the
     channel Jacobian differentiates, so derivative checks go through here.
     """
-    aod, aoa, br_gains = config.bs_ris_geometry()
-    mix = _rician_mix(config)
-    n_b, n_r = config.n_bs_antennas, config.n_ris_elements
-    total = np.zeros(n_b, dtype=complex)
-    for i in range(config.num_ris):
-        phases = resolve_phases(config, trajectory, t, i)
-        omega = np.exp(1j * phases) / np.sqrt(n_r)
-        g = np.vdot(
-            steering_vector("ris", aoa[i], n_r),
-            omega * steering_vector("ris", float(ru_angles[i]), n_r),
-        )
-        total += (
-            mix * br_gains[i] * float(ru_gains[i]) * g
-            * steering_vector("bs", aod[i], n_b)
-        )
-    return total
+    g, _, rows, _ = _surface_terms(config, trajectory, t, ru_angles)
+    return (np.asarray(ru_gains, dtype=float) * g) @ rows
 
 
 @dataclass(frozen=True)
@@ -244,29 +239,11 @@ def channel_jacobian(
     config: ScenarioConfig, trajectory: Trajectory, t: int, k: int
 ) -> ChannelJacobian:
     """Analytic Jacobian of the cascade for user k at step t."""
-    aod, aoa, br_gains = config.bs_ris_geometry()
-    mix = _rician_mix(config)
-    n_b, n_r = config.n_bs_antennas, config.n_ris_elements
-    R = config.num_ris
-    user = trajectory.position(t, k)
-
-    out = np.zeros((n_b, 2 * R), dtype=complex)
-    gains = np.zeros(R)
-    for i in range(R):
-        geo = geometry_params(config.ris_positions[i], user, config.path_loss_exponent)
-        phases = resolve_phases(config, trajectory, t, i)
-        omega = np.exp(1j * phases) / np.sqrt(n_r)
-        ris_in = steering_vector("ris", aoa[i], n_r)
-        bs_out = steering_vector("bs", aod[i], n_b)
-        g = np.vdot(ris_in, omega * steering_vector("ris", geo.angle, n_r))
-        dg = np.vdot(ris_in, omega * steering_derivative(geo.angle, n_r))
-        scale = mix * br_gains[i]
-        out[:, i] = scale * geo.gain * dg * bs_out
-        out[:, R + i] = scale * g * bs_out
-        gains[i] = geo.gain
-
-    return ChannelJacobian(
-        matrix=out,
-        effective_noise_variance=effective_noise_variance(config, br_gains, gains),
+    geo = geometry_params(
+        config.ris_positions, trajectory.position(t, k), config.path_loss_exponent
     )
-
+    g, dg, rows, br_gains = _surface_terms(config, trajectory, t, geo.angle)
+    return ChannelJacobian(
+        matrix=np.concatenate([(geo.gain * dg)[:, None] * rows, g[:, None] * rows]).T,
+        effective_noise_variance=effective_noise_variance(config, br_gains, geo.gain),
+    )

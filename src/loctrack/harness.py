@@ -2,9 +2,9 @@
 
 A campaign turns a JSON experiment description into a long-format result
 table plus a manifest.  Runs are independent work items keyed by
-``base_seed + run_index``; aggregation is an ordered reduce over run
-indices, so the size of the worker pool never changes the output bytes.
-Reruns with the same spec and seed are byte-identical.
+``base_seed + run_index``, executed in order on one worker thread;
+aggregation is an ordered reduce over run indices. Reruns with the same
+spec and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -85,13 +85,16 @@ FIGURE_KINDS = {
     "fig10": KIND_ASYMPTOTIC_TEMPORAL,
 }
 
-THREADS_ENV = "LOCTRACK_THREADS"
 FAILURE_ABORT_FRACTION = 0.1
 TREND_MARGIN = 1e-9
 
 # Deviation sample count used to Monte Carlo the prior Hessian when a
 # campaign scenario carries the non-Gaussian prior.
 _L1_ENSEMBLE = 100
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _fmt(value: float) -> str:
@@ -123,8 +126,19 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise SchemaMismatch(f"unknown experiment kind {self.kind!r}")
+        for name, value in (("num-monte-carlo", self.num_monte_carlo),
+                            ("base-seed", self.base_seed)):
+            if not _is_integer(value):
+                raise SchemaMismatch(f"{name} must be an integer, got {value!r}")
         if self.num_monte_carlo < 1:
             raise SchemaMismatch("num-monte-carlo must be at least 1")
+        scale = self.disturbance_scale
+        real = isinstance(scale, numbers.Real) and not isinstance(scale, bool)
+        if not (real and math.isfinite(scale) and scale >= 0.0):
+            raise SchemaMismatch(
+                f"disturbance.scale must be a finite number >= 0, got {scale!r}"
+            )
+        object.__setattr__(self, "disturbance_scale", float(scale))
         values = tuple(float(v) for v in self.sweep_values)
         object.__setattr__(self, "sweep_values", values)
         if any(not math.isfinite(v) for v in values):
@@ -161,12 +175,12 @@ def experiment_from_json(payload: dict, base_dir: str = ".") -> ExperimentSpec:
         kind=payload["kind"],
         sweep_parameter=sweep.get("parameter"),
         sweep_values=tuple(sweep.get("values", ())),
-        num_monte_carlo=int(payload["num-monte-carlo"]),
-        base_seed=int(payload["base-seed"]),
+        num_monte_carlo=payload["num-monte-carlo"],
+        base_seed=payload["base-seed"],
         output_dir=resolve(payload["output-dir"]),
         snr_db_offset=float(payload.get("snr-db-offset", 0.0)),
         disturbance_steps=tuple(disturbance.get("steps", ())),
-        disturbance_scale=float(disturbance.get("scale", 1.0)),
+        disturbance_scale=disturbance.get("scale", 1.0),
         constant_from_step=payload.get("constant-from-step", 2),
     )
 
@@ -246,27 +260,13 @@ class ResultTable:
         return cls(rows=tuple(rows), manifest=manifest)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return max(1, os.cpu_count() or 1)
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise SchemaMismatch(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return count
-
-
 def _check_step_labels(spec: ExperimentSpec, num_steps: int) -> None:
     """Reject 1-based step labels the scenario does not have."""
     labels = [("disturbance.steps", s) for s in spec.disturbance_steps]
     if spec.kind in _RECURSION_KINDS and spec.constant_from_step is not None:
         labels.append(("constant-from-step", spec.constant_from_step))
     for name, label in labels:
-        integral = isinstance(label, numbers.Integral) and not isinstance(label, bool)
-        if not (integral and 1 <= label <= num_steps):
+        if not (_is_integer(label) and 1 <= label <= num_steps):
             raise SchemaMismatch(
                 f"{name} label {label!r} is not an integer step in 1..{num_steps}"
             )
@@ -438,7 +438,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     (``LocTrackError`` and numpy's ``LinAlgError``) count as failed runs;
     any other exception propagates.
     """
-    workers = _worker_count()
     with open(spec.scenario_path, "rb") as fh:
         scenario_bytes = fh.read()
     base_config = load_scenario(spec.scenario_path)
@@ -467,7 +466,11 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         except (LocTrackError, np.linalg.LinAlgError) as exc:
             return ("fail", job, f"{type(exc).__name__}: {exc}")
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # One worker thread runs the jobs in order. It is not the caller's
+    # thread because perfbench's span recorder (perfbench/spans.py) counts
+    # a trajectory draw as the start of a run only on a thread with no
+    # open span.
+    with ThreadPoolExecutor(max_workers=1) as pool:
         outcomes = list(pool.map(work, jobs))
 
     samples: dict = {}

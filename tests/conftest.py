@@ -15,6 +15,7 @@ import pytest
 from loctrack.scenario import (
     PRIOR_L2,
     AlignedPhases,
+    ExplicitPhases,
     RandomPhases,
     ScenarioConfig,
     random_walk_trajectory,
@@ -88,6 +89,8 @@ def random_scenario(
         phases = AlignedPhases()
     elif phase_style == "random":
         phases = RandomPhases(seed=int(rng.integers(2**31)))
+    elif phase_style == "explicit":
+        phases = ExplicitPhases(rng.uniform(0.0, 2.0 * math.pi, size=(T, R, 16)))
     else:
         raise ValueError(f"unknown phase style {phase_style!r}")
 

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_scenario
+from conftest import random_scenario, rel_frobenius
 from loctrack.channel import (
     cascade_from_parameters,
     cascaded_channel,
@@ -17,7 +19,7 @@ from loctrack.channel import (
     steering_derivative,
     steering_vector,
 )
-from loctrack.errors import DegenerateGeometry, DimensionMismatch
+from loctrack.errors import DegenerateGeometry
 from loctrack.scenario import (
     ExplicitPhases,
     RandomPhases,
@@ -27,24 +29,23 @@ from loctrack.scenario import (
 
 
 def test_steering_vector_structure():
-    vec = steering_vector("bs", 0.7, 12)
+    vec = steering_vector(0.7, 12)
     assert vec.shape == (12,)
     assert vec[0] == 1.0 + 0.0j
     assert np.allclose(np.abs(vec), 1.0)
     assert np.vdot(vec, vec).real == pytest.approx(12.0)
     m = np.arange(12)
     assert np.allclose(vec, np.exp(1j * np.pi * m * math.cos(0.7)))
-
-
-def test_steering_vector_rejects_unknown_kind():
-    with pytest.raises(DimensionMismatch):
-        steering_vector("satellite", 0.3, 4)
+    # a stack of angles gives one row per angle
+    stack = steering_vector(np.array([0.7, 1.9]), 12)
+    assert stack.shape == (2, 12)
+    assert np.allclose(stack, [vec, steering_vector(1.9, 12)], rtol=1e-15)
 
 
 def test_steering_derivative_matches_finite_difference():
     h = 1e-7
     for angle in (0.4, 1.0, 2.2):
-        fd = (steering_vector("ris", angle + h, 16) - steering_vector("ris", angle - h, 16)) / (2 * h)
+        fd = (steering_vector(angle + h, 16) - steering_vector(angle - h, 16)) / (2 * h)
         analytic = steering_derivative(angle, 16)
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-6
 
@@ -56,6 +57,11 @@ def test_geometry_params_hand_computed():
     assert geo.gain == pytest.approx(5.0 ** (-1.0))
     # the attenuating reading ignores the exponent sign
     assert geometry_params([0.0, 0.0], [3.0, 4.0], 2.0).gain == geo.gain
+    # a stack of surfaces gives one link per row
+    stack = geometry_params([[0.0, 0.0], [3.0, 0.0]], [3.0, 4.0], -2.0)
+    assert np.allclose(stack.distance, [5.0, 4.0])
+    assert np.allclose(stack.angle, [math.acos(3.0 / 5.0), math.pi / 2.0])
+    assert np.allclose(stack.gain, [5.0 ** (-1.0), 4.0 ** (-1.0)])
 
 
 def test_geometry_params_guards_coincidence():
@@ -98,8 +104,15 @@ def test_cascade_linear_in_gains():
     assert np.allclose(doubled, 2.0 * chan.vector, rtol=1e-12)
 
 
-def test_channel_jacobian_matches_finite_difference(rng):
-    config, traj = random_scenario(rng, num_steps=2)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    phase_style=st.sampled_from(["aligned", "random", "explicit"]),
+)
+def test_channel_jacobian_matches_finite_difference(seed, phase_style):
+    config, traj = random_scenario(
+        np.random.default_rng(seed), num_steps=2, phase_style=phase_style
+    )
     for k in range(config.num_users):
         chan = cascaded_channel(config, traj, 1, k)
         jac = channel_jacobian(config, traj, 1, k)
@@ -117,6 +130,62 @@ def test_channel_jacobian_matches_finite_difference(rng):
             ) / (2 * h)
         err = np.linalg.norm(jac.matrix - fd) / np.linalg.norm(fd)
         assert err < 1e-6
+
+
+def _reference_phases(config, traj, t, i):
+    """Phase row of surface i at step t, resolved for that surface alone."""
+    profile = config.ris_phase_profiles
+    n_r = config.n_ris_elements
+    if isinstance(profile, ExplicitPhases):
+        return profile.values[t, i]
+    if isinstance(profile, RandomPhases):
+        return profile.values_for(t, i, n_r)
+    _, aoa, _ = config.bs_ris_geometry()
+    served = geometry_params(
+        config.ris_positions[i],
+        traj.position(t, i % config.num_users),
+        config.path_loss_exponent,
+    )
+    return np.pi * np.arange(n_r) * (math.cos(aoa[i]) - math.cos(served.angle))
+
+
+@pytest.mark.parametrize("phase_style", ["aligned", "random", "explicit"])
+def test_phase_stack_matches_per_surface_reference(rng, phase_style):
+    """Each row of the phase stack drives its own surface's reflection, and
+    the cascade is the per-surface sum of the reflected paths."""
+    config, traj = random_scenario(
+        rng, num_users=3, num_ris=4, phase_style=phase_style
+    )
+    aod, aoa, br_gains = config.bs_ris_geometry()
+    kb, ku = config.rician_factor_br, config.rician_factor_ru
+    mix = math.sqrt(kb * ku / ((1.0 + kb) * (1.0 + ku)))
+    n_b, n_r = config.n_bs_antennas, config.n_ris_elements
+    for t in range(config.num_steps):
+        phases = resolve_phases(config, traj, t)
+        assert phases.shape == (config.num_ris, n_r)
+        for i in range(config.num_ris):
+            assert np.allclose(
+                phases[i], _reference_phases(config, traj, t, i), rtol=1e-12, atol=1e-12
+            )
+        for k in range(config.num_users):
+            chan = cascaded_channel(config, traj, t, k)
+            want_vector = np.zeros(n_b, dtype=complex)
+            for i in range(config.num_ris):
+                geo = geometry_params(
+                    config.ris_positions[i],
+                    traj.position(t, k),
+                    config.path_loss_exponent,
+                )
+                want = np.vdot(
+                    steering_vector(aoa[i], n_r),
+                    np.exp(1j * phases[i]) / math.sqrt(n_r)
+                    * steering_vector(geo.angle, n_r),
+                )
+                assert chan.reflection[i] == pytest.approx(want, rel=1e-12)
+                want_vector += (
+                    mix * br_gains[i] * geo.gain * want * steering_vector(aod[i], n_b)
+                )
+            assert rel_frobenius(chan.vector, want_vector) <= 1e-12
 
 
 def test_aligned_phases_maximise_served_reflection(rng):
@@ -144,8 +213,8 @@ def test_resolve_phases_explicit_passthrough():
     )
     config = dataclasses.replace(base, ris_phase_profiles=ExplicitPhases(values))
     traj = static_trajectory(config)
-    got = resolve_phases(config, traj, 1, 2)
-    assert np.array_equal(got, values[1, 2])
+    got = resolve_phases(config, traj, 1)
+    assert np.array_equal(got, values[1])
 
 
 def test_resolve_phases_random_deterministic():
@@ -153,11 +222,12 @@ def test_resolve_phases_random_deterministic():
         toy_scenario(), ris_phase_profiles=RandomPhases(seed=42)
     )
     traj = static_trajectory(config)
-    a = resolve_phases(config, traj, 0, 1)
-    b = resolve_phases(config, traj, 0, 1)
-    c = resolve_phases(config, traj, 1, 1)
+    a = resolve_phases(config, traj, 0)
+    b = resolve_phases(config, traj, 0)
+    c = resolve_phases(config, traj, 1)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    assert not np.array_equal(a[1], c[1])
+    assert not np.array_equal(a[0], a[1])
 
 
 def test_random_scenario_jacobians_stay_regular(rng):

@@ -124,11 +124,21 @@ def test_run_rejects_fractional_constant_step(
     assert "constant-from-step label 1.5" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_run_rejects_bad_thread_count(spec_file, monkeypatch, capsys, value):
-    monkeypatch.setenv("LOCTRACK_THREADS", value)
-    assert cli.main(["run", spec_file]) == 2
-    assert "LOCTRACK_THREADS must be a positive integer" in capsys.readouterr().err
+@pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+def test_run_rejects_bad_disturbance_scale(tmp_path, monkeypatch, capsys, scale):
+    rc, started = _run_recursion_spec(
+        tmp_path, monkeypatch, disturbance={"steps": [2], "scale": scale}
+    )
+    assert (rc, started) == (2, 0)
+    assert "disturbance.scale must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["num-monte-carlo", "base-seed"])
+@pytest.mark.parametrize("value", ["abc", 2.7, True])
+def test_run_rejects_non_integer_counts(tmp_path, monkeypatch, capsys, key, value):
+    rc, started = _run_recursion_spec(tmp_path, monkeypatch, **{key: value})
+    assert (rc, started) == (2, 0)
+    assert f"{key} must be an integer" in capsys.readouterr().err
 
 
 def test_validate_ok(scenario_file, capsys):

@@ -106,16 +106,6 @@ def test_run_experiment_rerun_is_byte_identical(scenario_file, tmp_path):
         assert open(pa, "rb").read() == open(pb, "rb").read()
 
 
-def test_worker_pool_size_never_changes_output(scenario_file, tmp_path, monkeypatch):
-    spec = make_spec(scenario_file, tmp_path)
-    monkeypatch.setenv("LOCTRACK_THREADS", "1")
-    serial = run_experiment(spec)
-    monkeypatch.setenv("LOCTRACK_THREADS", "4")
-    parallel = run_experiment(spec)
-    assert serial.rows == parallel.rows
-    assert serial.manifest == parallel.manifest
-
-
 def test_manifest_contents(scenario_file, tmp_path):
     spec = make_spec(scenario_file, tmp_path, snr_db_offset=20.0)
     table = run_experiment(spec)
