@@ -43,7 +43,9 @@ T, K = config.num_steps, config.num_users
 mfim = measurement_fim(config, traj)
 pfim = prior_fim(config, prior_model(config, include_anchor=True))
 efim = assemble_efim(mfim, pfim)
-split = split_d_a(efim, mfim, pfim)
+# D is read off the EFIM's own diagonal blocks, so A = D - J is hollow; the
+# prior only tells the split which states carry the step-0 anchor.
+split = split_d_a(efim, pfim)
 ptpm = build_ptpm(split, mfim)
 
 # =========================================================================
@@ -55,6 +57,12 @@ print("PTPM STRUCTURE")
 print("=" * 70)
 print(f"states: {T * K} (T = {T}, K = {K}), block side {2 * T * K}")
 print(f"row-sum identity residual: {ptpm.row_sum_residual():.2e}")
+hollow = max(
+    float(np.max(np.abs(split.coupling.diag_block(t, k))))
+    for t in range(T)
+    for k in range(K)
+)
+print(f"largest entry on A's diagonal blocks: {hollow:.1e} (A is hollow)")
 
 # =========================================================================
 # IDENTITY 2: RETURN VS ABSORB

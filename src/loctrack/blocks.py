@@ -222,11 +222,7 @@ def diag_blocks(mat: np.ndarray) -> np.ndarray:
 
 def off_part(mat: np.ndarray) -> np.ndarray:
     """Positive coupling part: minus the matrix with its diagonal blocks zeroed."""
-    out = -np.asarray(mat, dtype=float).copy()
-    K = mat.shape[0] // 2
-    for k in range(K):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = 0.0
-    return out
+    return block_diag(diag_blocks(mat)) - mat
 
 
 def neumann_diag_block(
@@ -252,13 +248,36 @@ def neumann_diag_block(
     return total, max_terms, False
 
 
-def blocks_to_matrix(blocks: np.ndarray, n_steps: int, n_users: int) -> BlockMatrix:
-    """Block-diagonal BlockMatrix from per-(t, k) 2x2 blocks.
+def add_edge_blocks(mat: np.ndarray, pairs, weights) -> np.ndarray:
+    """Stamp weighted edges between 2x2 blocks of ``mat``, in place.
 
-    Parameters
-    ----------
-    blocks : ndarray
-        Shape (T, K, 2, 2) (or (T*K, 2, 2)) diagonal blocks, step-major.
+    An edge (g, h) with 2x2 weight W adds +W to blocks (g, g) and (h, h)
+    and -W to blocks (g, h) and (h, g), so block rows of the stamp sum to
+    zero. Edges are stamped in the order given. Returns ``mat``.
     """
-    arr = np.asarray(blocks, dtype=float).reshape(n_steps * n_users, 2, 2)
-    return BlockMatrix(block_diag(arr), n_steps, n_users)
+    for (g, h), weight in zip(pairs, weights):
+        sg, sh = block_slice(g), block_slice(h)
+        mat[sg, sg] += weight
+        mat[sh, sh] += weight
+        mat[sg, sh] -= weight
+        mat[sh, sg] -= weight
+    return mat
+
+
+def chain_matrix(slices: np.ndarray, temporal: np.ndarray) -> BlockMatrix:
+    """Time-chain information matrix over the (step, user) grid.
+
+    ``slices`` (T, 2K, 2K) go on the block diagonal, one per step;
+    ``temporal`` (T-1, K, 2, 2) holds the link weights, entry (t, k) stamped
+    as an edge between states (t, k) and (t+1, k). The links are summed in
+    their own matrix and added to the slices once.
+    """
+    slices = np.asarray(slices, dtype=float)
+    T, K = slices.shape[0], slices.shape[1] // 2
+    mat = np.zeros((2 * T * K, 2 * T * K))
+    for t in range(T):
+        mat[2 * t * K : 2 * (t + 1) * K, 2 * t * K : 2 * (t + 1) * K] = slices[t]
+    pairs = [(g, g + K) for g in range(K * (T - 1))]
+    weights = np.asarray(temporal, dtype=float).reshape(-1, 2, 2)
+    mat += add_edge_blocks(np.zeros_like(mat), pairs, weights)
+    return BlockMatrix(mat, T, K)

@@ -100,6 +100,13 @@ def resolve_phases(
     cascade phase elementwise, which drives the reflection response to its
     sqrt(N_r) maximum for the served user.
     """
+    return _phase_stack(config, trajectory, t, config.bs_ris_geometry()[1])
+
+
+def _phase_stack(
+    config: ScenarioConfig, trajectory: Trajectory, t: int, aoa: np.ndarray
+) -> np.ndarray:
+    """``resolve_phases`` given the (R,) BS-side arrival angles ``aoa``."""
     profile = config.ris_phase_profiles
     n = config.n_ris_elements
     if isinstance(profile, ExplicitPhases):
@@ -107,7 +114,6 @@ def resolve_phases(
     if isinstance(profile, RandomPhases):
         return np.stack([profile.values_for(t, i, n) for i in range(config.num_ris)])
     if isinstance(profile, AlignedPhases):
-        _, aoa, _ = config.bs_ris_geometry()
         served = np.arange(config.num_ris) % config.num_users
         geo = geometry_params(
             config.ris_positions,
@@ -180,7 +186,7 @@ def _surface_terms(
     """
     aod, aoa, br_gains = config.bs_ris_geometry()
     n_b, n_r = config.n_bs_antennas, config.n_ris_elements
-    omega = np.exp(1j * resolve_phases(config, trajectory, t)) / np.sqrt(n_r)
+    omega = np.exp(1j * _phase_stack(config, trajectory, t, aoa)) / np.sqrt(n_r)
     ris_in = steering_vector(aoa, n_r)
     g = np.vecdot(ris_in, omega * steering_vector(ru_angles, n_r))
     dg = np.vecdot(ris_in, omega * steering_derivative(ru_angles, n_r))

@@ -1,12 +1,14 @@
 """Information-coupling analysis of the assembled EFIM.
 
 The assembled information J splits as J = D - A: D keeps each state's own
-(nominal) information — measurement block plus the diagonal blocks of both
-prior parts — and A carries the nonnegative couplings between states (zero
-diagonal). Left-normalising by D gives a transition operator Q = D^{-1} A
-whose rows, together with the absorption column R = D^{-1} (measurement +
-anchor) blocks, sum to identity: the information flow behaves like an
-absorbing random walk over (step, user) states.
+(nominal) information, the diagonal blocks of J (measurement block plus
+the diagonal blocks of both prior parts), and A carries the nonnegative
+couplings between states (zero diagonal blocks). ``split_d_a(efim, pfim)``
+reads D off J itself; the prior supplies only the anchor. Left-normalising
+by D gives a transition operator Q = D^{-1} A whose rows, together with
+the absorption column R = D^{-1} (measurement + anchor) blocks, sum to
+identity: the information flow behaves like an absorbing random walk over
+(step, user) states.
 
 Three quantities per state follow:
 
@@ -38,7 +40,9 @@ from .blocks import (
     block_diag,
     block_index,
     block_slice,
+    diag_blocks,
     neumann_diag_block,
+    off_part,
     spd_sqrt_and_inv_sqrt,
     spectral_radius,
     symmetrize,
@@ -97,34 +101,27 @@ class DASplit:
         return self.nominal_blocks[t, k]
 
 
-def split_d_a(efim: BlockMatrix, mfim: MeasurementFim, pfim: PriorFim) -> DASplit:
-    """Split the EFIM into nominal diagonal and coupling off-diagonal parts."""
+def split_d_a(efim: BlockMatrix, pfim: PriorFim) -> DASplit:
+    """Split the EFIM into nominal diagonal and coupling off-diagonal parts.
+
+    A is hollow by definition, so D is read off the EFIM's own diagonal
+    blocks and A = D - J has exactly zero diagonal blocks.
+    """
     T, K = efim.n_steps, efim.n_users
-    if (mfim.n_steps, mfim.n_users) != (T, K) or (pfim.n_steps, pfim.n_users) != (
-        T,
-        K,
-    ):
-        raise DimensionMismatch("EFIM, measurement, and prior grids disagree")
+    if (pfim.n_steps, pfim.n_users) != (T, K):
+        raise DimensionMismatch("EFIM and prior grids disagree")
 
-    nominal = np.zeros((T, K, 2, 2))
-    for t in range(T):
-        spatial_diag = pfim.spatial_diag(t)
-        for k in range(K):
-            block = mfim.lambda_d[t, k] + spatial_diag[k]
-            if t > 0:
-                block = block + pfim.temporal[t - 1, k]
-            if t < T - 1:
-                block = block + pfim.temporal[t, k]
-            nominal[t, k] = block
-
-    diag = block_diag(nominal.reshape(T * K, 2, 2))
-    coupling = BlockMatrix(diag - efim.data, T, K)
+    coupling = BlockMatrix(off_part(efim.data), T, K)
 
     absorb_extra = np.zeros((T, K, 2, 2))
     if pfim.include_anchor:
         absorb_extra[0, :] = pfim.anchor_precision * np.eye(2)
 
-    return DASplit(nominal_blocks=nominal, coupling=coupling, absorb_extra=absorb_extra)
+    return DASplit(
+        nominal_blocks=diag_blocks(efim.data).reshape(T, K, 2, 2),
+        coupling=coupling,
+        absorb_extra=absorb_extra,
+    )
 
 
 @dataclass(frozen=True)

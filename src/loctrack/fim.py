@@ -7,8 +7,13 @@ parts that this module builds separately and then sums:
   the channel-parameter information (optionally Schur-reduced against
   nuisance parameters) and T_u the position Jacobian of those parameters;
 * spatial prior: one (2K x 2K) slice per step from the inter-user edges,
-  plus the step-0 anchor on the diagonal when enabled;
-* temporal prior: a block-tridiagonal chain of transition precisions.
+  plus the step-0 anchor on the diagonal when enabled
+  (``scenario.prior_slice``);
+* temporal prior: the transition precisions Gamma = Q^{-1}, linking each
+  user's state to its next step.
+
+``assemble_efim`` lays the per-step slices (spatial slice plus measurement
+blocks) and the temporal links out with ``blocks.chain_matrix``.
 
 The Bayesian CRB is the trace of the inverse of the assembled matrix; the
 per-user bound is the trace of the matching 2x2 diagonal block.
@@ -23,29 +28,27 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .blocks import (
     BlockMatrix,
+    block_diag,
     block_index,
     block_slice,
-    blocks_to_matrix,
-    diag_blocks,
-    off_part,
+    chain_matrix,
     symmetrize,
 )
 from .channel import channel_jacobian
 from .errors import (
     DegenerateGeometry,
     DimensionMismatch,
-    EmptyEnsemble,
     SingularEfim,
     SingularNuisance,
 )
 from .scenario import (
     GEOMETRY_GUARD,
-    PRIOR_L1,
-    PRIOR_L2,
     PriorModel,
     ScenarioConfig,
     Trajectory,
+    ensemble_positions,
     prior_model,
+    prior_slice,
 )
 
 __all__ = [
@@ -137,13 +140,6 @@ class MeasurementFim:
     @property
     def n_users(self) -> int:
         return self.lambda_d.shape[1]
-
-    def as_block_matrix(self) -> BlockMatrix:
-        return blocks_to_matrix(self.lambda_d, self.n_steps, self.n_users)
-
-    def slice_blocks(self, t: int) -> np.ndarray:
-        """(K, 2, 2) measurement blocks of step t."""
-        return np.asarray(self.lambda_d[t])
 
 
 def _measurement_cell(
@@ -261,61 +257,6 @@ class PriorFim:
     def n_users(self) -> int:
         return self.spatial_slices.shape[1] // 2
 
-    def spatial_diag(self, t: int) -> np.ndarray:
-        """(K, 2, 2) diagonal blocks of the step-t spatial slice."""
-        return diag_blocks(self.spatial_slices[t])
-
-    def spatial_off(self, t: int) -> np.ndarray:
-        """Positive off-diagonal coupling part of the step-t slice.
-
-        Zero diagonal blocks; entry (i, j) equals minus the slice's (i, j)
-        block, so for a quadratic prior it is +precision * I per edge.
-        """
-        return off_part(self.spatial_slices[t])
-
-    def lambda_ps(self) -> BlockMatrix:
-        """Block-diagonal spatial prior over the full (step, user) grid."""
-        T, K = self.n_steps, self.n_users
-        side = 2 * T * K
-        mat = np.zeros((side, side))
-        for t in range(T):
-            lo, hi = 2 * t * K, 2 * (t + 1) * K
-            mat[lo:hi, lo:hi] = self.spatial_slices[t]
-        return BlockMatrix(mat, T, K)
-
-    def lambda_pt(self) -> BlockMatrix:
-        """Block-tridiagonal temporal prior over the full grid."""
-        T, K = self.n_steps, self.n_users
-        side = 2 * T * K
-        mat = np.zeros((side, side))
-        for t in range(T - 1):
-            for k in range(K):
-                gamma = self.temporal[t, k]
-                ga, gb = block_index(t, k, K), block_index(t + 1, k, K)
-                mat[block_slice(ga), block_slice(ga)] += gamma
-                mat[block_slice(gb), block_slice(gb)] += gamma
-                mat[block_slice(ga), block_slice(gb)] -= gamma
-                mat[block_slice(gb), block_slice(ga)] -= gamma
-        return BlockMatrix(mat, T, K)
-
-    def as_block_matrix(self) -> BlockMatrix:
-        return BlockMatrix(
-            self.lambda_ps().data + self.lambda_pt().data, self.n_steps, self.n_users
-        )
-
-
-def _unit_deviation_terms(diff: np.ndarray) -> np.ndarray:
-    """Per-sample matrices (I - e e^T)/d for difference vectors (n, 2)."""
-    dists = np.linalg.norm(diff, axis=1)
-    if np.any(dists <= GEOMETRY_GUARD):
-        raise DegenerateGeometry(
-            "two users coincide in a prior sample; the distance potential "
-            "has no curvature there"
-        )
-    e = diff / dists[:, None]
-    outer = np.einsum("ni,nj->nij", e, e)
-    return (np.eye(2)[None, :, :] - outer) / dists[:, None, None]
-
 
 def prior_fim(
     config: ScenarioConfig,
@@ -324,74 +265,22 @@ def prior_fim(
 ) -> PriorFim:
     """Prior information blocks for the configured prior kind.
 
-    The quadratic kind is closed-form. The distance kind needs a trajectory
-    ensemble: each edge block is the Monte Carlo average of
-    precision * (I - e e^T) / (2 d) over the ensemble, where e is the unit
-    vector between the two users and d their distance. Row sums over users
-    vanish per sample by construction, so they also vanish on average.
+    One ``scenario.prior_slice`` per step; the distance kind needs a
+    trajectory ensemble for its Monte Carlo edge weights.
     """
     if prior is None:
         prior = prior_model(config)
     T, K = config.num_steps, config.num_users
-
+    ensemble = ensemble_positions(trajectory_ensemble, T, K)
     slices = np.zeros((T, 2 * K, 2 * K))
-    if prior.kind == PRIOR_L2:
-        for t in range(T):
-            for (i, j), c in zip(prior.spatial_edges[t], prior.spatial_precision[t]):
-                eye = c * np.eye(2)
-                si, sj = slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2)
-                slices[t][si, si] += eye
-                slices[t][sj, sj] += eye
-                slices[t][si, sj] -= eye
-                slices[t][sj, si] -= eye
-    elif prior.kind == PRIOR_L1:
-        ensemble = _ensemble_positions(trajectory_ensemble, T, K)
-        for t in range(T):
-            for (i, j), c in zip(prior.spatial_edges[t], prior.spatial_precision[t]):
-                diff = ensemble[:, t, i, :] - ensemble[:, t, j, :]
-                block = 0.5 * c * np.mean(_unit_deviation_terms(diff), axis=0)
-                si, sj = slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2)
-                slices[t][si, si] += block
-                slices[t][sj, sj] += block
-                slices[t][si, sj] -= block
-                slices[t][sj, si] -= block
-    else:
-        raise DimensionMismatch(f"unknown prior kind {prior.kind!r}")
-
-    if prior.include_anchor:
-        for k in range(K):
-            slices[0][2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += (
-                prior.anchor_precision * np.eye(2)
-            )
-
+    for t in range(T):
+        slices[t] = prior_slice(prior, t, ensemble)
     return PriorFim(
         spatial_slices=slices,
-        temporal=np.asarray(prior.transition_precisions),
+        temporal=prior.transition_precisions,
         include_anchor=prior.include_anchor,
         anchor_precision=prior.anchor_precision,
     )
-
-
-def _ensemble_positions(trajectory_ensemble, T: int, K: int) -> np.ndarray:
-    if trajectory_ensemble is None:
-        raise EmptyEnsemble(
-            "the distance prior needs a trajectory ensemble for its "
-            "expectation; none was given"
-        )
-    if isinstance(trajectory_ensemble, np.ndarray):
-        arr = trajectory_ensemble
-    else:
-        arr = np.stack([tr.positions for tr in trajectory_ensemble])
-    if arr.ndim != 4 or arr.shape[0] == 0:
-        raise EmptyEnsemble(
-            f"trajectory ensemble must be a nonempty (n, T, K, 2) stack, "
-            f"got shape {getattr(arr, 'shape', None)}"
-        )
-    if arr.shape[1:] != (T, K, 2):
-        raise DimensionMismatch(
-            f"ensemble trajectories are {arr.shape[1:]}, scenario wants ({T}, {K}, 2)"
-        )
-    return arr
 
 
 def assemble_efim(mfim: MeasurementFim, pfim: PriorFim) -> BlockMatrix:
@@ -401,11 +290,10 @@ def assemble_efim(mfim: MeasurementFim, pfim: PriorFim) -> BlockMatrix:
             f"measurement grid {mfim.n_steps}x{mfim.n_users} does not match "
             f"prior grid {pfim.n_steps}x{pfim.n_users}"
         )
-    total = (
-        mfim.as_block_matrix().data
-        + pfim.lambda_ps().data
-        + pfim.lambda_pt().data
+    slices = pfim.spatial_slices + np.stack(
+        [block_diag(blocks) for blocks in mfim.lambda_d]
     )
+    total = chain_matrix(slices, pfim.temporal).data
     return BlockMatrix(
         symmetrize(total, "assembled EFIM"), mfim.n_steps, mfim.n_users
     )

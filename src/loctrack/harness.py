@@ -34,6 +34,7 @@ from .scenario import (
     prior_model,
     random_walk_trajectory,
     sample_trajectory_ensemble,
+    validate,
 )
 
 KIND_EOC_VS_SNR = "EOC_VS_SNR"
@@ -97,6 +98,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _fmt(value: float) -> str:
     """Shortest round-trip decimal form, for byte-stable CSV output."""
     return repr(float(value))
@@ -133,12 +138,24 @@ class ExperimentSpec:
         if self.num_monte_carlo < 1:
             raise SchemaMismatch("num-monte-carlo must be at least 1")
         scale = self.disturbance_scale
-        real = isinstance(scale, numbers.Real) and not isinstance(scale, bool)
-        if not (real and math.isfinite(scale) and scale >= 0.0):
+        if not (_is_number(scale) and math.isfinite(scale) and scale >= 0.0):
             raise SchemaMismatch(
                 f"disturbance.scale must be a finite number >= 0, got {scale!r}"
             )
         object.__setattr__(self, "disturbance_scale", float(scale))
+        offset = self.snr_db_offset
+        if not (_is_number(offset) and math.isfinite(offset)):
+            raise SchemaMismatch(
+                f"snr-db-offset must be a finite number, got {offset!r}"
+            )
+        object.__setattr__(self, "snr_db_offset", float(offset))
+        for name, seq in (("sweep.values", self.sweep_values),
+                          ("disturbance.steps", self.disturbance_steps)):
+            if not isinstance(seq, (list, tuple)):
+                raise SchemaMismatch(f"{name} must be a list, got {seq!r}")
+        bad = [v for v in self.sweep_values if not _is_number(v)]
+        if bad:
+            raise SchemaMismatch(f"sweep values must be numbers, got {bad[0]!r}")
         values = tuple(float(v) for v in self.sweep_values)
         object.__setattr__(self, "sweep_values", values)
         if any(not math.isfinite(v) for v in values):
@@ -168,18 +185,24 @@ def experiment_from_json(payload: dict, base_dir: str = ".") -> ExperimentSpec:
     def resolve(path):
         return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
-    sweep = payload.get("sweep") or {}
-    disturbance = payload.get("disturbance") or {}
+    def section(key):
+        value = payload.get(key) or {}
+        if not isinstance(value, dict):
+            raise SchemaMismatch(f"{key} must be an object, got {value!r}")
+        return value
+
+    sweep = section("sweep")
+    disturbance = section("disturbance")
     return ExperimentSpec(
         scenario_path=resolve(payload["scenario"]),
         kind=payload["kind"],
         sweep_parameter=sweep.get("parameter"),
-        sweep_values=tuple(sweep.get("values", ())),
+        sweep_values=sweep.get("values", ()),
         num_monte_carlo=payload["num-monte-carlo"],
         base_seed=payload["base-seed"],
         output_dir=resolve(payload["output-dir"]),
-        snr_db_offset=float(payload.get("snr-db-offset", 0.0)),
-        disturbance_steps=tuple(disturbance.get("steps", ())),
+        snr_db_offset=payload.get("snr-db-offset", 0.0),
+        disturbance_steps=disturbance.get("steps", ()),
         disturbance_scale=disturbance.get("scale", 1.0),
         constant_from_step=payload.get("constant-from-step", 2),
     )
@@ -299,7 +322,7 @@ def _eoc_pipeline(config: ScenarioConfig, trajectory: Trajectory, ensemble):
         config, prior_model(config, include_anchor=True), trajectory_ensemble=ensemble
     )
     efim = assemble_efim(mfim, pfim)
-    return eoc_report(efim, split_d_a(efim, mfim, pfim))
+    return eoc_report(efim, split_d_a(efim, pfim))
 
 
 def _run_eoc_point(config: ScenarioConfig, seed: int):
@@ -428,6 +451,28 @@ def trend_warnings(spec: ExperimentSpec, aggregated: dict) -> list:
     return warnings
 
 
+def campaign_configs(spec: ExperimentSpec):
+    """Base config (SNR offset applied) and per-sweep-value configs.
+
+    Every check that must pass before any run happens here: an invalid
+    scenario, a step label outside it or an inapplicable sweep value
+    raises SchemaMismatch.
+    """
+    base_config = load_scenario(spec.scenario_path)
+    report = validate(base_config)
+    if not report.ok:
+        raise SchemaMismatch(f"scenario {spec.scenario_path} is invalid:\n{report}")
+    _check_step_labels(spec, base_config.num_steps)
+    if spec.snr_db_offset:
+        base_config = base_config.with_snr_offset_db(spec.snr_db_offset)
+    if not spec.sweep_parameter:
+        return base_config, {0.0: base_config}
+    return base_config, {
+        value: _apply_sweep(base_config, spec.sweep_parameter, value)
+        for value in spec.sweep_values
+    }
+
+
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute every sweep value x Monte Carlo run and aggregate.
 
@@ -440,19 +485,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """
     with open(spec.scenario_path, "rb") as fh:
         scenario_bytes = fh.read()
-    base_config = load_scenario(spec.scenario_path)
-    _check_step_labels(spec, base_config.num_steps)
-    if spec.snr_db_offset:
-        base_config = base_config.with_snr_offset_db(spec.snr_db_offset)
-
+    base_config, configs = campaign_configs(spec)
     values = spec.sweep_values if spec.sweep_parameter else (0.0,)
-    configs = {}
-    for value in values:
-        if spec.sweep_parameter:
-            configs[value] = _apply_sweep(base_config, spec.sweep_parameter, value)
-        else:
-            configs[value] = base_config
-
     jobs = [
         (value, spec.base_seed + run_idx)
         for value in values
@@ -556,6 +590,15 @@ def _rows_by(table: ResultTable, metric: str):
     return [row for row in table.rows if row.metric_name == metric]
 
 
+def _per_step(table: ResultTable, value: float, metric: str) -> dict:
+    """Step label -> mean of ``metric`` at one sweep value (steps >= 1)."""
+    return {
+        row.t: row.mean
+        for row in _rows_by(table, metric)
+        if row.sweep_value == value and row.t > 0
+    }
+
+
 def _aggregate_value(table: ResultTable, value: float, metric: str) -> float:
     for row in table.rows:
         if row.sweep_value == value and row.t == 0 and row.k == 0 \
@@ -635,16 +678,8 @@ def emit_figure_data(table: ResultTable, figure: str, output_dir: str):
         lines.append("t,sigma_t_inv2,bcrb_mean,eoc_mean,theory_bcrb_star")
         for value in sweep_values:
             theory = _aggregate_value(table, value, "theory-bcrb-star")
-            bcrbs = {
-                row.t: row.mean
-                for row in _rows_by(table, "bcrb-mean")
-                if row.sweep_value == value and row.t > 0
-            }
-            eocs = {
-                row.t: row.mean
-                for row in _rows_by(table, "eoc-mean")
-                if row.sweep_value == value and row.t > 0
-            }
+            bcrbs = _per_step(table, value, "bcrb-mean")
+            eocs = _per_step(table, value, "eoc-mean")
             for t in sorted(bcrbs):
                 lines.append(
                     f"{t},{_fmt(value)},{_fmt(bcrbs[t])},{_fmt(eocs[t])},"
@@ -655,16 +690,8 @@ def emit_figure_data(table: ResultTable, figure: str, output_dir: str):
         lines.append("t,regime,bcrb_mean,eoc_mean")
         for value in sweep_values:
             label = _regime_label(value, axis)
-            bcrbs = {
-                row.t: row.mean
-                for row in _rows_by(table, "bcrb-mean")
-                if row.sweep_value == value and row.t > 0
-            }
-            eocs = {
-                row.t: row.mean
-                for row in _rows_by(table, "eoc-mean")
-                if row.sweep_value == value and row.t > 0
-            }
+            bcrbs = _per_step(table, value, "bcrb-mean")
+            eocs = _per_step(table, value, "eoc-mean")
             for t in sorted(bcrbs):
                 lines.append(
                     f"{t},{label},{_fmt(bcrbs[t])},{_fmt(eocs[t])}"

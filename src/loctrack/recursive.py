@@ -41,7 +41,13 @@ from .blocks import (
 )
 from .errors import DimensionMismatch, SingularState
 from .fim import measurement_blocks_at, prior_fim
-from .scenario import ScenarioConfig, Trajectory, prior_model
+from .scenario import (
+    ScenarioConfig,
+    Trajectory,
+    ensemble_positions,
+    prior_model,
+    prior_slice,
+)
 
 __all__ = [
     "ConstantInputs",
@@ -125,21 +131,30 @@ class RecursiveState:
 def check_convergence(
     prev_efim: np.ndarray,
     lambda_d_t: np.ndarray,
-    lambda_ps_t: np.ndarray,
+    spatial_slice_t: np.ndarray,
     gamma_prev: np.ndarray,
 ) -> ConvergenceCheck:
     """Evaluate the monotone-information condition for one prospective step."""
-    gamma = block_diag(np.asarray(gamma_prev, dtype=float))
-    carry = _temporal_carry(np.asarray(prev_efim, dtype=float), gamma)
-    nominal = block_diag(
-        np.asarray(lambda_d_t, dtype=float)
-        + diag_blocks(np.asarray(lambda_ps_t, dtype=float))
-        + np.asarray(gamma_prev, dtype=float)
+    prev = np.asarray(prev_efim, dtype=float)
+    gamma = np.asarray(gamma_prev, dtype=float)
+    slice_ps = np.asarray(spatial_slice_t, dtype=float)
+    nominal = np.asarray(lambda_d_t, dtype=float) + diag_blocks(slice_ps) + gamma
+    return _loewner_check(
+        block_diag(nominal),
+        prev,
+        off_part(slice_ps),
+        _temporal_carry(prev, block_diag(gamma)),
     )
-    diff = nominal - (
-        np.asarray(prev_efim, dtype=float) + off_part(lambda_ps_t) + carry
-    )
-    diff = symmetrize(diff)
+
+
+def _loewner_check(
+    nominal_full: np.ndarray,
+    prev_efim: np.ndarray,
+    spatial_off: np.ndarray,
+    carry: np.ndarray,
+) -> ConvergenceCheck:
+    """Slack of D_t >= J_{t-1} + O_t + G_{t-1} from the step's own pieces."""
+    diff = symmetrize(nominal_full - (prev_efim + spatial_off + carry))
     eigs = npl.eigvalsh(diff)
     slack = float(eigs[0])
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
@@ -162,19 +177,19 @@ def _temporal_carry(prev_efim: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 def recursive_step(
     prev: RecursiveState | None,
     lambda_d_t: np.ndarray,
-    lambda_ps_t: np.ndarray,
+    spatial_slice_t: np.ndarray,
     gamma_prev: np.ndarray | None,
 ) -> RecursiveState:
     """Advance the per-step EFIM recursion by one step.
 
     ``prev`` is None for the first step (no temporal carry). ``lambda_d_t``
-    holds the (K, 2, 2) measurement blocks, ``lambda_ps_t`` the full
+    holds the (K, 2, 2) measurement blocks, ``spatial_slice_t`` the full
     (2K, 2K) spatial slice, and ``gamma_prev`` the (K, 2, 2) precisions of
     the transition into this step (ignored when ``prev`` is None).
     """
     lam = np.asarray(lambda_d_t, dtype=float)
     K = lam.shape[0]
-    slice_ps = np.asarray(lambda_ps_t, dtype=float)
+    slice_ps = np.asarray(spatial_slice_t, dtype=float)
     if lam.shape != (K, 2, 2) or slice_ps.shape != (2 * K, 2 * K):
         raise DimensionMismatch(
             f"measurement blocks {lam.shape} and spatial slice {slice_ps.shape} "
@@ -186,20 +201,23 @@ def recursive_step(
         scale = 1.0
         gamma_blocks = np.zeros((K, 2, 2))
         carry = np.zeros((2 * K, 2 * K))
-        condition = ConvergenceCheck(satisfied=True, slack=float("inf"))
     else:
         if gamma_prev is None:
             raise DimensionMismatch("gamma_prev is required when prev is given")
         t = prev.t + 1
         scale = prev.next_measurement_scale
         gamma_blocks = np.asarray(gamma_prev, dtype=float)
-        condition = check_convergence(prev.efim, scale * lam, slice_ps, gamma_blocks)
         carry = _temporal_carry(prev.efim, block_diag(gamma_blocks))
 
     lam = scale * lam
     off = off_part(slice_ps)
     nominal = lam + diag_blocks(slice_ps) + gamma_blocks
     nominal_full = block_diag(nominal)
+    condition = (
+        ConvergenceCheck(satisfied=True, slack=float("inf"))
+        if prev is None
+        else _loewner_check(nominal_full, prev.efim, off, carry)
+    )
     efim = symmetrize(nominal_full - off - carry)
 
     try:
@@ -259,9 +277,7 @@ def per_user_series(
     """
     K = state.n_users
     coupling = state.spatial_off + state.temporal_carry
-    nominal_inv = block_diag(
-        np.stack([npl.inv(state.nominal[j]) for j in range(K)])
-    )
+    nominal_inv = block_diag(npl.inv(state.nominal))
     total, _, _ = neumann_diag_block(nominal_inv @ coupling, k, max_terms, tol)
     return npl.inv(np.eye(2) + total)
 
@@ -333,14 +349,15 @@ def constant_inputs(
     if not (0 <= step < config.num_steps):
         raise DimensionMismatch(f"step {step} outside 0..{config.num_steps - 1}")
     lam = measurement_blocks_at(config, trajectory, step)
-    pfim = prior_fim(
-        config, prior_model(config, include_anchor=include_anchor), trajectory_ensemble
+    prior = prior_model(config, include_anchor=include_anchor)
+    ensemble = ensemble_positions(
+        trajectory_ensemble, config.num_steps, config.num_users
     )
     gamma_index = min(max(step - 1, 0), config.num_steps - 2)
     return ConstantInputs(
         lambda_d=lam,
-        spatial_slice=np.asarray(pfim.spatial_slices[step]),
-        gamma=config.transition_precision(gamma_index),
+        spatial_slice=prior_slice(prior, step, ensemble),
+        gamma=prior.transition_precisions[gamma_index],
     )
 
 
@@ -475,9 +492,7 @@ def run_recursion(
     lists 0-based steps whose measurement information is scaled by
     ``disturbance_scale``; all other steps run at scale 1.
     """
-    T, K = config.num_steps, config.num_users
     disturbed = {int(s) for s in disturbance_steps}
-
     if constant_from_step is not None:
         inputs = constant_inputs(
             config,
@@ -486,16 +501,6 @@ def run_recursion(
             include_anchor=include_anchor,
             trajectory_ensemble=trajectory_ensemble,
         )
-
-        def lam_at(t):
-            return inputs.lambda_d
-
-        def slice_at(t):
-            return inputs.spatial_slice
-
-        def gamma_at(t):
-            return inputs.gamma
-
     else:
         pfim = prior_fim(
             config,
@@ -503,27 +508,20 @@ def run_recursion(
             trajectory_ensemble,
         )
 
-        def lam_at(t):
-            return measurement_blocks_at(config, trajectory, t)
-
-        def slice_at(t):
-            return np.asarray(pfim.spatial_slices[t])
-
-        def gamma_at(t):
-            return config.transition_precision(t - 1)
-
     states: list[RecursiveState] = []
     prev: RecursiveState | None = None
-    for t in range(T):
-        lam = lam_at(t)
-        if t == 0:
-            if 0 in disturbed:
-                lam = disturbance_scale * lam
-            state = recursive_step(None, lam, slice_at(0), None)
+    for t in range(config.num_steps):
+        scale = disturbance_scale if t in disturbed else 1.0
+        if constant_from_step is not None:
+            lam, spatial, gamma = inputs.lambda_d, inputs.spatial_slice, inputs.gamma
         else:
-            scale = disturbance_scale if t in disturbed else 1.0
-            prev = inject_disturbance(prev, scale)
-            state = recursive_step(prev, lam, slice_at(t), gamma_at(t))
+            lam = measurement_blocks_at(config, trajectory, t)
+            spatial = pfim.spatial_slices[t]
+            gamma = pfim.temporal[t - 1] if t else None
+        if prev is None:
+            state = recursive_step(None, scale * lam, spatial, None)
+        else:
+            state = recursive_step(inject_disturbance(prev, scale), lam, spatial, gamma)
         states.append(state)
         prev = state
     return states

@@ -19,15 +19,23 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .blocks import BlockMatrix, block_index, block_slice, require_spd
+from .blocks import (
+    BlockMatrix,
+    add_edge_blocks,
+    block_index,
+    block_slice,
+    chain_matrix,
+    require_spd,
+)
 from .errors import (
     DegenerateGeometry,
     DimensionMismatch,
+    EmptyEnsemble,
     NotGaussian,
     SamplingUnsupported,
     SchemaMismatch,
@@ -222,11 +230,6 @@ class ScenarioConfig:
         """Covariance of the step t -> t+1 transition, shape (K, 2, 2)."""
         return np.asarray(self.temporal_covariance[t])
 
-    def transition_precision(self, t: int) -> np.ndarray:
-        """Inverse transition covariances for step t -> t+1, shape (K, 2, 2)."""
-        cov = self.transition_covariance(t)
-        return np.stack([np.linalg.inv(cov[k]) for k in range(self.num_users)])
-
     @property
     def anchor_precision(self) -> float:
         if self.first_step_anchor_variance is None:
@@ -349,19 +352,90 @@ class PriorModel:
 
 
 def prior_model(config: ScenarioConfig, include_anchor: bool = True) -> PriorModel:
-    """Extract the prior description a scenario implies."""
-    n_trans = max(config.num_steps - 1, 0)
-    gammas = np.stack(
-        [config.transition_precision(t) for t in range(n_trans)]
-    ) if n_trans else np.zeros((0, config.num_users, 2, 2))
+    """Extract the prior description a scenario implies.
+
+    The only inversion of the transition covariances; consumers read the stack.
+    """
     return PriorModel(
         kind=config.prior_kind,
         spatial_edges=config.spatial_edges,
         spatial_precision=config.spatial_precision,
-        transition_precisions=gammas,
+        transition_precisions=np.linalg.inv(config.temporal_covariance),
         anchor_precision=config.anchor_precision,
         include_anchor=include_anchor and config.anchor_precision > 0.0,
     )
+
+
+def _unit_deviation_terms(diff: np.ndarray) -> np.ndarray:
+    """Per-sample matrices (I - e e^T)/d for difference vectors (n, 2)."""
+    dists = np.linalg.norm(diff, axis=1)
+    if np.any(dists <= GEOMETRY_GUARD):
+        raise DegenerateGeometry(
+            "two users coincide in a prior sample; the distance potential "
+            "has no curvature there"
+        )
+    e = diff / dists[:, None]
+    outer = np.einsum("ni,nj->nij", e, e)
+    return (np.eye(2)[None, :, :] - outer) / dists[:, None, None]
+
+
+def ensemble_positions(trajectory_ensemble, T: int, K: int) -> np.ndarray | None:
+    """Trajectory ensemble as a checked (n, T, K, 2) stack; None stays None.
+
+    Accepts an array or an iterable of ``Trajectory``.
+    """
+    if trajectory_ensemble is None:
+        return None
+    if isinstance(trajectory_ensemble, np.ndarray):
+        arr = trajectory_ensemble
+    else:
+        arr = np.stack([tr.positions for tr in trajectory_ensemble])
+    if arr.ndim != 4 or arr.shape[0] == 0:
+        raise EmptyEnsemble(
+            f"trajectory ensemble must be a nonempty (n, T, K, 2) stack, "
+            f"got shape {getattr(arr, 'shape', None)}"
+        )
+    if arr.shape[1:] != (T, K, 2):
+        raise DimensionMismatch(
+            f"ensemble trajectories are {arr.shape[1:]}, scenario wants ({T}, {K}, 2)"
+        )
+    return arr
+
+
+def prior_slice(
+    prior: PriorModel, t: int, ensemble: np.ndarray | None = None
+) -> np.ndarray:
+    """Spatial prior information of step t: one (2K, 2K) slice.
+
+    Each edge (i, j) is stamped with its 2x2 weight: precision * I for the
+    quadratic kind; for the distance kind the average over ``ensemble``
+    (n, T, K, 2) of precision * (I - e e^T) / (2 d), e the unit vector
+    between the users and d their distance. The anchor joins at t = 0.
+    """
+    edges = prior.spatial_edges[t]
+    precisions = prior.spatial_precision[t]
+    if prior.kind == PRIOR_L2:
+        weights = [c * np.eye(2) for c in precisions]
+    elif prior.kind == PRIOR_L1:
+        if ensemble is None:
+            raise EmptyEnsemble(
+                "the distance prior needs a trajectory ensemble for its "
+                "expectation; none was given"
+            )
+        weights = [
+            0.5 * c * np.mean(
+                _unit_deviation_terms(ensemble[:, t, i, :] - ensemble[:, t, j, :]),
+                axis=0,
+            )
+            for (i, j), c in zip(edges, precisions)
+        ]
+    else:
+        raise DimensionMismatch(f"unknown prior kind {prior.kind!r}")
+    K = prior.transition_precisions.shape[1]
+    mat = add_edge_blocks(np.zeros((2 * K, 2 * K)), edges, weights)
+    if t == 0 and prior.include_anchor:
+        mat += prior.anchor_precision * np.eye(2 * K)
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +559,19 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             f"got {config.temporal_covariance.shape}"
         )
     else:
-        for t in range(max(T - 1, 0)):
-            for k in range(K):
-                q = config.temporal_covariance[t, k]
-                if not np.all(np.isfinite(q)):
-                    bad.append(f"transition covariance ({t}, {k}) non-finite")
-                    continue
-                if np.linalg.norm(q - q.T) > 1e-12 * max(np.linalg.norm(q), 1e-300):
-                    bad.append(f"transition covariance ({t}, {k}) not symmetric")
-                    continue
-                if np.min(np.linalg.eigvalsh(0.5 * (q + q.T))) <= 0:
-                    bad.append(f"transition covariance ({t}, {k}) not positive definite")
+        finite = np.all(np.isfinite(config.temporal_covariance), axis=(-2, -1))
+        q = np.where(finite[..., None, None], config.temporal_covariance, 0.0)
+        q_t = np.swapaxes(q, -1, -2)
+        scale = np.maximum(np.linalg.norm(q, axis=(-2, -1)), 1e-300)
+        symmetric = np.linalg.norm(q - q_t, axis=(-2, -1)) <= 1e-12 * scale
+        positive = np.linalg.eigvalsh(0.5 * (q + q_t))[..., 0] > 0
+        for t, k in zip(*np.nonzero(~(finite & symmetric & positive))):
+            if not finite[t, k]:
+                bad.append(f"transition covariance ({t}, {k}) non-finite")
+            elif not symmetric[t, k]:
+                bad.append(f"transition covariance ({t}, {k}) not symmetric")
+            else:
+                bad.append(f"transition covariance ({t}, {k}) not positive definite")
 
     profile = config.ris_phase_profiles
     if isinstance(profile, ExplicitPhases):
@@ -662,35 +738,10 @@ def joint_precision(
             f"joint precision is closed-form only for {PRIOR_L2!r}, "
             f"got {prior.kind!r}"
         )
-    T, K = config.num_steps, config.num_users
-    side = 2 * T * K
-    mat = np.zeros((side, side))
-
-    if prior.include_anchor:
-        for k in range(K):
-            g = block_index(0, k, K)
-            mat[block_slice(g), block_slice(g)] += prior.anchor_precision * np.eye(2)
-
-    for t in range(T):
-        for (i, j), c in zip(prior.spatial_edges[t], prior.spatial_precision[t]):
-            gi, gj = block_index(t, i, K), block_index(t, j, K)
-            eye = c * np.eye(2)
-            mat[block_slice(gi), block_slice(gi)] += eye
-            mat[block_slice(gj), block_slice(gj)] += eye
-            mat[block_slice(gi), block_slice(gj)] -= eye
-            mat[block_slice(gj), block_slice(gi)] -= eye
-
-    for t in range(T - 1):
-        for k in range(K):
-            gamma = prior.transition_precisions[t, k]
-            ga, gb = block_index(t, k, K), block_index(t + 1, k, K)
-            mat[block_slice(ga), block_slice(ga)] += gamma
-            mat[block_slice(gb), block_slice(gb)] += gamma
-            mat[block_slice(ga), block_slice(gb)] -= gamma
-            mat[block_slice(gb), block_slice(ga)] -= gamma
-
-    require_spd(mat, "joint prior precision")
-    return BlockMatrix(mat, T, K)
+    slices = [prior_slice(prior, t) for t in range(config.num_steps)]
+    precision = chain_matrix(slices, prior.transition_precisions)
+    require_spd(precision.data, "joint prior precision")
+    return precision
 
 
 def _anchor_linear_term(config: ScenarioConfig) -> np.ndarray:
@@ -758,11 +809,12 @@ def _sample_gaussian(config: ScenarioConfig, count: int, seed: int) -> np.ndarra
 
 
 def _log_prior_terms_l1(
-    config: ScenarioConfig, pos: np.ndarray, t: int, k: int
+    config: ScenarioConfig, gammas: np.ndarray, pos: np.ndarray, t: int, k: int
 ) -> np.ndarray:
     """Log-density terms touching site (t, k) for each chain.
 
-    ``pos`` has shape (n_chains, T, K, 2). Includes the step-0 anchor, the
+    ``pos`` has shape (n_chains, T, K, 2) and ``gammas`` holds the
+    (T-1, K, 2, 2) transition precisions. Includes the step-0 anchor, the
     temporal links to steps t-1 and t+1, and every spatial edge at step t
     incident to user k.
     """
@@ -773,11 +825,11 @@ def _log_prior_terms_l1(
         diff = here - config.user_initial_positions[k]
         out -= 0.5 * config.anchor_precision * np.sum(diff * diff, axis=1)
     if t > 0:
-        gamma = np.linalg.inv(config.transition_covariance(t - 1)[k])
+        gamma = gammas[t - 1, k]
         diff = here - pos[:, t - 1, k, :]
         out -= 0.5 * np.einsum("ni,ij,nj->n", diff, gamma, diff)
     if t < config.num_steps - 1:
-        gamma = np.linalg.inv(config.transition_covariance(t)[k])
+        gamma = gammas[t, k]
         diff = pos[:, t + 1, k, :] - here
         out -= 0.5 * np.einsum("ni,ij,nj->n", diff, gamma, diff)
     for (i, j), c in zip(config.edges_at(t), config.edge_precisions_at(t)):
@@ -793,14 +845,10 @@ def _sample_l1_mcmc(
 ) -> np.ndarray:
     T, K = config.num_steps, config.num_users
     rng = np.random.default_rng(seed)
+    gammas = prior_model(config).transition_precisions
 
-    scales = [config.first_step_anchor_variance]
-    for t in range(T - 1):
-        scales.extend(
-            float(np.min(np.linalg.eigvalsh(config.transition_covariance(t)[k])))
-            for k in range(K)
-        )
-    step = 0.5 * math.sqrt(min(scales))
+    eigs = np.linalg.eigvalsh(config.temporal_covariance).ravel()
+    step = 0.5 * math.sqrt(min([config.first_step_anchor_variance, *eigs]))
 
     pos = np.broadcast_to(
         config.user_initial_positions[None, None, :, :], (count, T, K, 2)
@@ -810,10 +858,10 @@ def _sample_l1_mcmc(
     for _ in range(burn_in):
         for t in range(T):
             for k in range(K):
-                current = _log_prior_terms_l1(config, pos, t, k)
+                current = _log_prior_terms_l1(config, gammas, pos, t, k)
                 move = step * rng.standard_normal((count, 2))
                 pos[:, t, k, :] += move
-                proposed = _log_prior_terms_l1(config, pos, t, k)
+                proposed = _log_prior_terms_l1(config, gammas, pos, t, k)
                 reject = np.log(rng.uniform(size=count)) >= proposed - current
                 pos[reject, t, k, :] -= move[reject]
     return pos
@@ -848,11 +896,20 @@ _REQUIRED_KEYS = (
 
 
 def scenario_from_json(obj: dict) -> ScenarioConfig:
-    """Build a scenario from the documented kebab-case JSON mapping."""
+    """Build a scenario from the documented kebab-case JSON mapping.
+
+    Missing keys and unconvertible values raise SchemaMismatch.
+    """
     missing = [key for key in _REQUIRED_KEYS if key not in obj]
     if missing:
         raise SchemaMismatch(f"scenario JSON missing keys: {', '.join(missing)}")
+    try:
+        return _config_from_json(obj)
+    except (TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"scenario JSON has a malformed value: {exc}") from exc
 
+
+def _config_from_json(obj: dict) -> ScenarioConfig:
     T = int(obj["num-steps"])
     K = int(obj["num-users"])
 

@@ -18,7 +18,7 @@ from loctrack.asymptotics import (
     limit_spatial_zero,
     limit_temporal_inf,
 )
-from loctrack.blocks import block_index, block_slice
+from loctrack.blocks import block_index, block_slice, chain_matrix
 from loctrack.channel import cascade_from_parameters, cascaded_channel, channel_jacobian, geometry_params
 from loctrack.coupling import (
     build_ptpm,
@@ -58,7 +58,7 @@ def _pipeline(config, trajectory, include_anchor=True):
     mfim = measurement_fim(config, trajectory)
     pfim = prior_fim(config, prior_model(config, include_anchor=include_anchor))
     efim = assemble_efim(mfim, pfim)
-    split = split_d_a(efim, mfim, pfim)
+    split = split_d_a(efim, pfim)
     return mfim, pfim, efim, split
 
 
@@ -144,15 +144,23 @@ def _tridiagonal_defect(mat, n_steps, n_users):
     return worst
 
 
+def _spatial_part(pfim):
+    return chain_matrix(pfim.spatial_slices, np.zeros_like(pfim.temporal)).data
+
+
+def _temporal_part(pfim):
+    return chain_matrix(np.zeros_like(pfim.spatial_slices), pfim.temporal).data
+
+
 def test_criterion_03_prior_row_sums():
     """Spatial prior rows vanish; temporal prior is a zero-row tridiagonal."""
     quad = toy_scenario(num_steps=4, num_users=3)
     pfim_l2 = prior_fim(quad, prior_model(quad, include_anchor=False))
     groups = quad.num_steps * quad.num_users
-    l2_ps = _block_row_defect(pfim_l2.lambda_ps().data, groups)
-    l2_pt = _block_row_defect(pfim_l2.lambda_pt().data, groups)
+    l2_ps = _block_row_defect(_spatial_part(pfim_l2), groups)
+    l2_pt = _block_row_defect(_temporal_part(pfim_l2), groups)
     l2_tri = _tridiagonal_defect(
-        pfim_l2.lambda_pt().data, quad.num_steps, quad.num_users
+        _temporal_part(pfim_l2), quad.num_steps, quad.num_users
     )
 
     # attraction 1.0: at the toy's default 10.0 the constant pull overwhelms
@@ -164,8 +172,8 @@ def test_criterion_03_prior_row_sums():
         dist, prior_model(dist, include_anchor=False), trajectory_ensemble=ensemble
     )
     l1_groups = dist.num_steps * dist.num_users
-    l1_ps = _block_row_defect(pfim_l1.lambda_ps().data, l1_groups)
-    l1_pt = _block_row_defect(pfim_l1.lambda_pt().data, l1_groups)
+    l1_ps = _block_row_defect(_spatial_part(pfim_l1), l1_groups)
+    l1_pt = _block_row_defect(_temporal_part(pfim_l1), l1_groups)
 
     _verdict(
         3,

@@ -5,9 +5,11 @@ import pytest
 
 from loctrack.blocks import (
     BlockMatrix,
+    add_edge_blocks,
+    block_diag,
     block_index,
     block_slice,
-    blocks_to_matrix,
+    chain_matrix,
     is_spd,
     neumann_diag_block,
     require_spd,
@@ -87,7 +89,8 @@ def test_spectral_radius_matches_eigvals(rng):
 def test_block_index_layout_matches_manual_embedding(rng):
     T, K = 3, 2
     blocks = rng.standard_normal((T, K, 2, 2))
-    bm = blocks_to_matrix(blocks, T, K)
+    slices = np.stack([block_diag(blocks[t]) for t in range(T)])
+    bm = chain_matrix(slices, np.zeros((T - 1, K, 2, 2)))
     manual = np.zeros((2 * T * K, 2 * T * K))
     for t in range(T):
         for k in range(K):
@@ -99,13 +102,44 @@ def test_block_index_layout_matches_manual_embedding(rng):
             assert np.array_equal(bm.diag_block(t, k), blocks[t, k])
 
 
+def test_add_edge_blocks_stamps_four_blocks(rng):
+    weights = rng.standard_normal((2, 2, 2))
+    mat = add_edge_blocks(np.zeros((6, 6)), [(0, 2), (2, 1)], weights)
+    w0, w1 = weights
+    want = np.zeros((3, 3, 2, 2))
+    want[0, 0] += w0
+    want[2, 2] += w0 + w1
+    want[1, 1] += w1
+    want[0, 2] -= w0
+    want[2, 0] -= w0
+    want[2, 1] -= w1
+    want[1, 2] -= w1
+    assert np.array_equal(mat, want.transpose(0, 2, 1, 3).reshape(6, 6))
+
+
+def test_chain_matrix_links_each_user_to_its_next_step(rng):
+    """x^T C x = sum_t x_t^T S_t x_t + sum_{t,k} d^T Gamma_{t,k} d, d = x_{t+1,k} - x_{t,k}."""
+    T, K = 3, 2
+    slices = rng.standard_normal((T, 2 * K, 2 * K))
+    temporal = rng.standard_normal((T - 1, K, 2, 2))
+    mat = chain_matrix(slices, temporal).data
+    for _ in range(5):
+        x = rng.standard_normal((T, K, 2))
+        want = sum(x[t].ravel() @ slices[t] @ x[t].ravel() for t in range(T))
+        for t in range(T - 1):
+            for k in range(K):
+                d = x[t + 1, k] - x[t, k]
+                want += d @ temporal[t, k] @ d
+        assert x.ravel() @ mat @ x.ravel() == pytest.approx(want, rel=1e-12)
+
+
 def test_block_matrix_rejects_wrong_side():
     with pytest.raises(DimensionMismatch):
         BlockMatrix(np.zeros((5, 5)), 1, 2)
 
 
 def test_block_matrix_data_is_read_only(rng):
-    bm = blocks_to_matrix(rng.standard_normal((2, 1, 2, 2)), 2, 1)
+    bm = BlockMatrix(block_diag(rng.standard_normal((2, 2, 2))), 2, 1)
     with pytest.raises(ValueError):
         bm.data[0, 0] = 1.0
 
@@ -129,7 +163,7 @@ def test_block_matrix_binary_rejects_garbage(tmp_path):
 
 
 def test_block_matrix_csv_round_trips_exact_floats(rng, tmp_path):
-    bm = blocks_to_matrix(rng.standard_normal((1, 2, 2, 2)), 1, 2)
+    bm = BlockMatrix(block_diag(rng.standard_normal((2, 2, 2))), 1, 2)
     path = tmp_path / "mat.csv"
     bm.to_csv(str(path))
     rows = [

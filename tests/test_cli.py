@@ -141,6 +141,48 @@ def test_run_rejects_non_integer_counts(tmp_path, monkeypatch, capsys, key, valu
     assert f"{key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"snr-db-offset": "abc"}, "snr-db-offset must be a finite number"),
+        ({"snr-db-offset": None}, "snr-db-offset must be a finite number"),
+        ({"sweep": {"values": ["abc"]}}, "sweep values must be numbers"),
+        ({"sweep": {"values": [None]}}, "sweep values must be numbers"),
+        ({"sweep": {"values": 5}}, "sweep.values must be a list"),
+        ({"sweep": "abc"}, "sweep must be an object"),
+        ({"disturbance": 5}, "disturbance must be an object"),
+    ],
+)
+def test_run_rejects_non_numeric_spec_values(
+    tmp_path, monkeypatch, capsys, extra, message
+):
+    rc, started = _run_recursion_spec(tmp_path, monkeypatch, **extra)
+    assert (rc, started) == (2, 0)
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("num-steps", "abc", "malformed value"),
+        ("noise-variance", "x", "malformed value"),
+        ("temporal-covariance", "x", "malformed value"),
+        ("ris-positions", [[1, 2, 3]], "ris-positions must have shape"),
+    ],
+)
+def test_run_validates_scenario_before_any_run(
+    scenario_file, tmp_path, monkeypatch, capsys, key, value, message
+):
+    payload = json.loads(open(scenario_file).read())
+    payload[key] = value
+    with open(scenario_file, "w") as fh:
+        json.dump(payload, fh)
+    rc, started = _run_recursion_spec(tmp_path, monkeypatch)
+    assert (rc, started) == (2, 0)
+    assert message in capsys.readouterr().err
+    assert cli.main(["validate", scenario_file]) == 2
+
+
 def test_validate_ok(scenario_file, capsys):
     rc = cli.main(["validate", scenario_file])
     assert rc == 0

@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_scenario, rel_frobenius
-from loctrack.blocks import BlockMatrix, block_index, block_slice, blocks_to_matrix
+from loctrack.blocks import BlockMatrix, block_diag, block_index, block_slice
 from loctrack.coupling import (
     DASplit,
     build_ptpm,
@@ -25,7 +27,7 @@ def build_all(config, traj, include_anchor=True):
     mfim = measurement_fim(config, traj)
     pfim = prior_fim(config, prior_model(config, include_anchor=include_anchor))
     efim = assemble_efim(mfim, pfim)
-    split = split_d_a(efim, mfim, pfim)
+    split = split_d_a(efim, pfim)
     return mfim, pfim, efim, split
 
 
@@ -35,7 +37,7 @@ def test_split_reconstructs_efim(rng):
         _, _, efim, split = build_all(config, traj)
         T, K = config.num_steps, config.num_users
         rebuilt = (
-            blocks_to_matrix(split.nominal_blocks, T, K).data
+            block_diag(split.nominal_blocks.reshape(T * K, 2, 2))
             - split.coupling.data
         )
         assert rel_frobenius(rebuilt, efim.data) < 1e-12
@@ -46,6 +48,22 @@ def test_split_reconstructs_efim(rng):
                 diag = split.coupling.data[block_slice(g), block_slice(g)]
                 scale = np.linalg.norm(split.nominal_blocks[t, k])
                 assert np.max(np.abs(diag)) <= 1e-12 * scale
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_split_reads_nominal_blocks_off_the_efim(seed):
+    """A is hollow, D is J's diagonal, and D (I + Delta)^{-1} is the marginal."""
+    config, traj = random_scenario(np.random.default_rng(seed))
+    _, _, efim, split = build_all(config, traj)
+    for t in range(config.num_steps):
+        for k in range(config.num_users):
+            rows = block_slice(block_index(t, k, config.num_users))
+            assert np.array_equal(split.coupling.data[rows, rows], np.zeros((2, 2)))
+            assert np.array_equal(split.nominal_blocks[t, k], efim.data[rows, rows])
+            delta = delta_direct(efim, split, t, k)
+            lhs = split.nominal_blocks[t, k] @ np.linalg.inv(np.eye(2) + delta)
+            assert rel_frobenius(lhs, marginal_efim(efim, t, k)) <= 1e-8
 
 
 def test_absorb_extra_holds_only_step0_anchor():

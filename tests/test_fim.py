@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario, rel_frobenius
-from loctrack.blocks import block_index, block_slice
+from loctrack.blocks import block_index, block_slice, chain_matrix
 from loctrack.channel import cascaded_channel, channel_jacobian, geometry_params
 from loctrack.errors import DegenerateGeometry, DimensionMismatch
 from loctrack.fim import (
@@ -193,7 +193,7 @@ def test_prior_anchor_folds_into_first_slice():
 def test_temporal_prior_is_block_tridiagonal_chain(rng):
     config, _ = random_scenario(rng, num_steps=4, num_users=2)
     pfim = prior_fim(config)
-    full = pfim.lambda_pt().data
+    full = chain_matrix(np.zeros_like(pfim.spatial_slices), pfim.temporal).data
     T, K = config.num_steps, config.num_users
     # rows of the temporal chain sum to zero, exactly
     for t in range(T):
@@ -223,8 +223,9 @@ def test_temporal_blocks_match_transition_precisions():
     config = toy_scenario(num_steps=3)
     pfim = prior_fim(config)
     for t in range(2):
-        want = config.transition_precision(t)
-        assert np.allclose(pfim.temporal[t], want, atol=1e-15)
+        for k in range(config.num_users):
+            want = np.linalg.inv(config.transition_covariance(t)[k])
+            assert np.allclose(pfim.temporal[t, k], want, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +292,36 @@ def test_l1_prior_requires_ensemble():
 
 
 def test_assembled_efim_is_sum_of_parts(rng):
+    """x^T J x equals the measurement, edge, anchor and link energies of x."""
     config, traj = random_scenario(rng)
+    T, K = config.num_steps, config.num_users
     mfim = measurement_fim(config, traj)
-    pfim = prior_fim(config)
-    efim = assemble_efim(mfim, pfim)
-    want = (
-        mfim.as_block_matrix().data
-        + pfim.lambda_ps().data
-        + pfim.lambda_pt().data
-    )
-    assert np.allclose(efim.data, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    efim = assemble_efim(mfim, prior_fim(config))
+    anchor = 1.0 / config.first_step_anchor_variance
+
+    def energy(pos):
+        total = 0.0
+        for t in range(T):
+            for k in range(K):
+                total += float(pos[t, k] @ mfim.lambda_d[t, k] @ pos[t, k])
+            for (i, j), c in zip(config.edges_at(t), config.edge_precisions_at(t)):
+                diff = pos[t, i] - pos[t, j]
+                total += c * float(diff @ diff)
+        for k in range(K):
+            total += anchor * float(pos[0, k] @ pos[0, k])
+        for t in range(T - 1):
+            for k in range(K):
+                gamma = np.linalg.inv(config.transition_covariance(t)[k])
+                diff = pos[t + 1, k] - pos[t, k]
+                total += float(diff @ gamma @ diff)
+        return total
+
+    base = rng.standard_normal((T, K, 2))
+    for _ in range(5):
+        dev = rng.standard_normal((T, K, 2))
+        quad = float(dev.reshape(-1) @ efim.data @ dev.reshape(-1))
+        polar = 0.5 * (energy(base + dev) + energy(base - dev) - 2.0 * energy(base))
+        assert quad == pytest.approx(polar, rel=1e-12)
 
 
 def test_marginal_efim_matches_inverse_route(rng):

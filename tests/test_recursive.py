@@ -88,6 +88,22 @@ def test_check_convergence_directions():
     assert not weak.satisfied and weak.slack < 0.0
 
 
+def test_step_slack_matches_check_convergence(rng):
+    """The slack recursive_step takes from its own pieces is check_convergence's."""
+    config, traj = random_scenario(rng, num_steps=4)
+    pfim = prior_fim(config, prior_model(config, include_anchor=False))
+    states = run_recursion(config, traj)
+    for t in range(1, config.num_steps):
+        check = check_convergence(
+            states[t - 1].efim,
+            measurement_blocks_at(config, traj, t),
+            pfim.spatial_slices[t],
+            pfim.temporal[t - 1],
+        )
+        assert states[t].slack == check.slack
+        assert states[t].condition_satisfied == check.satisfied
+
+
 def test_stationary_point_residual(rng):
     for _ in range(30):
         side = int(rng.integers(1, 4)) * 2

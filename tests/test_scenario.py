@@ -90,7 +90,7 @@ def test_with_num_ris_trims_prefix():
 def test_transition_precision_inverts_covariance():
     config = baseline_scenario(num_steps=3)
     cov = config.transition_covariance(1)
-    prec = config.transition_precision(1)
+    prec = prior_model(config).transition_precisions[1]
     for k in range(config.num_users):
         assert np.allclose(cov[k] @ prec[k], np.eye(2), atol=1e-12)
 
@@ -224,10 +224,10 @@ def test_joint_precision_matches_quadratic_form(rng):
                 diff = pos[t, i] - pos[t, j]
                 total += c * float(diff @ diff)
         for t in range(2):
-            prec = config.transition_precision(t)
             for k in range(2):
+                prec = np.linalg.inv(config.transition_covariance(t)[k])
                 diff = pos[t + 1, k] - pos[t, k]
-                total += float(diff @ prec[k] @ diff)
+                total += float(diff @ prec @ diff)
         return total
 
     # energy(x) = x^T P x - 2 b^T x + c0, so the pure quadratic part comes
