@@ -25,15 +25,29 @@ the frozen-trajectory limit runs at stock SNR, where the slice walk is too
 slowly mixing for the series cross-check (reported as absent, not wrong).
 """
 
+import json
+import os
+
 import numpy as np
 
-from loctrack import ScenarioConstants, baseline_scenario
-from loctrack import limit_spatial_inf, limit_spatial_zero, limit_temporal_inf
-from loctrack.scenario import static_trajectory
+from loctrack.asymptotics import (
+    ScenarioConstants,
+    limit_spatial_inf,
+    limit_spatial_zero,
+    limit_temporal_inf,
+)
+from loctrack.scenario import scenario_from_json, static_trajectory
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CONFIGS = os.path.join(HERE, os.pardir, "configs")
+
+with open(os.path.join(CONFIGS, "paper_baseline.json"), encoding="utf-8") as fh:
+    STOCK = json.load(fh)
+STOCK["num-steps"] = 4
 
 
 def constants_at(offset_db: float) -> ScenarioConstants:
-    config = baseline_scenario(num_steps=4).with_snr_offset_db(offset_db)
+    config = scenario_from_json(STOCK).with_snr_offset_db(offset_db)
     return ScenarioConstants.from_scenario(config, static_trajectory(config))
 
 

@@ -14,24 +14,30 @@ Walks one (step, user) pair through the physical layer:
 * the joint position bound on a static toy.
 """
 
+import os
+
 import numpy as np
 
-from loctrack import (
-    assemble_efim,
-    bcrb,
+from loctrack.channel import (
+    cascade_from_parameters,
     cascaded_channel,
     channel_jacobian,
+    resolve_phases,
+    steering_vector,
+)
+from loctrack.fim import (
+    assemble_efim,
+    bcrb,
     measurement_fim,
     position_jacobian,
     prior_fim,
-    prior_model,
-    steering_vector,
-    toy_scenario,
 )
-from loctrack.channel import cascade_from_parameters, resolve_phases
-from loctrack.scenario import static_trajectory
+from loctrack.scenario import load_scenario, prior_model, static_trajectory
 
-config = toy_scenario()
+HERE = os.path.dirname(os.path.abspath(__file__))
+CONFIGS = os.path.join(HERE, os.pardir, "configs")
+
+config = load_scenario(os.path.join(CONFIGS, "toy.json"))
 traj = static_trajectory(config)
 
 # =========================================================================

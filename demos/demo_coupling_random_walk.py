@@ -18,25 +18,25 @@ This demo verifies the three identities that make the picture exact:
    Delta summed from the walk's return series.
 """
 
+import os
+
 import numpy as np
 
-from loctrack import (
-    assemble_efim,
+from loctrack.coupling import (
     build_ptpm,
     delta_direct,
     delta_series,
     eoc_report,
     hitting_probabilities,
-    marginal_efim,
-    measurement_fim,
-    prior_fim,
-    prior_model,
     split_d_a,
-    toy_scenario,
 )
-from loctrack.scenario import static_trajectory
+from loctrack.fim import assemble_efim, marginal_efim, measurement_fim, prior_fim
+from loctrack.scenario import load_scenario, prior_model, static_trajectory
 
-config = toy_scenario()
+HERE = os.path.dirname(os.path.abspath(__file__))
+CONFIGS = os.path.join(HERE, os.pardir, "configs")
+
+config = load_scenario(os.path.join(CONFIGS, "toy.json"))
 traj = static_trajectory(config)
 T, K = config.num_steps, config.num_users
 

@@ -17,21 +17,22 @@ Also checks the two analytic companions:
   step as a signed slack.
 """
 
+import os
+
 import numpy as np
 
-from loctrack import (
-    baseline_scenario,
-    constant_inputs,
-    random_walk_trajectory,
-    run_recursion,
-    stationary_point,
-)
+from loctrack.recursive import constant_inputs, run_recursion, stationary_point
+from loctrack.scenario import load_scenario, random_walk_trajectory
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CONFIGS = os.path.join(HERE, os.pardir, "configs")
 
 SNR_OFFSET_DB = 70.0
 DISTURBED = (20, 21)          # 0-based steps; printed 1-based below
 SCALE = 0.1
 
-config = baseline_scenario(num_steps=40).with_snr_offset_db(SNR_OFFSET_DB)
+stock = load_scenario(os.path.join(CONFIGS, "paper_baseline.json"))
+config = stock.with_snr_offset_db(SNR_OFFSET_DB)
 traj = random_walk_trajectory(config, seed=81)
 
 states = run_recursion(

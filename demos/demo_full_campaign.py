@@ -19,7 +19,7 @@ import dataclasses
 import hashlib
 import os
 
-from loctrack import emit_figure_data, load_experiment, run_experiment, write_outputs
+from loctrack.harness import emit_figure_data, load_experiment, run_experiment, write_outputs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(HERE, os.pardir, "configs")

@@ -3,9 +3,9 @@
 Scenario setup, validation, and user tracks
 ===========================================
 
-Builds the stock deployment (one base station, four reflecting surfaces on
-a vertical line, three users), runs the semantic validator, then generates
-user tracks two ways:
+Loads the stock deployment from ``configs/paper_baseline.json`` (one base
+station, four reflecting surfaces on a vertical line, three users), runs
+the semantic validator, then generates user tracks two ways:
 
 1. the generative motion model (anchor draw + Gaussian random walk), which
    is what the experiment campaigns simulate;
@@ -17,21 +17,26 @@ spatial coupling term at sigma_s^-2 = 10 dwarfs the anchor over ~10 m user
 separations. That contrast is worth seeing once before trusting either.
 """
 
+import os
+
 import numpy as np
 
-from loctrack import (
-    baseline_scenario,
+from loctrack.scenario import (
     joint_precision,
+    load_scenario,
     random_walk_trajectory,
     sample_trajectory,
     validate,
 )
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+CONFIGS = os.path.join(HERE, os.pardir, "configs")
+
 # =========================================================================
 # BUILD AND VALIDATE
 # =========================================================================
 
-config = baseline_scenario(num_steps=40)
+config = load_scenario(os.path.join(CONFIGS, "paper_baseline.json"))
 
 print("=" * 70)
 print("SCENARIO")
@@ -96,7 +101,3 @@ print(f"mean distance from per-step centroid: walk {spread_walk:.2f} m, "
       f"exact prior {spread_exact:.2f} m")
 print("the spatial potential compresses the exact draw; the campaigns use")
 print("the walk and keep the coupled prior on the analysis side")
-
-walk.to_csv("/tmp/loctrack_tracks.csv")
-print()
-print("tracks written to /tmp/loctrack_tracks.csv (t,k,x,y with 1-based ids)")

@@ -13,135 +13,9 @@ reflecting surfaces under a spatio-temporal prior:
 * closed-form behaviour in the extreme spatial/temporal correlation
   regimes;
 * a seeded Monte Carlo experiment harness with CSV/JSON artifacts.
+
+Import each name from the module that defines it, e.g.
+``from loctrack.fim import bcrb``.
 """
 
-from .blocks import BlockMatrix
-from .errors import LocTrackError
-from .scenario import (
-    PriorModel,
-    ScenarioConfig,
-    Trajectory,
-    ValidationReport,
-    baseline_scenario,
-    joint_precision,
-    load_scenario,
-    prior_model,
-    random_walk_trajectory,
-    sample_trajectory,
-    toy_scenario,
-    validate,
-)
-from .channel import cascaded_channel, channel_jacobian, geometry_params, steering_vector
-from .fim import (
-    BcrbResult,
-    MeasurementFim,
-    PriorFim,
-    assemble_efim,
-    bcrb,
-    marginal_efim,
-    measurement_fim,
-    position_jacobian,
-    prior_fim,
-)
-from .coupling import (
-    DASplit,
-    EocReport,
-    Ptpm,
-    build_ptpm,
-    delta_direct,
-    delta_series,
-    eoc_report,
-    hitting_probabilities,
-    split_d_a,
-)
-from .recursive import (
-    RecursiveState,
-    StationaryPoint,
-    check_convergence,
-    constant_inputs,
-    inject_disturbance,
-    iterate_to_convergence,
-    per_user_recursive,
-    recursive_step,
-    run_recursion,
-    stationary_point,
-)
-from .asymptotics import (
-    AsymptoticReport,
-    ScenarioConstants,
-    limit_spatial_inf,
-    limit_spatial_zero,
-    limit_temporal_inf,
-)
-from .harness import (
-    ExperimentSpec,
-    ResultRow,
-    ResultTable,
-    emit_figure_data,
-    load_experiment,
-    run_experiment,
-    write_outputs,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AsymptoticReport",
-    "BcrbResult",
-    "BlockMatrix",
-    "DASplit",
-    "EocReport",
-    "LocTrackError",
-    "MeasurementFim",
-    "PriorFim",
-    "PriorModel",
-    "Ptpm",
-    "RecursiveState",
-    "ScenarioConfig",
-    "ScenarioConstants",
-    "StationaryPoint",
-    "Trajectory",
-    "ValidationReport",
-    "assemble_efim",
-    "baseline_scenario",
-    "bcrb",
-    "build_ptpm",
-    "cascaded_channel",
-    "channel_jacobian",
-    "check_convergence",
-    "constant_inputs",
-    "delta_direct",
-    "delta_series",
-    "emit_figure_data",
-    "eoc_report",
-    "ExperimentSpec",
-    "geometry_params",
-    "hitting_probabilities",
-    "inject_disturbance",
-    "iterate_to_convergence",
-    "joint_precision",
-    "limit_spatial_inf",
-    "limit_spatial_zero",
-    "limit_temporal_inf",
-    "load_experiment",
-    "load_scenario",
-    "marginal_efim",
-    "measurement_fim",
-    "per_user_recursive",
-    "position_jacobian",
-    "prior_fim",
-    "prior_model",
-    "random_walk_trajectory",
-    "recursive_step",
-    "ResultRow",
-    "ResultTable",
-    "run_experiment",
-    "run_recursion",
-    "sample_trajectory",
-    "split_d_a",
-    "stationary_point",
-    "steering_vector",
-    "toy_scenario",
-    "validate",
-    "write_outputs",
-]

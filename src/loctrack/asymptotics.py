@@ -22,7 +22,6 @@ sides and their relative trace gaps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,30 +119,6 @@ class AsymptoticReport:
     series_vs_direct: float | None = None
     finite_step_gap: float | None = None
     horizon: int | None = None
-
-    def to_json(self) -> dict:
-        obj = {
-            "regime": self.regime,
-            "finite-value": self.finite_value,
-            "predicted": self.predicted.tolist(),
-            "empirical": self.empirical.tolist(),
-            "relative-gaps": self.relative_gaps.tolist(),
-            "eoc": self.eoc,
-        }
-        if self.first_step_gap is not None:
-            obj["first-step-gap"] = self.first_step_gap
-        if self.series_vs_direct is not None:
-            obj["series-vs-direct"] = self.series_vs_direct
-        if self.finite_step_gap is not None:
-            obj["finite-step-gap"] = self.finite_step_gap
-        if self.horizon is not None:
-            obj["horizon"] = self.horizon
-        return obj
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _per_user_blocks(full: np.ndarray, n_users: int) -> np.ndarray:

@@ -8,7 +8,6 @@ user-minor, matching the stacking order of the state vector.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ SPD_RELATIVE_FLOOR = 1e-10
 
 # Relative asymmetry above which symmetrisation is considered lossy.
 ASYMMETRY_WARN = 1e-8
-
-_BINARY_MAGIC = b"LTBM"
 
 
 def block_index(t: int, k: int, n_users: int) -> int:
@@ -173,36 +170,6 @@ class BlockMatrix:
         if scale == 0.0:
             return True
         return np.linalg.norm(self.data - self.data.T) <= tol * scale
-
-    def to_csv(self, path: str) -> None:
-        """Write the dense matrix as plain comma-separated rows."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in self.data:
-                fh.write(",".join(repr(float(x)) for x in row))
-                fh.write("\n")
-
-    def to_binary(self, path: str) -> None:
-        """Write a compact binary dump.
-
-        Layout: magic ``LTBM``, three little-endian uint32 (side, T, K),
-        then side*side float64 little-endian values in row-major order.
-        """
-        with open(path, "wb") as fh:
-            fh.write(_BINARY_MAGIC)
-            fh.write(struct.pack("<III", self.side, self.n_steps, self.n_users))
-            fh.write(self.data.astype("<f8").tobytes(order="C"))
-
-    @classmethod
-    def from_binary(cls, path: str) -> "BlockMatrix":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _BINARY_MAGIC:
-                raise DimensionMismatch(f"{path}: not a block-matrix binary file")
-            side, n_steps, n_users = struct.unpack("<III", fh.read(12))
-            data = np.frombuffer(fh.read(8 * side * side), dtype="<f8")
-        if data.size != side * side:
-            raise DimensionMismatch(f"{path}: truncated block-matrix binary file")
-        return cls(data.reshape(side, side).astype(float), n_steps, n_users)
 
 
 def block_diag(blocks: np.ndarray) -> np.ndarray:

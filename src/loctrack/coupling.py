@@ -324,13 +324,12 @@ class EocReport:
     """Per-state efficiency-of-coupling summary of one EFIM.
 
     Scalar fields are (T, K) arrays: ``eoc`` = half-trace of the efficiency
-    matrix, ``delta_trace`` the trace of the coupling excess, and ``bcrb``
-    the per-state trace bound. ``efficiency_matrices`` keeps symmetrised
-    copies for inspection; traces are unaffected by the symmetrisation.
+    matrix and ``bcrb`` the per-state trace bound. ``efficiency_matrices``
+    keeps symmetrised copies for inspection; traces are unaffected by the
+    symmetrisation.
     """
 
     eoc: np.ndarray
-    delta_trace: np.ndarray
     bcrb: np.ndarray
     efficiency_matrices: np.ndarray
     mean_eoc: float
@@ -345,20 +344,9 @@ class EocReport:
     def n_users(self) -> int:
         return self.eoc.shape[1]
 
-    def to_csv(self, path: str) -> None:
-        """Write ``t,k,eoc,delta_trace,bcrb`` (1-based ids)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,k,eoc,delta_trace,bcrb\n")
-            for t in range(self.n_steps):
-                for k in range(self.n_users):
-                    fh.write(
-                        f"{t + 1},{k + 1},{self.eoc[t, k]!r},"
-                        f"{self.delta_trace[t, k]!r},{self.bcrb[t, k]!r}\n"
-                    )
-
 
 def eoc_report(efim: BlockMatrix, split: DASplit) -> EocReport:
-    """Efficiency, coupling excess, and bounds from one dense inverse.
+    """Efficiency and bounds from one dense inverse.
 
     The efficiency matrix (I + Delta)^{-1} equals the walk's absorb-first
     probability F_to_B (``hitting_probabilities``), so the walk is not
@@ -372,7 +360,6 @@ def eoc_report(efim: BlockMatrix, split: DASplit) -> EocReport:
     inverse = cho_solve(chol, np.eye(efim.side))
 
     eoc = np.zeros((T, K))
-    delta_tr = np.zeros((T, K))
     per_bcrb = np.zeros((T, K))
     eff_mats = np.zeros((T, K, 2, 2))
     for t in range(T):
@@ -382,13 +369,11 @@ def eoc_report(efim: BlockMatrix, split: DASplit) -> EocReport:
             delta = inv_block @ split.nominal_blocks[t, k] - np.eye(2)
             eff = npl.inv(np.eye(2) + delta)
             eoc[t, k] = 0.5 * float(np.trace(eff))
-            delta_tr[t, k] = float(np.trace(delta))
             per_bcrb[t, k] = float(np.trace(inv_block))
             eff_mats[t, k] = symmetrize(eff)
 
     return EocReport(
         eoc=eoc,
-        delta_trace=delta_tr,
         bcrb=per_bcrb,
         efficiency_matrices=eff_mats,
         mean_eoc=float(np.mean(eoc)),

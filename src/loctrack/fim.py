@@ -52,7 +52,6 @@ from .scenario import (
 )
 
 __all__ = [
-    "BlockMatrix",
     "BcrbResult",
     "MeasurementFim",
     "NuisanceInfo",
@@ -309,15 +308,6 @@ class BcrbResult:
 
     total: float
     per_user: np.ndarray
-
-    def to_csv(self, path: str) -> None:
-        """Write ``t,k,bcrb`` rows (1-based step/user ids)."""
-        T, K = self.per_user.shape
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,k,bcrb\n")
-            for t in range(T):
-                for k in range(K):
-                    fh.write(f"{t + 1},{k + 1},{self.per_user[t, k]!r}\n")
 
 
 def bcrb(efim: BlockMatrix) -> BcrbResult:

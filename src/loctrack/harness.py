@@ -30,6 +30,7 @@ from .scenario import (
     RandomPhases,
     ScenarioConfig,
     Trajectory,
+    is_integer,
     load_scenario,
     prior_model,
     random_walk_trajectory,
@@ -94,10 +95,6 @@ TREND_MARGIN = 1e-9
 _L1_ENSEMBLE = 100
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -133,7 +130,7 @@ class ExperimentSpec:
             raise SchemaMismatch(f"unknown experiment kind {self.kind!r}")
         for name, value in (("num-monte-carlo", self.num_monte_carlo),
                             ("base-seed", self.base_seed)):
-            if not _is_integer(value):
+            if not is_integer(value):
                 raise SchemaMismatch(f"{name} must be an integer, got {value!r}")
         if self.num_monte_carlo < 1:
             raise SchemaMismatch("num-monte-carlo must be at least 1")
@@ -178,11 +175,16 @@ class ExperimentSpec:
 def experiment_from_json(payload: dict, base_dir: str = ".") -> ExperimentSpec:
     """Build a spec from its JSON form; relative paths resolve against
     ``base_dir`` (normally the directory holding the spec file)."""
+    if not isinstance(payload, dict):
+        raise SchemaMismatch(f"experiment spec must be a JSON object, got {payload!r}")
     for key in ("scenario", "kind", "num-monte-carlo", "base-seed", "output-dir"):
         if key not in payload:
             raise SchemaMismatch(f"experiment spec missing key {key!r}")
 
-    def resolve(path):
+    def resolve(key):
+        path = payload[key]
+        if not isinstance(path, str):
+            raise SchemaMismatch(f"{key} must be a path string, got {path!r}")
         return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
     def section(key):
@@ -194,13 +196,13 @@ def experiment_from_json(payload: dict, base_dir: str = ".") -> ExperimentSpec:
     sweep = section("sweep")
     disturbance = section("disturbance")
     return ExperimentSpec(
-        scenario_path=resolve(payload["scenario"]),
+        scenario_path=resolve("scenario"),
         kind=payload["kind"],
         sweep_parameter=sweep.get("parameter"),
         sweep_values=sweep.get("values", ()),
         num_monte_carlo=payload["num-monte-carlo"],
         base_seed=payload["base-seed"],
-        output_dir=resolve(payload["output-dir"]),
+        output_dir=resolve("output-dir"),
         snr_db_offset=payload.get("snr-db-offset", 0.0),
         disturbance_steps=disturbance.get("steps", ()),
         disturbance_scale=disturbance.get("scale", 1.0),
@@ -289,7 +291,7 @@ def _check_step_labels(spec: ExperimentSpec, num_steps: int) -> None:
     if spec.kind in _RECURSION_KINDS and spec.constant_from_step is not None:
         labels.append(("constant-from-step", spec.constant_from_step))
     for name, label in labels:
-        if not (_is_integer(label) and 1 <= label <= num_steps):
+        if not (is_integer(label) and 1 <= label <= num_steps):
             raise SchemaMismatch(
                 f"{name} label {label!r} is not an integer step in 1..{num_steps}"
             )

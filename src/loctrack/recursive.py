@@ -33,7 +33,6 @@ from scipy.linalg import cho_factor, cho_solve
 from .blocks import (
     block_diag,
     diag_blocks,
-    neumann_diag_block,
     off_part,
     require_spd,
     spd_sqrt_and_inv_sqrt,
@@ -53,33 +52,20 @@ __all__ = [
     "ConstantInputs",
     "ConvergenceCheck",
     "IterationResult",
-    "PerUserState",
     "RecursiveState",
     "StationaryPoint",
     "check_convergence",
     "constant_inputs",
     "inject_disturbance",
     "iterate_to_convergence",
-    "per_user_recursive",
     "recursive_step",
     "run_recursion",
-    "states_to_csv",
     "stationary_point",
 ]
 
 # Loewner comparisons tolerate eigenvalues this far below zero (relative to
 # the spectral norm of the compared difference).
 LOEWNER_SLACK = 1e-10
-
-
-@dataclass(frozen=True)
-class PerUserState:
-    """Marginal quantities of one user within a recursive slice."""
-
-    efim: np.ndarray
-    nominal: np.ndarray
-    efficiency: np.ndarray
-    bcrb: float
 
 
 @dataclass(frozen=True)
@@ -104,9 +90,9 @@ class RecursiveState:
     ``temporal_carry`` the two subtracted couplings; ``efficiency`` the raw
     slice E = I - D^{-1}(O + G) and ``eoc_mean`` its normalised trace.
     The slice trace only sees block-diagonal coupling (the temporal carry),
-    which is the dominant loss channel while tracking; the per-user
-    marginal efficiencies in ``per_user`` capture the spatial part as
-    well. ``next_measurement_scale`` lets a caller scale the following
+    which is the dominant loss channel while tracking; a user's marginal
+    efficiency D_k^{-1} ([J^{-1}]_kk)^{-1} also sees the spatial part.
+    ``next_measurement_scale`` lets a caller scale the following
     step's measurement blocks (disturbance injection).
     """
 
@@ -116,7 +102,6 @@ class RecursiveState:
     spatial_off: np.ndarray
     temporal_carry: np.ndarray
     efficiency: np.ndarray
-    per_user: tuple
     bcrb_mean: float
     eoc_mean: float
     condition_satisfied: bool
@@ -232,19 +217,6 @@ def recursive_step(
         raise SingularState(f"recursive EFIM at step {t} lost positivity") from exc
     inverse = cho_solve(chol, np.eye(2 * K))
 
-    users = []
-    for k in range(K):
-        sl = slice(2 * k, 2 * k + 2)
-        marg = npl.inv(inverse[sl, sl])
-        users.append(
-            PerUserState(
-                efim=symmetrize(marg),
-                nominal=nominal[k],
-                efficiency=nominal_inv[k] @ symmetrize(marg),
-                bcrb=float(np.trace(inverse[sl, sl])),
-            )
-        )
-
     return RecursiveState(
         t=t,
         efim=efim,
@@ -252,34 +224,11 @@ def recursive_step(
         spatial_off=off,
         temporal_carry=carry,
         efficiency=efficiency,
-        per_user=tuple(users),
         bcrb_mean=float(np.trace(inverse)) / (2 * K),
         eoc_mean=float(np.trace(efficiency)) / (2 * K),
         condition_satisfied=condition.satisfied,
         slack=condition.slack,
     )
-
-
-def per_user_recursive(state: RecursiveState, k: int) -> PerUserState:
-    """Marginal slice quantities of user k at this step."""
-    if not (0 <= k < state.n_users):
-        raise DimensionMismatch(f"user {k} outside 0..{state.n_users - 1}")
-    return state.per_user[k]
-
-
-def per_user_series(
-    state: RecursiveState, k: int, max_terms: int = 10_000, tol: float = 1e-10
-) -> np.ndarray:
-    """User-k efficiency via the slice Neumann series (check route).
-
-    E_k = (I + sum_{n>=1} [X^n]_kk)^{-1} with X = D^{-1}(O + G); agrees
-    with the direct marginal D_k^{-1} ([J^{-1}]_kk)^{-1}.
-    """
-    K = state.n_users
-    coupling = state.spatial_off + state.temporal_carry
-    nominal_inv = block_diag(npl.inv(state.nominal))
-    total, _, _ = neumann_diag_block(nominal_inv @ coupling, k, max_terms, tol)
-    return npl.inv(np.eye(2) + total)
 
 
 def inject_disturbance(state: RecursiveState, scale: float) -> RecursiveState:
@@ -413,15 +362,13 @@ def stationary_point(m: np.ndarray, t_mat: np.ndarray) -> StationaryPoint:
 class IterationResult:
     """Outcome of iterating the constant-input recursion.
 
-    ``converged`` is False when the step budget ran out; the best iterate is
-    still returned. Histories are per-step means (trace-based).
+    ``converged`` is False when the step budget ran out; the last iterate is
+    still returned.
     """
 
     j_limit: np.ndarray
     steps: int
     converged: bool
-    bcrb_history: np.ndarray
-    eoc_history: np.ndarray | None
 
 
 def iterate_to_convergence(
@@ -430,45 +377,26 @@ def iterate_to_convergence(
     j_init: np.ndarray | None = None,
     max_steps: int = 500,
     tol: float = 1e-6,
-    spatial_off: np.ndarray | None = None,
 ) -> IterationResult:
     """Iterate J <- M + T - T (J + T)^{-1} T until relative stagnation.
 
-    Starting from ``j_init`` (default M, the carry-free first step). When
-    ``spatial_off`` is given, an efficiency history is tracked using
-    D = M + spatial_off + T as the nominal information.
+    Starting from ``j_init`` (default M, the carry-free first step).
     """
     m = symmetrize(np.asarray(m, dtype=float))
     t_mat = symmetrize(np.asarray(t_mat, dtype=float))
-    side = m.shape[0]
     j = m.copy() if j_init is None else symmetrize(np.asarray(j_init, dtype=float))
 
-    bcrb_hist = []
-    eoc_hist = [] if spatial_off is not None else None
-    nominal = m + t_mat + (spatial_off if spatial_off is not None else 0.0)
     converged = False
     steps = 0
     for n in range(1, max_steps + 1):
-        carry = _temporal_carry(j, t_mat)
-        j_next = symmetrize(m + t_mat - carry)
-        bcrb_hist.append(float(np.trace(npl.inv(j_next))) / side)
-        if eoc_hist is not None:
-            coupling = spatial_off + carry
-            eff = np.eye(side) - npl.solve(nominal, coupling)
-            eoc_hist.append(float(np.trace(eff)) / side)
+        j_next = symmetrize(m + t_mat - _temporal_carry(j, t_mat))
         delta = np.linalg.norm(j_next - j) / max(np.linalg.norm(j), 1e-300)
         j = j_next
         steps = n
         if delta < tol:
             converged = True
             break
-    return IterationResult(
-        j_limit=j,
-        steps=steps,
-        converged=converged,
-        bcrb_history=np.asarray(bcrb_hist),
-        eoc_history=None if eoc_hist is None else np.asarray(eoc_hist),
-    )
+    return IterationResult(j_limit=j, steps=steps, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +453,3 @@ def run_recursion(
         states.append(state)
         prev = state
     return states
-
-
-def states_to_csv(states, path: str) -> None:
-    """Write ``t,bcrb_mean,eoc_mean,condition_satisfied,slack`` (1-based t)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,bcrb_mean,eoc_mean,condition_satisfied,slack\n")
-        for state in states:
-            flag = "true" if state.condition_satisfied else "false"
-            fh.write(
-                f"{state.t + 1},{state.bcrb_mean!r},{state.eoc_mean!r},"
-                f"{flag},{state.slack!r}\n"
-            )

@@ -11,7 +11,8 @@ ties user positions together. Two prior kinds are supported:
   The joint prior is not Gaussian; trajectories are drawn with a
   Metropolis-within-Gibbs sweep, vectorised across chains.
 
-Indices are 0-based throughout the API. CSV files use 1-based step/user ids.
+Scenarios are read from the kebab-case JSON files under ``configs/``.
+Indices are 0-based throughout the API.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,18 +102,8 @@ def _phase_profile_from_json(obj) -> PhaseProfile:
         if policy == "aligned":
             return AlignedPhases()
         if policy == "random":
-            return RandomPhases(int(obj.get("seed", 0)))
+            return RandomPhases(_json_int(obj, "seed", 0))
     raise SchemaMismatch(f"unrecognised ris-phase-profiles entry: {obj!r}")
-
-
-def _phase_profile_to_json(profile: PhaseProfile):
-    if isinstance(profile, ExplicitPhases):
-        return profile.values.tolist()
-    if isinstance(profile, AlignedPhases):
-        return {"policy": "aligned"}
-    if isinstance(profile, RandomPhases):
-        return {"policy": "random", "seed": profile.seed}
-    raise SchemaMismatch(f"unrecognised phase profile object: {profile!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,27 +285,6 @@ def _normalize_edge_tuple(edges) -> tuple:
 
 def _normalize_precision_tuple(precision) -> tuple:
     return tuple(tuple(float(c) for c in step) for step in precision)
-
-
-def complete_graph_edges(num_users: int) -> tuple:
-    return tuple(
-        (i, j) for i in range(num_users) for j in range(i + 1, num_users)
-    )
-
-
-def uniform_spatial_prior(
-    num_steps: int, num_users: int, precision: float, edges=None
-) -> tuple[tuple, tuple]:
-    """Same edge set and edge precision at every step.
-
-    Returns the (spatial_edges, spatial_precision) pair for ScenarioConfig.
-    """
-    step_edges = tuple(edges) if edges is not None else complete_graph_edges(num_users)
-    all_edges = tuple(step_edges for _ in range(num_steps))
-    all_prec = tuple(
-        tuple(float(precision) for _ in step_edges) for _ in range(num_steps)
-    )
-    return all_edges, all_prec
 
 
 # ---------------------------------------------------------------------------
@@ -627,37 +598,6 @@ class Trajectory:
     def position(self, t: int, k: int) -> np.ndarray:
         return self.positions[t, k]
 
-    def to_csv(self, path: str) -> None:
-        """Write ``t,k,x,y`` rows; t and k are 1-based in the file."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,k,x,y\n")
-            for t in range(self.num_steps):
-                for k in range(self.num_users):
-                    x, y = self.positions[t, k]
-                    fh.write(f"{t + 1},{k + 1},{x!r},{y!r}\n")
-
-    @classmethod
-    def from_csv(cls, path: str) -> "Trajectory":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "t,k,x,y":
-                raise SchemaMismatch(f"{path}: expected header 't,k,x,y', got {header!r}")
-            rows = []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                t_s, k_s, x_s, y_s = line.split(",")
-                rows.append((int(t_s) - 1, int(k_s) - 1, float(x_s), float(y_s)))
-        if not rows:
-            raise SchemaMismatch(f"{path}: no trajectory rows")
-        T = max(r[0] for r in rows) + 1
-        K = max(r[1] for r in rows) + 1
-        pos = np.full((T, K, 2), np.nan)
-        for t, k, x, y in rows:
-            pos[t, k] = (x, y)
-        return cls(pos)
-
 
 def check_separation(config: ScenarioConfig, positions: np.ndarray) -> None:
     """Raise DegenerateGeometry if any user sits on a RIS at any step."""
@@ -868,7 +808,20 @@ def _sample_l1_mcmc(
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON reader
+
+
+def is_integer(value) -> bool:
+    """The rule for every integer in a JSON input: no bool, no float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _json_int(obj: dict, key: str, default=None) -> int:
+    """``obj[key]`` as an int; ``scenario_from_json`` reports the ValueError."""
+    value = obj.get(key, default)
+    if not is_integer(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 _REQUIRED_KEYS = (
@@ -910,8 +863,8 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
 
 
 def _config_from_json(obj: dict) -> ScenarioConfig:
-    T = int(obj["num-steps"])
-    K = int(obj["num-users"])
+    T = _json_int(obj, "num-steps")
+    K = _json_int(obj, "num-users")
 
     edges_raw = obj["spatial-edges"]
     if edges_raw and edges_raw[0] and isinstance(edges_raw[0][0], (int, float)):
@@ -958,17 +911,17 @@ def _config_from_json(obj: dict) -> ScenarioConfig:
         ris_positions=np.asarray(obj["ris-positions"], dtype=float),
         user_initial_positions=np.asarray(obj["user-initial-positions"], dtype=float),
         num_users=K,
-        num_ris=int(obj["num-ris"]),
+        num_ris=_json_int(obj, "num-ris"),
         num_steps=T,
-        n_bs_antennas=int(obj["n-bs-antennas"]),
-        n_ris_elements=int(obj["n-ris-elements"]),
+        n_bs_antennas=_json_int(obj, "n-bs-antennas"),
+        n_ris_elements=_json_int(obj, "n-ris-elements"),
         carrier_frequency_hz=float(obj["carrier-frequency-hz"]),
         path_loss_exponent=float(obj["path-loss-exponent"]),
         rician_factor_br=float(obj["rician-factor-br"]),
         rician_factor_ru=float(obj["rician-factor-ru"]),
         noise_variance=float(obj["noise-variance"]),
         transmit_power=float(obj["transmit-power"]),
-        pilot_length=int(obj["pilot-length"]),
+        pilot_length=_json_int(obj, "pilot-length"),
         ris_phase_profiles=_phase_profile_from_json(obj["ris-phase-profiles"]),
         spatial_edges=per_step_edges,
         spatial_precision=per_step_prec,
@@ -981,73 +934,6 @@ def _config_from_json(obj: dict) -> ScenarioConfig:
     )
 
 
-def _compact_edges(edges: tuple):
-    """Collapse identical per-step edge sets to one flat list (reader
-    re-expands); otherwise keep the per-step nesting."""
-    steps = [[list(edge) for edge in step] for step in edges]
-    if steps and all(step == steps[0] for step in steps) and steps[0]:
-        return steps[0]
-    return steps
-
-
-def _compact_precision(precision: tuple):
-    values = {p for step in precision for p in step}
-    if len(values) == 1:
-        return float(next(iter(values)))
-    steps = [list(step) for step in precision]
-    if steps and all(step == steps[0] for step in steps):
-        return steps[0]
-    return steps
-
-
-def _compact_temporal(cov: np.ndarray):
-    cov = np.asarray(cov)
-    if cov.shape[0] == 0:
-        return cov.tolist()
-    first = cov[0, 0]
-    if np.array_equal(cov, np.broadcast_to(first, cov.shape)):
-        if np.array_equal(first, first[0, 0] * np.eye(2)):
-            return float(first[0, 0])
-        return first.tolist()
-    if np.array_equal(cov, np.broadcast_to(cov[0][None], cov.shape)):
-        return cov[0].tolist()
-    return cov.tolist()
-
-
-def scenario_to_json(config: ScenarioConfig) -> dict:
-    obj = {
-        "bs-position": config.bs_position.tolist(),
-        "ris-positions": config.ris_positions.tolist(),
-        "user-initial-positions": config.user_initial_positions.tolist(),
-        "num-users": config.num_users,
-        "num-ris": config.num_ris,
-        "num-steps": config.num_steps,
-        "n-bs-antennas": config.n_bs_antennas,
-        "n-ris-elements": config.n_ris_elements,
-        "carrier-frequency-hz": config.carrier_frequency_hz,
-        "path-loss-exponent": config.path_loss_exponent,
-        "rician-factor-br": config.rician_factor_br,
-        "rician-factor-ru": config.rician_factor_ru,
-        "noise-variance": config.noise_variance,
-        "transmit-power": config.transmit_power,
-        "pilot-length": config.pilot_length,
-        "ris-phase-profiles": _phase_profile_to_json(config.ris_phase_profiles),
-        "spatial-edges": _compact_edges(config.spatial_edges),
-        "spatial-precision": _compact_precision(config.spatial_precision),
-        "temporal-covariance": _compact_temporal(config.temporal_covariance),
-        "first-step-anchor-variance": config.first_step_anchor_variance,
-        "prior-kind": config.prior_kind,
-    }
-    for key, val in (
-        ("bs-ris-gains", config.bs_ris_gains),
-        ("bs-ris-aoa", config.bs_ris_aoa),
-        ("bs-ris-aod", config.bs_ris_aod),
-    ):
-        if val is not None:
-            obj[key] = val.tolist()
-    return obj
-
-
 def load_scenario(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -1057,112 +943,3 @@ def load_scenario(path: str) -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise SchemaMismatch(f"{path}: scenario JSON must be an object")
     return scenario_from_json(obj)
-
-
-def save_scenario(config: ScenarioConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_json(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# stock scenarios
-
-
-def baseline_scenario(
-    num_steps: int = 40,
-    prior_kind: str = PRIOR_L2,
-    noise_variance: float = 1.0,
-) -> ScenarioConfig:
-    """Three users in an equilateral triangle served through four surfaces.
-
-    BS at the origin, surfaces on a vertical line at x = 80 m, users near
-    x = 100-110 m. Spatial and temporal precisions are both 10; beams aligned.
-    """
-    edges, prec = uniform_spatial_prior(num_steps, 3, 10.0)
-    return ScenarioConfig(
-        bs_position=[0.0, 0.0],
-        ris_positions=[[80.0, 30.0], [80.0, 35.0], [80.0, 40.0], [80.0, 45.0]],
-        user_initial_positions=[
-            [100.0, 10.0],
-            [110.0, 10.0],
-            [105.0, 10.0 + 5.0 * math.sqrt(3.0)],
-        ],
-        num_users=3,
-        num_ris=4,
-        num_steps=num_steps,
-        n_bs_antennas=64,
-        n_ris_elements=32,
-        carrier_frequency_hz=28e9,
-        path_loss_exponent=-2.08,
-        rician_factor_br=100.0,
-        rician_factor_ru=100.0,
-        noise_variance=noise_variance,
-        transmit_power=0.01,
-        pilot_length=16,
-        ris_phase_profiles=AlignedPhases(),
-        spatial_edges=edges,
-        spatial_precision=prec,
-        temporal_covariance=np.broadcast_to(
-            0.1 * np.eye(2), (max(num_steps - 1, 0), 3, 2, 2)
-        ).copy(),
-        first_step_anchor_variance=1.0,
-        prior_kind=prior_kind,
-    )
-
-
-def toy_scenario(
-    num_steps: int = 2,
-    num_users: int = 2,
-    num_ris: int = 4,
-    noise_variance: float = 1e-8,
-    prior_kind: str = PRIOR_L2,
-) -> ScenarioConfig:
-    """Small deterministic scenario for sweeps and worked examples.
-
-    Same deployment line as the baseline but with a configurable user count
-    and a noise floor low enough that the measurement term has dynamic range
-    against the prior.  At the default floor the scalar efficiency sits near
-    0.45, so sweeps in either direction have visible headroom.  The surfaces
-    all lie on one vertical line, which makes the per-user measurement block
-    anisotropic; that is deliberate texture, not a bug.
-    """
-    all_users = np.array(
-        [
-            [100.0, 10.0],
-            [110.0, 10.0],
-            [105.0, 10.0 + 5.0 * math.sqrt(3.0)],
-        ]
-    )
-    if not (1 <= num_users <= 3):
-        raise DimensionMismatch("toy scenario supports 1 to 3 users")
-    if not (1 <= num_ris <= 4):
-        raise DimensionMismatch("toy scenario supports 1 to 4 surfaces")
-    edges, prec = uniform_spatial_prior(num_steps, num_users, 10.0)
-    return ScenarioConfig(
-        bs_position=[0.0, 0.0],
-        ris_positions=[[80.0, 30.0], [80.0, 35.0], [80.0, 40.0], [80.0, 45.0]][
-            :num_ris
-        ],
-        user_initial_positions=all_users[:num_users],
-        num_users=num_users,
-        num_ris=num_ris,
-        num_steps=num_steps,
-        n_bs_antennas=16,
-        n_ris_elements=16,
-        carrier_frequency_hz=28e9,
-        path_loss_exponent=-2.08,
-        rician_factor_br=100.0,
-        rician_factor_ru=100.0,
-        noise_variance=noise_variance,
-        transmit_power=0.01,
-        pilot_length=8,
-        ris_phase_profiles=AlignedPhases(),
-        spatial_edges=edges,
-        spatial_precision=prec,
-        temporal_covariance=np.broadcast_to(
-            0.1 * np.eye(2), (max(num_steps - 1, 0), num_users, 2, 2)
-        ).copy(),
-        first_step_anchor_variance=1.0,
-        prior_kind=prior_kind,
-    )

@@ -1,5 +1,7 @@
 """Shared generators and helpers for the test suite.
 
+Fixed scenarios are the shipped ``configs/*.json`` with a few keys
+overridden (``config_dict``, ``shipped_scenario``).
 Random scenarios keep the reflecting surfaces at well-spread bearings
 around the user cluster. That keeps every surface-to-user link away from
 the horizontal axis (where the arrival-angle derivative degenerates) and
@@ -7,7 +9,9 @@ keeps the measurement blocks well conditioned, so the information walk
 contracts and the coupling identities can be checked at tight tolerances.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +23,36 @@ from loctrack.scenario import (
     RandomPhases,
     ScenarioConfig,
     random_walk_trajectory,
-    uniform_spatial_prior,
+    scenario_from_json,
     validate,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_dict(name: str = "toy", num_users: int | None = None, **overrides) -> dict:
+    """``configs/<name>.json`` as a dict, with overrides for its keys.
+
+    A keyword names a kebab-case key with ``_`` for ``-`` (``num_steps``
+    sets ``num-steps``). A new ``num_users`` takes the first K users of
+    ``paper_baseline.json`` and links every pair of them.
+    """
+    obj = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    if num_users is not None:
+        users = config_dict("paper_baseline")["user-initial-positions"]
+        obj["num-users"] = num_users
+        obj["user-initial-positions"] = users[:num_users]
+        obj["spatial-edges"] = [
+            [i, j] for i in range(num_users) for j in range(i + 1, num_users)
+        ]
+    obj.update({key.replace("_", "-"): value for key, value in overrides.items()})
+    return obj
+
+
+def shipped_scenario(name: str = "toy", **overrides) -> ScenarioConfig:
+    """The scenario of ``config_dict(name, **overrides)``."""
+    return scenario_from_json(config_dict(name, **overrides))
+
 
 # Links this far (in sine terms) off the horizontal keep the angle
 # derivative well defined even after a few random-walk steps.
@@ -83,7 +114,7 @@ def random_scenario(
         noise_variance = float(10.0 ** rng.uniform(-9.0, -7.0))
     spatial = float(10.0 ** rng.uniform(0.0, 1.3))
     walk_var = float(10.0 ** rng.uniform(-1.3, -0.5))
-    edges, prec = uniform_spatial_prior(T, K, spatial)
+    edges = [(i, j) for i in range(K) for j in range(i + 1, K)]
 
     if phase_style == "aligned":
         phases = AlignedPhases()
@@ -111,8 +142,8 @@ def random_scenario(
         transmit_power=0.01,
         pilot_length=8,
         ris_phase_profiles=phases,
-        spatial_edges=edges,
-        spatial_precision=prec,
+        spatial_edges=[edges] * T,
+        spatial_precision=[[spatial] * len(edges)] * T,
         temporal_covariance=np.broadcast_to(
             walk_var * np.eye(2), (max(T - 1, 0), K, 2, 2)
         ).copy(),

@@ -5,13 +5,20 @@ plain ``pytest -v -s tests/test_acceptance.py`` doubles as the sign-off
 sheet. Tolerances are stated inline next to each check.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 import numpy.linalg as npl
 
-from conftest import central_difference, random_scenario, rel_frobenius
+from conftest import (
+    central_difference,
+    config_dict,
+    random_scenario,
+    rel_frobenius,
+    shipped_scenario,
+)
 from loctrack.asymptotics import (
     ScenarioConstants,
     limit_spatial_inf,
@@ -38,12 +45,9 @@ from loctrack.harness import load_experiment, run_experiment, write_outputs
 from loctrack.recursive import iterate_to_convergence, run_recursion, stationary_point
 from loctrack.scenario import (
     PRIOR_L1,
-    baseline_scenario,
     prior_model,
     sample_trajectory_ensemble,
-    save_scenario,
     static_trajectory,
-    toy_scenario,
 )
 
 
@@ -154,7 +158,7 @@ def _temporal_part(pfim):
 
 def test_criterion_03_prior_row_sums():
     """Spatial prior rows vanish; temporal prior is a zero-row tridiagonal."""
-    quad = toy_scenario(num_steps=4, num_users=3)
+    quad = shipped_scenario(num_steps=4, num_users=3)
     pfim_l2 = prior_fim(quad, prior_model(quad, include_anchor=False))
     groups = quad.num_steps * quad.num_users
     l2_ps = _block_row_defect(_spatial_part(pfim_l2), groups)
@@ -166,7 +170,7 @@ def test_criterion_03_prior_row_sums():
     # attraction 1.0: at the toy's default 10.0 the constant pull overwhelms
     # the anchor and samples collapse users to contact, which the curvature
     # guard rightly rejects
-    dist = toy_scenario(num_steps=3, prior_kind=PRIOR_L1).with_spatial_precision(1.0)
+    dist = shipped_scenario(num_steps=3, prior_kind=PRIOR_L1).with_spatial_precision(1.0)
     ensemble = sample_trajectory_ensemble(dist, 10_000, 8103)
     pfim_l1 = prior_fim(
         dist, prior_model(dist, include_anchor=False), trajectory_ensemble=ensemble
@@ -349,7 +353,7 @@ def test_criterion_08_asymptotic_regimes():
     """Stand-in precisions 1e-3 / 1e3 against the three closed-form limits."""
 
     def constants(offset_db):
-        config = baseline_scenario(num_steps=4).with_snr_offset_db(offset_db)
+        config = shipped_scenario("paper_baseline", num_steps=4).with_snr_offset_db(offset_db)
         return ScenarioConstants.from_scenario(config, static_trajectory(config))
 
     zero = limit_spatial_zero(constants(70.0))
@@ -379,7 +383,7 @@ def _strict(values, direction, margin=1e-9):
 
 def test_criterion_09_toy_trends():
     """Deterministic toy sweeps: efficiency and bound move as expected."""
-    base = toy_scenario(num_steps=3)
+    base = shipped_scenario(num_steps=3)
 
     def measure(config):
         traj = static_trajectory(config)
@@ -423,7 +427,7 @@ def test_criterion_09_toy_trends():
 def test_criterion_10_campaign_determinism(tmp_path):
     """Identical spec and seed produce byte-identical table and manifest."""
     scenario = tmp_path / "scene.json"
-    save_scenario(toy_scenario(num_steps=3), str(scenario))
+    scenario.write_text(json.dumps(config_dict(num_steps=3)))
     from loctrack.harness import ExperimentSpec
 
     def spec(out):

@@ -1,11 +1,9 @@
 """Extreme-correlation limits against the finite-parameter recursion."""
 
-import json
-
 import numpy as np
 import pytest
 
-from conftest import random_scenario
+from conftest import random_scenario, shipped_scenario
 from loctrack.asymptotics import (
     ASYMPTOTIC_LARGE,
     ASYMPTOTIC_SMALL,
@@ -16,16 +14,16 @@ from loctrack.asymptotics import (
 )
 from loctrack.errors import DimensionMismatch
 from loctrack.recursive import constant_inputs
-from loctrack.scenario import static_trajectory, toy_scenario
+from loctrack.scenario import static_trajectory
 
 
 def boosted_constants(offset_db=70.0, num_steps=4):
-    config = toy_scenario(num_steps=num_steps).with_snr_offset_db(offset_db)
+    config = shipped_scenario(num_steps=num_steps).with_snr_offset_db(offset_db)
     return ScenarioConstants.from_scenario(config, static_trajectory(config))
 
 
 def test_scenario_constants_rebuild_slices():
-    config = toy_scenario(num_steps=3)
+    config = shipped_scenario(num_steps=3)
     traj = static_trajectory(config)
     constants = ScenarioConstants.from_scenario(config, traj)
     rebuilt = constants.with_spatial_precision(5.0)
@@ -88,7 +86,7 @@ def test_temporal_slope_equals_slice_marginal():
 
 def test_temporal_series_gate():
     """Neumann cross-check runs only when the spatial walk contracts fast."""
-    sticky = toy_scenario(num_steps=4).with_spatial_precision(100.0)
+    sticky = shipped_scenario(num_steps=4).with_spatial_precision(100.0)
     near_one = ScenarioConstants.from_scenario(sticky, static_trajectory(sticky))
     assert limit_temporal_inf(near_one).series_vs_direct is None
     contracting = boosted_constants(offset_db=0.0)
@@ -101,23 +99,3 @@ def test_temporal_horizon_guard():
     constants = boosted_constants()
     with pytest.raises(DimensionMismatch):
         limit_temporal_inf(constants, horizon=3)
-
-
-def test_report_json_round_trip(tmp_path):
-    constants = boosted_constants()
-    report = limit_temporal_inf(constants)
-    path = tmp_path / "report.json"
-    report.save(str(path))
-    loaded = json.loads(path.read_text(encoding="utf-8"))
-    assert loaded == report.to_json()
-    assert loaded["regime"] == "temporal-inf"
-    assert loaded["horizon"] == 1000
-    assert "finite-step-gap" in loaded
-    assert np.allclose(np.asarray(loaded["predicted"]), report.predicted)
-
-    zero = limit_spatial_zero(constants)
-    obj = zero.to_json()
-    assert "first-step-gap" not in obj
-    assert "horizon" not in obj
-    inf = limit_spatial_inf(constants)
-    assert "first-step-gap" in inf.to_json()

@@ -144,35 +144,6 @@ def test_block_matrix_data_is_read_only(rng):
         bm.data[0, 0] = 1.0
 
 
-def test_block_matrix_binary_round_trip(rng, tmp_path):
-    T, K = 2, 3
-    mat = rng.standard_normal((2 * T * K, 2 * T * K))
-    bm = BlockMatrix(mat, T, K)
-    path = tmp_path / "mat.ltbm"
-    bm.to_binary(str(path))
-    back = BlockMatrix.from_binary(str(path))
-    assert np.array_equal(back.data, bm.data)
-    assert (back.n_steps, back.n_users) == (T, K)
-
-
-def test_block_matrix_binary_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.ltbm"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(DimensionMismatch):
-        BlockMatrix.from_binary(str(path))
-
-
-def test_block_matrix_csv_round_trips_exact_floats(rng, tmp_path):
-    bm = BlockMatrix(block_diag(rng.standard_normal((2, 2, 2))), 1, 2)
-    path = tmp_path / "mat.csv"
-    bm.to_csv(str(path))
-    rows = [
-        [float(cell) for cell in line.split(",")]
-        for line in path.read_text().strip().splitlines()
-    ]
-    assert np.array_equal(np.array(rows), bm.data)
-
-
 def test_neumann_sum_survives_zero_odd_terms():
     """A hollow two-state walk has zero diagonal blocks on every odd power,
     so the sum must not stop on a vanishing diagonal term."""

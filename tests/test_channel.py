@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scenario, rel_frobenius
+from conftest import random_scenario, rel_frobenius, shipped_scenario
 from loctrack.channel import (
     cascade_from_parameters,
     cascaded_channel,
@@ -24,7 +24,6 @@ from loctrack.scenario import (
     ExplicitPhases,
     RandomPhases,
     static_trajectory,
-    toy_scenario,
 )
 
 
@@ -70,7 +69,7 @@ def test_geometry_params_guards_coincidence():
 
 
 def test_effective_noise_variance_formula():
-    config = toy_scenario()
+    config = shipped_scenario()
     kb, ku = config.rician_factor_br, config.rician_factor_ru
     br = np.array([0.5, 0.25])
     ru = np.array([0.1, 0.2])
@@ -83,7 +82,7 @@ def test_effective_noise_variance_formula():
 
 def test_cascade_consistency_with_parameters():
     """Rebuilding the cascade from its own reported parameters reproduces it."""
-    config = toy_scenario()
+    config = shipped_scenario()
     traj = static_trajectory(config)
     for t in range(config.num_steps):
         for k in range(config.num_users):
@@ -95,7 +94,7 @@ def test_cascade_consistency_with_parameters():
 
 
 def test_cascade_linear_in_gains():
-    config = toy_scenario()
+    config = shipped_scenario()
     traj = static_trajectory(config)
     chan = cascaded_channel(config, traj, 0, 0)
     doubled = cascade_from_parameters(
@@ -190,7 +189,7 @@ def test_phase_stack_matches_per_surface_reference(rng, phase_style):
 
 def test_aligned_phases_maximise_served_reflection(rng):
     """The aligned policy should beat any random phase draw for its user."""
-    config = toy_scenario(num_users=2, num_ris=4)
+    config = shipped_scenario()
     traj = static_trajectory(config)
     aligned = cascaded_channel(config, traj, 0, 0)
     n_r = config.n_ris_elements
@@ -207,7 +206,7 @@ def test_aligned_phases_maximise_served_reflection(rng):
 
 
 def test_resolve_phases_explicit_passthrough():
-    base = toy_scenario()
+    base = shipped_scenario()
     values = np.random.default_rng(1).uniform(
         0.0, 2 * math.pi, size=(base.num_steps, base.num_ris, base.n_ris_elements)
     )
@@ -219,7 +218,7 @@ def test_resolve_phases_explicit_passthrough():
 
 def test_resolve_phases_random_deterministic():
     config = dataclasses.replace(
-        toy_scenario(), ris_phase_profiles=RandomPhases(seed=42)
+        shipped_scenario(), ris_phase_profiles=RandomPhases(seed=42)
     )
     traj = static_trajectory(config)
     a = resolve_phases(config, traj, 0)

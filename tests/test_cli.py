@@ -1,6 +1,5 @@
 """Command-line front end: subcommands, outputs, and exit codes."""
 
-import dataclasses
 import json
 import math
 import os
@@ -9,14 +8,14 @@ import pytest
 
 import loctrack.cli as cli
 import loctrack.harness as harness
+from conftest import config_dict
 from loctrack.errors import CampaignAborted
-from loctrack.scenario import save_scenario, toy_scenario
 
 
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "scene.json"
-    save_scenario(toy_scenario(num_steps=3), str(path))
+    path.write_text(json.dumps(config_dict(num_steps=3)))
     return str(path)
 
 
@@ -58,6 +57,14 @@ def test_run_bad_spec_is_validation_error(tmp_path, scenario_file, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"scenario": "scene.json", "kind": "EOC_VS_SNR"}))
     assert cli.main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '"spec"'])
+def test_run_rejects_non_object_spec(tmp_path, capsys, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == 2
+    assert "experiment spec must be a JSON object" in capsys.readouterr().err
 
 
 def test_run_abort_maps_to_exit_3(spec_file, monkeypatch, capsys):
@@ -168,6 +175,18 @@ def test_run_rejects_non_numeric_spec_values(
         ("noise-variance", "x", "malformed value"),
         ("temporal-covariance", "x", "malformed value"),
         ("ris-positions", [[1, 2, 3]], "ris-positions must have shape"),
+        ("num-users", 2.7, "num-users must be an integer"),
+        ("num-steps", 2.5, "num-steps must be an integer"),
+        ("num-steps", 3.0, "num-steps must be an integer"),
+        ("num-ris", 3.5, "num-ris must be an integer"),
+        ("n-bs-antennas", 16.9, "n-bs-antennas must be an integer"),
+        ("n-ris-elements", 16.5, "n-ris-elements must be an integer"),
+        ("pilot-length", 8.2, "pilot-length must be an integer"),
+        ("pilot-length", True, "pilot-length must be an integer"),
+        ("ris-phase-profiles", {"policy": "random", "seed": 1.5},
+         "seed must be an integer"),
+        ("ris-phase-profiles", {"policy": "random", "seed": False},
+         "seed must be an integer"),
     ],
 )
 def test_run_validates_scenario_before_any_run(
@@ -183,6 +202,16 @@ def test_run_validates_scenario_before_any_run(
     assert cli.main(["validate", scenario_file]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("scenario", 5), ("output-dir", 7),
+                                        ("scenario", None), ("output-dir", ["out"])])
+def test_run_rejects_non_string_paths(
+    scenario_file, tmp_path, monkeypatch, capsys, key, value
+):
+    rc, started = _run_recursion_spec(tmp_path, monkeypatch, **{key: value})
+    assert (rc, started) == (2, 0)
+    assert f"{key} must be a path string" in capsys.readouterr().err
+
+
 def test_validate_ok(scenario_file, capsys):
     rc = cli.main(["validate", scenario_file])
     assert rc == 0
@@ -190,10 +219,8 @@ def test_validate_ok(scenario_file, capsys):
 
 
 def test_validate_reports_violations(tmp_path, capsys):
-    config = toy_scenario(num_steps=2)
-    broken = dataclasses.replace(config, noise_variance=-1.0)
     path = tmp_path / "broken.json"
-    save_scenario(broken, str(path))
+    path.write_text(json.dumps(config_dict(noise_variance=-1.0)))
     rc = cli.main(["validate", str(path)])
     assert rc == 2
     assert "noise" in capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scenario, rel_frobenius
+from conftest import random_scenario, rel_frobenius, shipped_scenario
 from loctrack.blocks import BlockMatrix, block_diag, block_index, block_slice
 from loctrack.coupling import (
     DASplit,
@@ -20,7 +20,7 @@ from loctrack.coupling import (
 )
 from loctrack.errors import SeriesDiverged
 from loctrack.fim import assemble_efim, marginal_efim, measurement_fim, prior_fim
-from loctrack.scenario import prior_model, static_trajectory, toy_scenario
+from loctrack.scenario import prior_model, static_trajectory
 
 
 def build_all(config, traj, include_anchor=True):
@@ -67,7 +67,7 @@ def test_split_reads_nominal_blocks_off_the_efim(seed):
 
 
 def test_absorb_extra_holds_only_step0_anchor():
-    config = toy_scenario(num_steps=3)
+    config = shipped_scenario(num_steps=3)
     traj = static_trajectory(config)
     _, _, _, split = build_all(config, traj, include_anchor=True)
     anchor = 1.0 / config.first_step_anchor_variance
@@ -202,7 +202,7 @@ def test_eoc_report_cross_field_identities(rng):
 
 def test_efficiency_shrinks_when_coupling_strengthens():
     """More prior coupling always moves the mean efficiency down."""
-    base = toy_scenario()
+    base = shipped_scenario()
     traj = static_trajectory(base)
     values = []
     for precision in (1.0, 10.0, 100.0):

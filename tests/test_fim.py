@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_scenario, rel_frobenius
+from conftest import random_scenario, rel_frobenius, shipped_scenario
 from loctrack.blocks import block_index, block_slice, chain_matrix
 from loctrack.channel import cascaded_channel, channel_jacobian, geometry_params
 from loctrack.errors import DegenerateGeometry, DimensionMismatch
@@ -24,7 +24,6 @@ from loctrack.scenario import (
     prior_model,
     sample_trajectory_ensemble,
     static_trajectory,
-    toy_scenario,
 )
 
 
@@ -60,7 +59,7 @@ def test_position_jacobian_matches_finite_difference(rng):
 
 
 def test_position_jacobian_rejects_axis_alignment():
-    config = toy_scenario()
+    config = shipped_scenario()
     pos = np.broadcast_to(
         config.user_initial_positions, (config.num_steps, config.num_users, 2)
     ).copy()
@@ -85,7 +84,7 @@ def test_measurement_fim_matches_score_covariance(rng):
     (2 sqrt(P) / sigma_eff) Re(J^H n), whose covariance is the implemented
     (2 P / sigma_eff) Re(J^H J).
     """
-    config = toy_scenario(num_users=2, num_ris=3)
+    config = shipped_scenario().with_num_ris(3)
     traj = static_trajectory(config)
     mfim = measurement_fim(config, traj)
     t, k = 0, 1
@@ -104,7 +103,7 @@ def test_measurement_fim_matches_score_covariance(rng):
 
 
 def test_measurement_blocks_are_jacobian_sandwich():
-    config = toy_scenario()
+    config = shipped_scenario()
     traj = static_trajectory(config)
     mfim = measurement_fim(config, traj)
     for t in range(config.num_steps):
@@ -117,7 +116,7 @@ def test_measurement_blocks_are_jacobian_sandwich():
 
 def test_nuisance_reduction_is_schur_complement(rng):
     """Reducing nuisances must equal the Schur complement of the joint FIM."""
-    config = toy_scenario(num_users=2, num_ris=2)
+    config = shipped_scenario().with_num_ris(2)
     traj = static_trajectory(config)
     plain = measurement_fim(config, traj)
     T, K, R = config.num_steps, config.num_users, config.num_ris
@@ -146,7 +145,7 @@ def test_nuisance_reduction_is_schur_complement(rng):
 
 
 def test_nuisance_shape_mismatch_raises(rng):
-    config = toy_scenario()
+    config = shipped_scenario()
     traj = static_trajectory(config)
     bad = NuisanceInfo(np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 8)))
     with pytest.raises(DimensionMismatch):
@@ -154,8 +153,8 @@ def test_nuisance_shape_mismatch_raises(rng):
 
 
 def test_measurement_fim_trajectory_shape_guard():
-    config = toy_scenario(num_steps=2)
-    other = toy_scenario(num_steps=3)
+    config = shipped_scenario(num_steps=2)
+    other = shipped_scenario(num_steps=3)
     with pytest.raises(DimensionMismatch):
         measurement_fim(config, static_trajectory(other))
 
@@ -178,7 +177,7 @@ def test_prior_spatial_rows_sum_to_zero_without_anchor(rng):
 
 
 def test_prior_anchor_folds_into_first_slice():
-    config = toy_scenario()
+    config = shipped_scenario()
     with_anchor = prior_fim(config, prior_model(config, include_anchor=True))
     without = prior_fim(config, prior_model(config, include_anchor=False))
     anchor = 1.0 / config.first_step_anchor_variance
@@ -220,7 +219,7 @@ def test_temporal_prior_is_block_tridiagonal_chain(rng):
 
 
 def test_temporal_blocks_match_transition_precisions():
-    config = toy_scenario(num_steps=3)
+    config = shipped_scenario(num_steps=3)
     pfim = prior_fim(config)
     for t in range(2):
         for k in range(config.num_users):
@@ -238,7 +237,7 @@ def test_l1_prior_blocks_match_finite_difference_hessian():
     The comparison runs over the same ensemble, so only the finite-difference
     error separates the two sides.
     """
-    config = toy_scenario(num_steps=2, num_users=2, prior_kind=PRIOR_L1)
+    config = shipped_scenario(num_steps=2, num_users=2, prior_kind=PRIOR_L1)
     draws = sample_trajectory_ensemble(config, 400, seed=9, burn_in=150)
     pfim = prior_fim(config, trajectory_ensemble=draws)
 
@@ -267,7 +266,7 @@ def test_l1_prior_blocks_match_finite_difference_hessian():
 
 
 def test_l1_prior_rows_still_sum_to_zero():
-    config = toy_scenario(num_steps=2, num_users=3, prior_kind=PRIOR_L1)
+    config = shipped_scenario(num_steps=2, num_users=3, prior_kind=PRIOR_L1)
     draws = sample_trajectory_ensemble(config, 200, seed=2, burn_in=100)
     pfim = prior_fim(config, prior_model(config, include_anchor=False), draws)
     K = config.num_users
@@ -281,7 +280,7 @@ def test_l1_prior_rows_still_sum_to_zero():
 
 
 def test_l1_prior_requires_ensemble():
-    config = toy_scenario(prior_kind=PRIOR_L1)
+    config = shipped_scenario(prior_kind=PRIOR_L1)
     with pytest.raises(Exception) as info:
         prior_fim(config)
     assert "ensemble" in str(info.value).lower()

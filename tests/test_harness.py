@@ -7,6 +7,7 @@ import os
 import pytest
 
 import loctrack.harness as harness
+from conftest import config_dict
 from loctrack.errors import CampaignAborted, SchemaMismatch, SingularEfim
 from loctrack.harness import (
     ExperimentSpec,
@@ -17,13 +18,12 @@ from loctrack.harness import (
     trend_warnings,
     write_outputs,
 )
-from loctrack.scenario import save_scenario, toy_scenario
 
 
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "scene.json"
-    save_scenario(toy_scenario(num_steps=3), str(path))
+    path.write_text(json.dumps(config_dict(num_steps=3)))
     return str(path)
 
 
