@@ -44,37 +44,52 @@ def batch_marginal_last_slice(config, trajectory, include_anchor):
     return a_ll - a_pl.T @ npl.solve(a_pp, a_pl)
 
 
+def check_user_marginals(state, num_users):
+    """Each user's marginal efficiency D_k^{-1} ([J^{-1}]_kk)^{-1} on one step.
+
+    Its spectrum lies in (0, 1] and, where the slice walk contracts (spectral
+    radius below 0.99, so 10,000 terms reach 1e-10), it equals the Neumann
+    series. Returns whether the walk contracted, i.e. whether the series ran.
+    """
+    covariance = npl.inv(state.efim)
+    nominal_inv = npl.inv(state.nominal)
+    # X = D^{-1} (O + G), with O + G = D - J
+    walk = block_diag(nominal_inv) @ (block_diag(state.nominal) - state.efim)
+    contracts = np.max(np.abs(npl.eigvals(walk))) < 0.99
+    for k in range(num_users):
+        rows = slice(2 * k, 2 * k + 2)
+        marginal = symmetrize(npl.inv(covariance[rows, rows]))
+        if contracts:
+            total, _, converged = neumann_diag_block(walk, k, 10_000, 1e-10)
+            assert converged
+            series = npl.inv(np.eye(2) + total)
+            assert rel_frobenius(series, nominal_inv[k] @ marginal) < 1e-7
+        # the efficiency spectrum is that of the pencil (marginal, nominal)
+        eigs = scipy.linalg.eigh(marginal, state.nominal[k], eigvals_only=True)
+        assert np.all(eigs > 0.0)
+        assert np.all(eigs <= 1.0 + 1e-10)
+    return contracts
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), include_anchor=st.booleans())
 def test_recursion_matches_batch_marginal(seed, include_anchor):
-    """The forward filter reproduces the batch marginal on the last step.
-
-    At every step, each user's marginal efficiency D_k^{-1} ([J^{-1}]_kk)^{-1}
-    has its spectrum in (0, 1] and, where the slice walk contracts (spectral
-    radius below 0.99, so 10,000 terms reach 1e-10), equals the Neumann series.
-    """
+    """The forward filter reproduces the batch marginal on the last step,
+    and every step's per-user marginals pass ``check_user_marginals``."""
     config, traj = random_scenario(np.random.default_rng(seed))
     states = run_recursion(config, traj, include_anchor=include_anchor)
     want = batch_marginal_last_slice(config, traj, include_anchor)
     assert rel_frobenius(states[-1].efim, want) < 1e-8
     for state in states:
-        covariance = npl.inv(state.efim)
-        nominal_inv = npl.inv(state.nominal)
-        # X = D^{-1} (O + G), with O + G = D - J
-        walk = block_diag(nominal_inv) @ (block_diag(state.nominal) - state.efim)
-        contracts = np.max(np.abs(npl.eigvals(walk))) < 0.99
-        for k in range(config.num_users):
-            rows = slice(2 * k, 2 * k + 2)
-            marginal = symmetrize(npl.inv(covariance[rows, rows]))
-            if contracts:
-                total, _, converged = neumann_diag_block(walk, k, 10_000, 1e-10)
-                assert converged
-                series = npl.inv(np.eye(2) + total)
-                assert rel_frobenius(series, nominal_inv[k] @ marginal) < 1e-7
-            # the efficiency spectrum is that of the pencil (marginal, nominal)
-            eigs = scipy.linalg.eigh(marginal, state.nominal[k], eigvals_only=True)
-            assert np.all(eigs > 0.0)
-            assert np.all(eigs <= 1.0 + 1e-10)
+        check_user_marginals(state, config.num_users)
+
+
+def test_per_user_accessor_and_series():
+    """The shipped toy at +30 dB: the last step's walk contracts, so both the
+    series and the pencil spectrum are checked for every user."""
+    config = shipped_scenario(num_steps=4).with_snr_offset_db(30.0)
+    state = run_recursion(config, static_trajectory(config))[-1]
+    assert check_user_marginals(state, config.num_users)
 
 
 def test_first_step_has_no_carry(rng):

@@ -91,6 +91,18 @@ def test_check_separation_raises_on_ris_collision():
 # JSON reader
 
 
+def _assert_configs_equal(a, b):
+    for field in dataclasses.fields(a):
+        va, vb = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(va, np.ndarray):
+            assert np.array_equal(va, vb), field.name
+        elif isinstance(va, ExplicitPhases):
+            assert type(vb) is ExplicitPhases, field.name
+            assert np.array_equal(va.values, vb.values), field.name
+        else:
+            assert va == vb, field.name
+
+
 def _reader_dict(**overrides):
     """A hand-written three-step, three-user, two-surface scenario mapping."""
     obj = {
@@ -246,8 +258,10 @@ _STOCK = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_STOCK))
-def test_shipped_configs_load_to_stock_fields(name):
+@pytest.mark.parametrize("name", ["toy", "paper_baseline"], ids=["toy", "baseline"])
+def test_json_round_trip(name):
+    """The stock scenarios, written out as the shipped configs, read back
+    field for field."""
     want = _STOCK[name]
     config = load_scenario(str(CONFIGS / f"{name}.json"))
     T, K = want["num_steps"], want["num_users"]
@@ -275,6 +289,20 @@ def test_shipped_configs_load_to_stock_fields(name):
     assert config.prior_kind == PRIOR_L2
     assert config.bs_ris_gains is None
     assert config.bs_ris_aoa is None and config.bs_ris_aod is None
+
+
+def test_save_load_round_trip(tmp_path):
+    """A mapping written to disk reads back through ``load_scenario`` to the
+    scenario read in memory, explicit phases and per-step priors included."""
+    obj = _reader_dict(**{
+        "ris-phase-profiles": _EXPLICIT.tolist(),
+        "spatial-edges": [[[0, 1]], [[0, 1], [1, 2]], []],
+        "spatial-precision": [[4.0], [5.0, 6.0], []],
+        "first-step-anchor-variance": None,
+    })
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj, indent=2), encoding="utf-8")
+    _assert_configs_equal(scenario_from_json(obj), load_scenario(str(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +450,5 @@ def test_static_trajectory_repeats_initials():
 def test_random_scenario_generator_is_reproducible():
     a_cfg, a_traj = random_scenario(np.random.default_rng(123))
     b_cfg, b_traj = random_scenario(np.random.default_rng(123))
-    for field in dataclasses.fields(a_cfg):
-        a, b = getattr(a_cfg, field.name), getattr(b_cfg, field.name)
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), field.name
-        else:
-            assert a == b, field.name
+    _assert_configs_equal(a_cfg, b_cfg)
     assert np.array_equal(a_traj.positions, b_traj.positions)
