@@ -31,6 +31,7 @@ from .blocks import diag_blocks, neumann_diag_block
 from .errors import DimensionMismatch
 from .recursive import (
     ConstantInputs,
+    _temporal_carry,
     constant_inputs,
     iterate_to_convergence,
     stationary_point,
@@ -285,7 +286,7 @@ def limit_temporal_inf(
     finite = constants.with_temporal_precision(finite_value)
     t_full = finite.t_full
     j1 = finite.m_full
-    j2 = finite.m_full + t_full - t_full @ npl.solve(j1 + t_full, t_full)
+    j2 = finite.m_full + t_full - _temporal_carry(j1, t_full)
     finite_two = _per_user_blocks(j2, K)
     limit_two = 2.0 * predicted
     finite_gap = float(

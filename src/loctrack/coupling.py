@@ -4,7 +4,8 @@ The assembled information J splits as J = D - A: D keeps each state's own
 (nominal) information, the diagonal blocks of J (measurement block plus
 the diagonal blocks of both prior parts), and A carries the nonnegative
 couplings between states (zero diagonal blocks). ``split_d_a(efim, pfim)``
-reads D off J itself; the prior supplies only the anchor. Left-normalising
+reads D off J itself; the prior supplies only the anchor. A is not kept:
+the random-walk readings build it from J when they need it. Left-normalising
 by D gives a transition operator Q = D^{-1} A whose rows, together with
 the absorption column R = D^{-1} (measurement + anchor) blocks, sum to
 identity: the information flow behaves like an absorbing random walk over
@@ -45,7 +46,6 @@ from .blocks import (
     off_part,
     spd_sqrt_and_inv_sqrt,
     spectral_radius,
-    symmetrize,
 )
 from .errors import (
     DimensionMismatch,
@@ -79,14 +79,16 @@ SERIES_TOL = 1e-10
 class DASplit:
     """Diagonal/coupling split J = D - A of an assembled EFIM.
 
-    ``nominal_blocks`` holds the (T, K, 2, 2) diagonal D; ``coupling`` the
-    full matrix A with zero diagonal blocks and +precision couplings off it.
+    ``nominal_blocks`` holds the (T, K, 2, 2) diagonal D and ``efim`` the
+    split matrix J itself (not a copy). The coupling A = D - J, with zero
+    diagonal blocks and +precision couplings off them, is built only by
+    the random-walk readings that need it (``coupling``).
     ``absorb_extra`` carries prior information that acts like a measurement
     for the walk (the step-0 anchor), needed so absorption rows balance.
     """
 
     nominal_blocks: np.ndarray
-    coupling: BlockMatrix
+    efim: BlockMatrix
     absorb_extra: np.ndarray
 
     @property
@@ -100,6 +102,10 @@ class DASplit:
     def nominal(self, t: int, k: int) -> np.ndarray:
         return self.nominal_blocks[t, k]
 
+    def coupling(self) -> np.ndarray:
+        """The dense (2TK, 2TK) coupling A = D - J, built on each call."""
+        return off_part(self.efim.data)
+
 
 def split_d_a(efim: BlockMatrix, pfim: PriorFim) -> DASplit:
     """Split the EFIM into nominal diagonal and coupling off-diagonal parts.
@@ -111,15 +117,13 @@ def split_d_a(efim: BlockMatrix, pfim: PriorFim) -> DASplit:
     if (pfim.n_steps, pfim.n_users) != (T, K):
         raise DimensionMismatch("EFIM and prior grids disagree")
 
-    coupling = BlockMatrix(off_part(efim.data), T, K)
-
     absorb_extra = np.zeros((T, K, 2, 2))
     if pfim.include_anchor:
         absorb_extra[0, :] = pfim.anchor_precision * np.eye(2)
 
     return DASplit(
         nominal_blocks=diag_blocks(efim.data).reshape(T, K, 2, 2),
-        coupling=coupling,
+        efim=efim,
         absorb_extra=absorb_extra,
     )
 
@@ -154,17 +158,14 @@ def _solve_nominal(split: DASplit, t: int, k: int, rhs: np.ndarray) -> np.ndarra
         ) from exc
 
 
-def _transient(split: DASplit) -> np.ndarray:
+def _transient(split: DASplit, coupling: np.ndarray) -> np.ndarray:
     """The walk operator Q = D^{-1} A, solved block row by block row."""
     T, K = split.n_steps, split.n_users
-    side = 2 * T * K
-    transient = np.zeros((side, side))
+    transient = np.zeros_like(coupling)
     for t in range(T):
         for k in range(K):
             rows = block_slice(block_index(t, k, K))
-            transient[rows, :] = _solve_nominal(
-                split, t, k, split.coupling.data[rows, :]
-            )
+            transient[rows, :] = _solve_nominal(split, t, k, coupling[rows, :])
     return transient
 
 
@@ -185,7 +186,7 @@ def build_ptpm(split: DASplit, mfim: MeasurementFim) -> Ptpm:
                 split, t, k, mfim.lambda_d[t, k] + split.absorb_extra[t, k]
             )
     return Ptpm(
-        transient=_transient(split),
+        transient=_transient(split, split.coupling()),
         absorption=absorption,
         n_steps=T,
         n_users=K,
@@ -207,7 +208,7 @@ class SeriesResult:
     spectral_radius: float
 
 
-def coupling_spectral_radius(split: DASplit) -> float:
+def coupling_spectral_radius(split: DASplit, coupling: np.ndarray) -> float:
     """Spectral radius of Q = D^{-1} A via its symmetric similar form.
 
     D^{1/2} Q D^{-1/2} = D^{-1/2} A D^{-1/2} shares Q's (real) spectrum and
@@ -221,7 +222,7 @@ def coupling_spectral_radius(split: DASplit) -> float:
             ]
         )
     )
-    similar = inv_roots @ split.coupling.data @ inv_roots
+    similar = inv_roots @ coupling @ inv_roots
     return spectral_radius(similar)
 
 
@@ -238,14 +239,15 @@ def delta_series(
     once as in ``build_ptpm``. Raises SeriesDiverged when the walk operator
     has spectral radius >= 1.
     """
-    radius = coupling_spectral_radius(split)
+    coupling = split.coupling()
+    radius = coupling_spectral_radius(split, coupling)
     if radius >= 1.0:
         raise SeriesDiverged(
             f"coupling operator has spectral radius {radius:.6f} >= 1; "
             "the Neumann series has no sum"
         )
     total, terms, converged = neumann_diag_block(
-        _transient(split), block_index(t, k, split.n_users), max_terms, tol
+        _transient(split, coupling), block_index(t, k, split.n_users), max_terms, tol
     )
     return SeriesResult(
         value=total, terms_used=terms, converged=converged, spectral_radius=radius
@@ -324,14 +326,11 @@ class EocReport:
     """Per-state efficiency-of-coupling summary of one EFIM.
 
     Scalar fields are (T, K) arrays: ``eoc`` = half-trace of the efficiency
-    matrix and ``bcrb`` the per-state trace bound. ``efficiency_matrices``
-    keeps symmetrised copies for inspection; traces are unaffected by the
-    symmetrisation.
+    matrix and ``bcrb`` the per-state trace bound.
     """
 
     eoc: np.ndarray
     bcrb: np.ndarray
-    efficiency_matrices: np.ndarray
     mean_eoc: float
     mean_bcrb: float
     total_bcrb: float
@@ -361,7 +360,6 @@ def eoc_report(efim: BlockMatrix, split: DASplit) -> EocReport:
 
     eoc = np.zeros((T, K))
     per_bcrb = np.zeros((T, K))
-    eff_mats = np.zeros((T, K, 2, 2))
     for t in range(T):
         for k in range(K):
             rows = block_slice(block_index(t, k, K))
@@ -370,12 +368,10 @@ def eoc_report(efim: BlockMatrix, split: DASplit) -> EocReport:
             eff = npl.inv(np.eye(2) + delta)
             eoc[t, k] = 0.5 * float(np.trace(eff))
             per_bcrb[t, k] = float(np.trace(inv_block))
-            eff_mats[t, k] = symmetrize(eff)
 
     return EocReport(
         eoc=eoc,
         bcrb=per_bcrb,
-        efficiency_matrices=eff_mats,
         mean_eoc=float(np.mean(eoc)),
         mean_bcrb=float(np.mean(per_bcrb)),
         total_bcrb=float(np.trace(inverse)),

@@ -25,10 +25,6 @@ class NotGaussian(LocTrackError):
     """A closed-form Gaussian quantity was requested for a non-Gaussian prior."""
 
 
-class SingularNuisance(LocTrackError):
-    """The nuisance information block cannot be inverted."""
-
-
 class EmptyEnsemble(LocTrackError):
     """A Monte Carlo expectation was requested over zero trajectories."""
 

@@ -4,8 +4,8 @@ The joint information over all (step, user) positions splits into three
 parts that this module builds separately and then sums:
 
 * measurement: per-(t, k) blocks T_u Lambda_eta T_u^T where Lambda_eta is
-  the channel-parameter information (optionally Schur-reduced against
-  nuisance parameters) and T_u the position Jacobian of those parameters;
+  the channel-parameter information and T_u the position Jacobian of those
+  parameters;
 * spatial prior: one (2K x 2K) slice per step from the inter-user edges,
   plus the step-0 anchor on the diagonal when enabled
   (``scenario.prior_slice``);
@@ -35,12 +35,7 @@ from .blocks import (
     symmetrize,
 )
 from .channel import channel_jacobian
-from .errors import (
-    DegenerateGeometry,
-    DimensionMismatch,
-    SingularEfim,
-    SingularNuisance,
-)
+from .errors import DegenerateGeometry, DimensionMismatch, SingularEfim
 from .scenario import (
     GEOMETRY_GUARD,
     PriorModel,
@@ -54,7 +49,6 @@ from .scenario import (
 __all__ = [
     "BcrbResult",
     "MeasurementFim",
-    "NuisanceInfo",
     "PriorFim",
     "assemble_efim",
     "bcrb",
@@ -98,39 +92,14 @@ def position_jacobian(
 
 
 @dataclass(frozen=True)
-class NuisanceInfo:
-    """Information blocks of per-(t, k) nuisance parameters.
-
-    ``own`` has shape (T, K, m, m) and must be invertible per block;
-    ``cross`` has shape (T, K, m, 2R) coupling nuisances to the channel
-    parameters. The measurement FIM subtracts cross^T own^{-1} cross.
-    """
-
-    own: np.ndarray
-    cross: np.ndarray
-
-
-@dataclass(frozen=True)
 class MeasurementFim:
     """Position-domain measurement information per (step, user).
 
-    Attributes
-    ----------
-    lambda_d : ndarray
-        (T, K, 2, 2) information blocks in position coordinates.
-    channel_info : ndarray
-        (T, K, 2R, 2R) information in channel-parameter coordinates after
-        any nuisance reduction.
-    position_jacobians : ndarray
-        (T, K, 2, 2R) stacking-order Jacobians used for the mapping.
-    noise_variances : ndarray
-        (T, K) effective noise variances.
+    ``lambda_d`` holds the (T, K, 2, 2) information blocks in position
+    coordinates.
     """
 
     lambda_d: np.ndarray
-    channel_info: np.ndarray
-    position_jacobians: np.ndarray
-    noise_variances: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -142,95 +111,46 @@ class MeasurementFim:
 
 
 def _measurement_cell(
-    config: ScenarioConfig,
-    trajectory: Trajectory,
-    t: int,
-    k: int,
-    nuisance: NuisanceInfo | None,
-):
-    """One (t, k) cell: position info, channel info, Jacobian, noise."""
+    config: ScenarioConfig, trajectory: Trajectory, t: int, k: int
+) -> np.ndarray:
+    """One (t, k) cell: T_u Lambda_eta T_u^T in position coordinates."""
     jac = channel_jacobian(config, trajectory, t, k)
-    info = (2.0 * config.transmit_power / jac.effective_noise_variance) * np.real(
-        jac.matrix.conj().T @ jac.matrix
+    info = symmetrize(
+        (2.0 * config.transmit_power / jac.effective_noise_variance)
+        * np.real(jac.matrix.conj().T @ jac.matrix)
     )
-    if nuisance is not None:
-        own = nuisance.own[t, k]
-        cross = nuisance.cross[t, k]
-        try:
-            reduced = np.linalg.solve(own, cross)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNuisance(f"nuisance block ({t}, {k}) is singular") from exc
-        info = info - cross.T @ reduced
-    info = symmetrize(info)
     t_u = position_jacobian(config, trajectory, t, k)
-    return (
-        symmetrize(t_u @ info @ t_u.T),
-        info,
-        t_u,
-        jac.effective_noise_variance,
-    )
+    return symmetrize(t_u @ info @ t_u.T)
 
 
 def measurement_blocks_at(
-    config: ScenarioConfig,
-    trajectory: Trajectory,
-    t: int,
-    nuisance: NuisanceInfo | None = None,
+    config: ScenarioConfig, trajectory: Trajectory, t: int
 ) -> np.ndarray:
     """(K, 2, 2) position-domain measurement blocks of one step."""
     return np.stack(
         [
-            _measurement_cell(config, trajectory, t, k, nuisance)[0]
+            _measurement_cell(config, trajectory, t, k)
             for k in range(config.num_users)
         ]
     )
 
 
-def measurement_fim(
-    config: ScenarioConfig,
-    trajectory: Trajectory,
-    nuisance: NuisanceInfo | None = None,
-) -> MeasurementFim:
+def measurement_fim(config: ScenarioConfig, trajectory: Trajectory) -> MeasurementFim:
     """Measurement information for every (step, user) pair.
 
     Per pair: Lambda_eta = (2 P / sigma_eff^2) Re(J_h^H J_h) over the 2R
-    channel parameters, reduced by the nuisance Schur complement when given,
-    then mapped to position as T_u Lambda_eta T_u^T.
+    channel parameters, mapped to position as T_u Lambda_eta T_u^T.
     """
-    T, K, R = config.num_steps, config.num_users, config.num_ris
+    T, K = config.num_steps, config.num_users
     if trajectory.num_steps != T or trajectory.num_users != K:
         raise DimensionMismatch(
             f"trajectory is {trajectory.num_steps}x{trajectory.num_users}, "
             f"scenario wants {T}x{K}"
         )
-    if nuisance is not None:
-        m = nuisance.own.shape[2]
-        if nuisance.own.shape != (T, K, m, m) or nuisance.cross.shape != (
-            T,
-            K,
-            m,
-            2 * R,
-        ):
-            raise DimensionMismatch(
-                "nuisance blocks must be (T, K, m, m) and (T, K, m, 2R); got "
-                f"{nuisance.own.shape} and {nuisance.cross.shape}"
-            )
-
-    lambda_d = np.zeros((T, K, 2, 2))
-    channel_info = np.zeros((T, K, 2 * R, 2 * R))
-    jacobians = np.zeros((T, K, 2, 2 * R))
-    noise = np.zeros((T, K))
-    for t in range(T):
-        for k in range(K):
-            lambda_d[t, k], channel_info[t, k], jacobians[t, k], noise[t, k] = (
-                _measurement_cell(config, trajectory, t, k, nuisance)
-            )
-
     return MeasurementFim(
-        lambda_d=lambda_d,
-        channel_info=channel_info,
-        position_jacobians=jacobians,
-        noise_variances=noise,
+        lambda_d=np.stack(
+            [measurement_blocks_at(config, trajectory, t) for t in range(T)]
+        )
     )
 
 

@@ -305,7 +305,11 @@ def _apply_sweep(config: ScenarioConfig, parameter: str, value: float) -> Scenar
     if parameter == SWEEP_SIGMA_T:
         return config.with_temporal_precision(value)
     if parameter == SWEEP_NUM_RIS:
-        return config.with_num_ris(int(round(value)))
+        if not float(value).is_integer():
+            raise SchemaMismatch(
+                f"num-ris sweep value {_fmt(value)} is not a whole number"
+            )
+        return config.with_num_ris(int(value))
     raise SchemaMismatch(f"unknown sweep parameter {parameter!r}")
 
 
@@ -457,8 +461,8 @@ def campaign_configs(spec: ExperimentSpec):
     """Base config (SNR offset applied) and per-sweep-value configs.
 
     Every check that must pass before any run happens here: an invalid
-    scenario, a step label outside it or an inapplicable sweep value
-    raises SchemaMismatch.
+    scenario, a step label outside it, an inapplicable sweep value or a
+    sweep value that makes the scenario invalid raises SchemaMismatch.
     """
     base_config = load_scenario(spec.scenario_path)
     report = validate(base_config)
@@ -469,10 +473,17 @@ def campaign_configs(spec: ExperimentSpec):
         base_config = base_config.with_snr_offset_db(spec.snr_db_offset)
     if not spec.sweep_parameter:
         return base_config, {0.0: base_config}
-    return base_config, {
-        value: _apply_sweep(base_config, spec.sweep_parameter, value)
-        for value in spec.sweep_values
-    }
+    configs = {}
+    for value in spec.sweep_values:
+        config = _apply_sweep(base_config, spec.sweep_parameter, value)
+        report = validate(config)
+        if not report.ok:
+            raise SchemaMismatch(
+                f"{spec.sweep_parameter} sweep value {_fmt(value)} makes the "
+                f"scenario invalid:\n{report}"
+            )
+        configs[value] = config
+    return base_config, configs
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:

@@ -7,8 +7,11 @@ per-step recursion over (2K x 2K) slices:
 
 where D_t stacks each user's own information (measurement + spatial diagonal
 + transition precision), O_t the positive spatial couplings of the slice,
-and G_{t-1} the information loss carried over the temporal link. The
-matching efficiency slice is E_t = I - D_t^{-1} (O_t + G_{t-1}).
+and G_{t-1} the information loss carried over the temporal link. Each
+step reports the normalised trace of the efficiency slice
+E_t = I - D_t^{-1} (O_t + G_{t-1}) and the slack of the Loewner condition
+D_t >= J_{t-1} + O_t + G_{t-1}, under which J_t >= J_{t-1}. A disturbance
+is a scale on one step's measurement blocks, applied by ``run_recursion``.
 
 Under constant inputs the recursion J <- M + T - T (J + T)^{-1} T has a
 closed-form fixed point
@@ -23,7 +26,6 @@ j = (m + sqrt(m^2 + 4 m tau)) / 2.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +52,10 @@ from .scenario import (
 
 __all__ = [
     "ConstantInputs",
-    "ConvergenceCheck",
     "IterationResult",
     "RecursiveState",
     "StationaryPoint",
-    "check_convergence",
     "constant_inputs",
-    "inject_disturbance",
     "iterate_to_convergence",
     "recursive_step",
     "run_recursion",
@@ -69,67 +68,33 @@ LOEWNER_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
-class ConvergenceCheck:
-    """Loewner condition D_t >= J_{t-1} + O_t + G_{t-1} and its margin.
-
-    When it holds, the recursion cannot lose information at this step
-    (J_t >= J_{t-1}); ``slack`` is the smallest eigenvalue of the
-    difference, negative when the condition fails.
-    """
-
-    satisfied: bool
-    slack: float
-
-
-@dataclass(frozen=True)
 class RecursiveState:
     """One step of the information recursion.
 
     ``efim`` is the (2K, 2K) per-step equivalent information; ``nominal``
-    the (K, 2, 2) own-information blocks; ``spatial_off`` and
-    ``temporal_carry`` the two subtracted couplings; ``efficiency`` the raw
-    slice E = I - D^{-1}(O + G) and ``eoc_mean`` its normalised trace.
-    The slice trace only sees block-diagonal coupling (the temporal carry),
-    which is the dominant loss channel while tracking; a user's marginal
-    efficiency D_k^{-1} ([J^{-1}]_kk)^{-1} also sees the spatial part.
-    ``next_measurement_scale`` lets a caller scale the following
-    step's measurement blocks (disturbance injection).
+    the (K, 2, 2) own-information blocks; ``temporal_carry`` the loss G
+    carried over the temporal link; ``eoc_mean`` the normalised trace of
+    the efficiency slice E = I - D^{-1}(O + G). The slice trace only sees
+    block-diagonal coupling (the temporal carry), which is the dominant
+    loss channel while tracking; a user's marginal efficiency
+    D_k^{-1} ([J^{-1}]_kk)^{-1} also sees the spatial part.
+    ``condition_satisfied`` and ``slack`` report the Loewner condition
+    D_t >= J_{t-1} + O_t + G_{t-1}; ``slack`` is the smallest eigenvalue of
+    the difference (infinite at step 0, which has no predecessor).
     """
 
     t: int
     efim: np.ndarray
     nominal: np.ndarray
-    spatial_off: np.ndarray
     temporal_carry: np.ndarray
-    efficiency: np.ndarray
     bcrb_mean: float
     eoc_mean: float
     condition_satisfied: bool
     slack: float
-    next_measurement_scale: float = 1.0
 
     @property
     def n_users(self) -> int:
         return self.nominal.shape[0]
-
-
-def check_convergence(
-    prev_efim: np.ndarray,
-    lambda_d_t: np.ndarray,
-    spatial_slice_t: np.ndarray,
-    gamma_prev: np.ndarray,
-) -> ConvergenceCheck:
-    """Evaluate the monotone-information condition for one prospective step."""
-    prev = np.asarray(prev_efim, dtype=float)
-    gamma = np.asarray(gamma_prev, dtype=float)
-    slice_ps = np.asarray(spatial_slice_t, dtype=float)
-    nominal = np.asarray(lambda_d_t, dtype=float) + diag_blocks(slice_ps) + gamma
-    return _loewner_check(
-        block_diag(nominal),
-        prev,
-        off_part(slice_ps),
-        _temporal_carry(prev, block_diag(gamma)),
-    )
 
 
 def _loewner_check(
@@ -137,15 +102,13 @@ def _loewner_check(
     prev_efim: np.ndarray,
     spatial_off: np.ndarray,
     carry: np.ndarray,
-) -> ConvergenceCheck:
-    """Slack of D_t >= J_{t-1} + O_t + G_{t-1} from the step's own pieces."""
+) -> tuple[bool, float]:
+    """Whether D_t >= J_{t-1} + O_t + G_{t-1} holds, and its slack."""
     diff = symmetrize(nominal_full - (prev_efim + spatial_off + carry))
     eigs = npl.eigvalsh(diff)
     slack = float(eigs[0])
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return ConvergenceCheck(
-        satisfied=slack >= -LOEWNER_SLACK * max(scale, 1.0), slack=slack
-    )
+    return slack >= -LOEWNER_SLACK * max(scale, 1.0), slack
 
 
 def _temporal_carry(prev_efim: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -183,23 +146,20 @@ def recursive_step(
 
     if prev is None:
         t = 0
-        scale = 1.0
         gamma_blocks = np.zeros((K, 2, 2))
         carry = np.zeros((2 * K, 2 * K))
     else:
         if gamma_prev is None:
             raise DimensionMismatch("gamma_prev is required when prev is given")
         t = prev.t + 1
-        scale = prev.next_measurement_scale
         gamma_blocks = np.asarray(gamma_prev, dtype=float)
         carry = _temporal_carry(prev.efim, block_diag(gamma_blocks))
 
-    lam = scale * lam
     off = off_part(slice_ps)
     nominal = lam + diag_blocks(slice_ps) + gamma_blocks
     nominal_full = block_diag(nominal)
-    condition = (
-        ConvergenceCheck(satisfied=True, slack=float("inf"))
+    satisfied, slack = (
+        (True, float("inf"))
         if prev is None
         else _loewner_check(nominal_full, prev.efim, off, carry)
     )
@@ -221,21 +181,12 @@ def recursive_step(
         t=t,
         efim=efim,
         nominal=nominal,
-        spatial_off=off,
         temporal_carry=carry,
-        efficiency=efficiency,
         bcrb_mean=float(np.trace(inverse)) / (2 * K),
         eoc_mean=float(np.trace(efficiency)) / (2 * K),
-        condition_satisfied=condition.satisfied,
-        slack=condition.slack,
+        condition_satisfied=satisfied,
+        slack=slack,
     )
-
-
-def inject_disturbance(state: RecursiveState, scale: float) -> RecursiveState:
-    """Scale the next step's measurement information (e.g. an SNR drop)."""
-    if scale < 0.0:
-        raise DimensionMismatch(f"measurement scale must be >= 0, got {scale}")
-    return dataclasses.replace(state, next_measurement_scale=float(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +280,26 @@ class StationaryPoint:
 
 
 def _riccati_residual(m: np.ndarray, t_mat: np.ndarray, j: np.ndarray) -> float:
-    inner = npl.solve(j + t_mat, t_mat)
-    resid = m + t_mat - t_mat @ inner - j
+    resid = m + t_mat - _temporal_carry(j, t_mat) - j
     return float(np.linalg.norm(resid) / max(np.linalg.norm(j), 1e-300))
 
 
 def stationary_point(m: np.ndarray, t_mat: np.ndarray) -> StationaryPoint:
     """Solve J = M + T - T (J + T)^{-1} T in closed form.
 
-    Both inputs must be SPD. The returned residual is the relative Frobenius
-    defect of the fixed-point equation at the computed J*.
+    Both inputs must be SPD and of one square shape. The returned residual
+    is the relative Frobenius defect of the fixed-point equation at the
+    computed J*.
     """
-    m = symmetrize(np.asarray(m, dtype=float))
-    t_mat = symmetrize(np.asarray(t_mat, dtype=float))
+    m = np.asarray(m, dtype=float)
+    t_mat = np.asarray(t_mat, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape != t_mat.shape or not m.size:
+        raise DimensionMismatch(
+            f"M and T must be square matrices of one shape, got {m.shape} and "
+            f"{t_mat.shape}"
+        )
+    m = symmetrize(m)
+    t_mat = symmetrize(t_mat)
     require_spd(m, "per-step information M")
     require_spd(t_mat, "transition precision T")
 
@@ -418,8 +376,12 @@ def run_recursion(
     measurement blocks, spatial slice, and transition precision (the
     constant-input regime of the stationary analysis). ``disturbance_steps``
     lists 0-based steps whose measurement information is scaled by
-    ``disturbance_scale``; all other steps run at scale 1.
+    ``disturbance_scale`` (at least 0); all other steps run at scale 1.
     """
+    if disturbance_scale < 0.0:
+        raise DimensionMismatch(
+            f"measurement scale must be >= 0, got {disturbance_scale}"
+        )
     disturbed = {int(s) for s in disturbance_steps}
     if constant_from_step is not None:
         inputs = constant_inputs(
@@ -446,10 +408,6 @@ def run_recursion(
             lam = measurement_blocks_at(config, trajectory, t)
             spatial = pfim.spatial_slices[t]
             gamma = pfim.temporal[t - 1] if t else None
-        if prev is None:
-            state = recursive_step(None, scale * lam, spatial, None)
-        else:
-            state = recursive_step(inject_disturbance(prev, scale), lam, spatial, gamma)
-        states.append(state)
-        prev = state
+        prev = recursive_step(prev, scale * lam, spatial, gamma)
+        states.append(prev)
     return states

@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import loctrack.cli as cli
@@ -202,6 +203,28 @@ def test_run_validates_scenario_before_any_run(
     assert cli.main(["validate", scenario_file]) == 2
 
 
+@pytest.mark.parametrize(
+    "kind, parameter, values, message",
+    [
+        ("EOC_VS_SNR", "sigma-t-inv2", [0.0], "sigma-t-inv2 sweep value 0.0"),
+        ("EOC_VS_SNR", "sigma-t-inv2", [-1.0, 1.0], "sigma-t-inv2 sweep value -1.0"),
+        ("EOC_VS_SNR", "sigma-s-inv2", [-1.0], "sigma-s-inv2 sweep value -1.0"),
+        ("EOC_VS_SNR", "snr-db", [0.0, 4000.0], "snr-db sweep value 4000.0"),
+        ("EOC_VS_NUM_RIS", "num-ris", [1.5, 2.5], "num-ris sweep value 1.5"),
+        ("EOC_VS_NUM_RIS", "num-ris", [2.0, 3.5], "num-ris sweep value 3.5"),
+    ],
+)
+def test_run_validates_each_sweep_value_before_any_run(
+    scenario_file, tmp_path, monkeypatch, capsys, kind, parameter, values, message
+):
+    rc, started = _run_recursion_spec(
+        tmp_path, monkeypatch, kind=kind,
+        sweep={"parameter": parameter, "values": values},
+    )
+    assert (rc, started) == (2, 0)
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("scenario", 5), ("output-dir", 7),
                                         ("scenario", None), ("output-dir", ["out"])])
 def test_run_rejects_non_string_paths(
@@ -249,6 +272,16 @@ def test_stationary_rejects_bad_inputs(tmp_path, capsys):
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"m": [[1.0]]}))
     assert cli.main(["stationary", str(partial)]) == 2
+    capsys.readouterr()
+    for name, m, t in [
+        ("mismatched", np.eye(2).tolist(), np.eye(4).tolist()),
+        ("empty", [], []),
+        ("row", [[1.0, 0.0, 0.0]], np.eye(3).tolist()),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"m": m, "t": t}))
+        assert cli.main(["stationary", str(path)]) == 2
+        assert "square matrices of one shape" in capsys.readouterr().err
 
 
 def test_emit_happy_path(spec_file, tmp_path, capsys):

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario, rel_frobenius, shipped_scenario
-from loctrack.blocks import block_index, block_slice, chain_matrix
+from loctrack.blocks import block_index, block_slice, chain_matrix, symmetrize
 from loctrack.channel import cascaded_channel, channel_jacobian, geometry_params
 from loctrack.errors import DegenerateGeometry, DimensionMismatch
 from loctrack.fim import (
-    NuisanceInfo,
     assemble_efim,
     bcrb,
     marginal_efim,
@@ -76,13 +75,22 @@ def test_position_jacobian_rejects_axis_alignment():
 # measurement information
 
 
+def channel_info(config, traj, t, k):
+    """Lambda_eta = (2 P / sigma_eff) Re(J^H J) over the 2R channel parameters."""
+    jac = channel_jacobian(config, traj, t, k)
+    return symmetrize(
+        (2.0 * config.transmit_power / jac.effective_noise_variance)
+        * np.real(jac.matrix.conj().T @ jac.matrix)
+    )
+
+
 def test_measurement_fim_matches_score_covariance(rng):
-    """Empirical covariance of the Gaussian-model score reproduces Lambda_eta.
+    """Empirical covariance of the Gaussian-model score reproduces Lambda_D.
 
     Observation model: y = sqrt(P) h(eta) + n with complex circular noise of
     per-antenna variance sigma_eff. The score w.r.t. eta is
-    (2 sqrt(P) / sigma_eff) Re(J^H n), whose covariance is the implemented
-    (2 P / sigma_eff) Re(J^H J).
+    (2 sqrt(P) / sigma_eff) Re(J^H n); mapped to position by the position
+    Jacobian T_u, its covariance is the implemented T_u Lambda_eta T_u^T.
     """
     config = shipped_scenario().with_num_ris(3)
     traj = static_trajectory(config)
@@ -98,8 +106,9 @@ def test_measurement_fim_matches_score_covariance(rng):
         + 1j * rng.standard_normal((config.n_bs_antennas, n_draws))
     )
     scores = (2.0 * math.sqrt(power) / sigma) * np.real(jac.matrix.conj().T @ noise)
+    scores = position_jacobian(config, traj, t, k) @ scores
     cov = scores @ scores.T / n_draws
-    assert rel_frobenius(cov, mfim.channel_info[t, k]) < 0.05
+    assert rel_frobenius(cov, mfim.lambda_d[t, k]) < 0.05
 
 
 def test_measurement_blocks_are_jacobian_sandwich():
@@ -108,48 +117,10 @@ def test_measurement_blocks_are_jacobian_sandwich():
     mfim = measurement_fim(config, traj)
     for t in range(config.num_steps):
         for k in range(config.num_users):
-            t_u = mfim.position_jacobians[t, k]
-            want = t_u @ mfim.channel_info[t, k] @ t_u.T
+            t_u = position_jacobian(config, traj, t, k)
+            want = t_u @ channel_info(config, traj, t, k) @ t_u.T
             assert np.allclose(mfim.lambda_d[t, k], want, rtol=1e-12, atol=1e-15)
             assert np.allclose(mfim.lambda_d[t, k], mfim.lambda_d[t, k].T)
-
-
-def test_nuisance_reduction_is_schur_complement(rng):
-    """Reducing nuisances must equal the Schur complement of the joint FIM."""
-    config = shipped_scenario().with_num_ris(2)
-    traj = static_trajectory(config)
-    plain = measurement_fim(config, traj)
-    T, K, R = config.num_steps, config.num_users, config.num_ris
-    m = 3
-    own = np.zeros((T, K, m, m))
-    cross = rng.standard_normal((T, K, m, 2 * R)) * 1e-3
-    for t in range(T):
-        for k in range(K):
-            a = rng.standard_normal((m, m))
-            own[t, k] = a @ a.T + m * np.eye(m)
-    reduced = measurement_fim(config, traj, nuisance=NuisanceInfo(own, cross))
-    for t in range(T):
-        for k in range(K):
-            joint = np.block(
-                [
-                    [plain.channel_info[t, k], cross[t, k].T],
-                    [cross[t, k], own[t, k]],
-                ]
-            )
-            schur = (
-                joint[: 2 * R, : 2 * R]
-                - joint[: 2 * R, 2 * R :]
-                @ np.linalg.solve(joint[2 * R :, 2 * R :], joint[2 * R :, : 2 * R])
-            )
-            assert rel_frobenius(reduced.channel_info[t, k], schur) < 1e-10
-
-
-def test_nuisance_shape_mismatch_raises(rng):
-    config = shipped_scenario()
-    traj = static_trajectory(config)
-    bad = NuisanceInfo(np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 8)))
-    with pytest.raises(DimensionMismatch):
-        measurement_fim(config, traj, nuisance=bad)
 
 
 def test_measurement_fim_trajectory_shape_guard():

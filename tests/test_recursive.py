@@ -14,9 +14,8 @@ from loctrack.blocks import block_diag, neumann_diag_block, symmetrize
 from loctrack.errors import DimensionMismatch, NotSpd
 from loctrack.fim import assemble_efim, measurement_blocks_at, measurement_fim, prior_fim
 from loctrack.recursive import (
-    check_convergence,
+    LOEWNER_SLACK,
     constant_inputs,
-    inject_disturbance,
     iterate_to_convergence,
     recursive_step,
     run_recursion,
@@ -117,40 +116,47 @@ def test_recursive_step_shape_guards():
 
 def test_check_convergence_directions():
     """Strong own-information satisfies the condition, weak violates it."""
-    prev = 5.0 * np.eye(2)
+    prev = recursive_step(None, 5.0 * np.eye(2)[None], np.zeros((2, 2)), None)
     gamma = np.eye(2)[None, :, :]
     spatial = np.zeros((2, 2))
-    strong = check_convergence(prev, 10.0 * np.eye(2)[None], spatial, gamma)
-    assert strong.satisfied and strong.slack > 0.0
-    weak = check_convergence(prev, 0.1 * np.eye(2)[None], spatial, gamma)
-    assert not weak.satisfied and weak.slack < 0.0
+    strong = recursive_step(prev, 10.0 * np.eye(2)[None], spatial, gamma)
+    assert strong.condition_satisfied and strong.slack > 0.0
+    weak = recursive_step(prev, 0.1 * np.eye(2)[None], spatial, gamma)
+    assert not weak.condition_satisfied and weak.slack < 0.0
 
 
 def test_step_slack_matches_check_convergence(rng):
-    """The slack recursive_step takes from its own pieces is check_convergence's."""
-    config, traj = random_scenario(rng, num_steps=4)
+    """Each step's slack is the smallest eigenvalue of
+    D_t - J_{t-1} - O_t - G_{t-1}, built here from the step's inputs."""
+    config, traj = random_scenario(rng, num_steps=4, num_users=3)
+    K = config.num_users
     pfim = prior_fim(config, prior_model(config, include_anchor=False))
     states = run_recursion(config, traj)
+    own = np.kron(np.eye(K), np.ones((2, 2))) > 0
     for t in range(1, config.num_steps):
-        check = check_convergence(
-            states[t - 1].efim,
-            measurement_blocks_at(config, traj, t),
-            pfim.spatial_slices[t],
-            pfim.temporal[t - 1],
-        )
-        assert states[t].slack == check.slack
-        assert states[t].condition_satisfied == check.satisfied
+        spatial = pfim.spatial_slices[t]
+        gamma = scipy.linalg.block_diag(*pfim.temporal[t - 1])
+        lam = scipy.linalg.block_diag(*measurement_blocks_at(config, traj, t))
+        nominal = lam + np.where(own, spatial, 0.0) + gamma
+        off = np.where(own, 0.0, -spatial)
+        prev = states[t - 1].efim
+        carry = gamma @ npl.solve(prev + gamma, gamma)
+        diff = nominal - prev - off - carry
+        eigs = npl.eigvalsh(0.5 * (diff + diff.T))
+        scale = max(float(np.max(np.abs(eigs))), 1.0)
+        assert abs(states[t].slack - eigs[0]) <= 1e-12 * scale
+        assert states[t].condition_satisfied == (eigs[0] >= -LOEWNER_SLACK * scale)
 
 
-def test_stationary_point_residual(rng):
-    for _ in range(30):
-        side = int(rng.integers(1, 4)) * 2
-        m = random_spd(rng, side)
-        t_mat = random_spd(rng, side)
-        point = stationary_point(m, t_mat)
-        assert point.residual < 1e-10
-        assert np.allclose(point.j_star, point.j_star.T)
-        assert np.min(npl.eigvalsh(point.j_star)) > 0.0
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), side=st.integers(1, 6))
+def test_stationary_point_residual(seed, side):
+    """The closed-form J* solves the Riccati equation for random SPD pairs."""
+    rng = np.random.default_rng(seed)
+    point = stationary_point(random_spd(rng, side), random_spd(rng, side))
+    assert point.residual < 1e-10
+    assert np.allclose(point.j_star, point.j_star.T)
+    assert np.min(npl.eigvalsh(point.j_star)) > 0.0
 
 
 def test_stationary_point_scalar_closed_form(rng):
@@ -232,10 +238,14 @@ def test_disturbance_scales_only_listed_steps():
 
 
 def test_inject_disturbance_rejects_negative_scale():
+    """A negative scale is rejected; scale 0 drops the step's measurement."""
     config = shipped_scenario(num_steps=2)
     traj = static_trajectory(config)
-    state = run_recursion(config, traj)[0]
     with pytest.raises(DimensionMismatch):
-        inject_disturbance(state, -0.5)
-    scaled = inject_disturbance(state, 0.0)
-    assert scaled.next_measurement_scale == 0.0
+        run_recursion(config, traj, disturbance_steps=(1,), disturbance_scale=-0.5)
+    clean = run_recursion(config, traj)
+    dropped = run_recursion(config, traj, disturbance_steps=(1,), disturbance_scale=0.0)
+    assert np.array_equal(dropped[0].efim, clean[0].efim)
+    lam = measurement_blocks_at(config, traj, 1)
+    diff = clean[1].nominal - dropped[1].nominal
+    assert np.allclose(diff, lam, rtol=1e-10, atol=1e-12)
