@@ -83,12 +83,22 @@ def _cmd_validate(args) -> int:
     return EXIT_VALIDATION
 
 
+def _numeric_array(payload: dict, key: str) -> np.ndarray:
+    """The array of JSON numbers under ``key``; ValueError for anything else."""
+    value = np.asarray(payload[key])
+    if value.dtype.kind not in "iuf":
+        raise ValueError(f"{key!r} must be an array of numbers")
+    return value.astype(float)
+
+
 def _cmd_stationary(args) -> int:
     try:
         with open(args.constants, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        m = np.asarray(payload["m"], dtype=float)
-        t_mat = np.asarray(payload["t"], dtype=float)
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object with keys 'm' and 't'")
+        m = _numeric_array(payload, "m")
+        t_mat = _numeric_array(payload, "t")
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail(f"cannot read constants file: {exc}", EXIT_VALIDATION)
     try:

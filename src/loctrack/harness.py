@@ -260,7 +260,12 @@ class ResultTable:
         if not os.path.exists(manifest_path):
             raise SchemaMismatch(f"no manifest.json beside {path}")
         with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaMismatch(f"{manifest_path} is not JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise SchemaMismatch(f"{manifest_path} does not hold a JSON object")
         rows = []
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -270,8 +275,8 @@ class ResultTable:
                 parts = line.strip().split(",")
                 if len(parts) != 8:
                     raise SchemaMismatch(f"malformed table row {line!r}")
-                rows.append(
-                    ResultRow(
+                try:
+                    row = ResultRow(
                         experiment=parts[0],
                         sweep_value=float(parts[1]),
                         t=int(parts[2]),
@@ -281,7 +286,9 @@ class ResultTable:
                         stderr=float(parts[6]),
                         n=int(parts[7]),
                     )
-                )
+                except ValueError as exc:
+                    raise SchemaMismatch(f"malformed table row {line!r}: {exc}") from exc
+                rows.append(row)
         return cls(rows=tuple(rows), manifest=manifest)
 
 
@@ -303,6 +310,10 @@ def _apply_sweep(config: ScenarioConfig, parameter: str, value: float) -> Scenar
     if parameter == SWEEP_SIGMA_S:
         return config.with_spatial_precision(value)
     if parameter == SWEEP_SIGMA_T:
+        if not (math.isfinite(value) and value > 0.0):
+            raise SchemaMismatch(
+                f"sigma-t-inv2 sweep value {_fmt(value)} is not a positive precision"
+            )
         return config.with_temporal_precision(value)
     if parameter == SWEEP_NUM_RIS:
         if not float(value).is_integer():

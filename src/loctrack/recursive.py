@@ -13,6 +13,13 @@ E_t = I - D_t^{-1} (O_t + G_{t-1}) and the slack of the Loewner condition
 D_t >= J_{t-1} + O_t + G_{t-1}, under which J_t >= J_{t-1}. A disturbance
 is a scale on one step's measurement blocks, applied by ``run_recursion``.
 
+Everything but the carry G_{t-1} is fixed by the step's own inputs, so it
+is prepared once per distinct input (``step_inputs``): D_t, its block
+inverse, O_t and the block-diagonal Gamma. ``recursive_step`` then does
+only the work that depends on J_{t-1}. Under constant inputs a run
+prepares at most three inputs (the first step, the ordinary steps and the
+disturbed steps); otherwise it prepares one per step.
+
 Under constant inputs the recursion J <- M + T - T (J + T)^{-1} T has a
 closed-form fixed point
 
@@ -55,11 +62,13 @@ __all__ = [
     "IterationResult",
     "RecursiveState",
     "StationaryPoint",
+    "StepInputs",
     "constant_inputs",
     "iterate_to_convergence",
     "recursive_step",
     "run_recursion",
     "stationary_point",
+    "step_inputs",
 ]
 
 # Loewner comparisons tolerate eigenvalues this far below zero (relative to
@@ -122,18 +131,38 @@ def _temporal_carry(prev_efim: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return symmetrize(gamma @ solved)
 
 
-def recursive_step(
-    prev: RecursiveState | None,
+@dataclass(frozen=True)
+class StepInputs:
+    """What one step of the recursion needs that does not depend on J_{t-1}.
+
+    ``nominal`` holds the (K, 2, 2) own-information blocks
+    D_k = Lambda_D_k + Xi_kk + Gamma_k, ``nominal_full`` their block
+    diagonal and ``nominal_inv_full`` the block diagonal of their inverses;
+    ``off`` is the positive spatial coupling O of the slice, and
+    ``gamma_full`` the block-diagonal transition precision into the step
+    (None for the first step, which has no temporal link). Steps with equal
+    inputs can share one instance.
+    """
+
+    nominal: np.ndarray
+    nominal_full: np.ndarray
+    nominal_inv_full: np.ndarray
+    off: np.ndarray
+    gamma_full: np.ndarray | None
+
+
+def step_inputs(
+    t: int,
     lambda_d_t: np.ndarray,
     spatial_slice_t: np.ndarray,
     gamma_prev: np.ndarray | None,
-) -> RecursiveState:
-    """Advance the per-step EFIM recursion by one step.
+) -> StepInputs:
+    """Prepare the inputs of step ``t`` (``t`` only names it in errors).
 
-    ``prev`` is None for the first step (no temporal carry). ``lambda_d_t``
-    holds the (K, 2, 2) measurement blocks, ``spatial_slice_t`` the full
-    (2K, 2K) spatial slice, and ``gamma_prev`` the (K, 2, 2) precisions of
-    the transition into this step (ignored when ``prev`` is None).
+    ``lambda_d_t`` holds the (K, 2, 2) measurement blocks,
+    ``spatial_slice_t`` the full (2K, 2K) spatial slice, and ``gamma_prev``
+    the (K, 2, 2) precisions of the transition into the step, or None for
+    the first step.
     """
     lam = np.asarray(lambda_d_t, dtype=float)
     K = lam.shape[0]
@@ -143,33 +172,49 @@ def recursive_step(
             f"measurement blocks {lam.shape} and spatial slice {slice_ps.shape} "
             f"disagree about the user count"
         )
-
-    if prev is None:
-        t = 0
-        gamma_blocks = np.zeros((K, 2, 2))
-        carry = np.zeros((2 * K, 2 * K))
-    else:
-        if gamma_prev is None:
-            raise DimensionMismatch("gamma_prev is required when prev is given")
-        t = prev.t + 1
-        gamma_blocks = np.asarray(gamma_prev, dtype=float)
-        carry = _temporal_carry(prev.efim, block_diag(gamma_blocks))
-
-    off = off_part(slice_ps)
-    nominal = lam + diag_blocks(slice_ps) + gamma_blocks
-    nominal_full = block_diag(nominal)
-    satisfied, slack = (
-        (True, float("inf"))
-        if prev is None
-        else _loewner_check(nominal_full, prev.efim, off, carry)
+    gamma_blocks = (
+        np.zeros((K, 2, 2)) if gamma_prev is None
+        else np.asarray(gamma_prev, dtype=float)
     )
-    efim = symmetrize(nominal_full - off - carry)
-
+    nominal = lam + diag_blocks(slice_ps) + gamma_blocks
     try:
         nominal_inv = np.stack([npl.inv(nominal[k]) for k in range(K)])
     except npl.LinAlgError as exc:
         raise SingularState(f"nominal block at step {t} is singular") from exc
-    efficiency = np.eye(2 * K) - block_diag(nominal_inv) @ (off + carry)
+    return StepInputs(
+        nominal=nominal,
+        nominal_full=block_diag(nominal),
+        nominal_inv_full=block_diag(nominal_inv),
+        off=off_part(slice_ps),
+        gamma_full=None if gamma_prev is None else block_diag(gamma_blocks),
+    )
+
+
+def recursive_step(prev: RecursiveState | None, inputs: StepInputs) -> RecursiveState:
+    """Advance the per-step EFIM recursion by one step.
+
+    ``prev`` is None for the first step (no temporal carry); ``inputs`` must
+    then have been prepared without a transition precision, and with one
+    for every later step.
+    """
+    K = inputs.nominal.shape[0]
+    if (prev is None) != (inputs.gamma_full is None):
+        raise DimensionMismatch(
+            "the first step takes no transition precision and every later "
+            "step needs one"
+        )
+    if prev is None:
+        t = 0
+        carry = np.zeros((2 * K, 2 * K))
+        satisfied, slack = True, float("inf")
+    else:
+        t = prev.t + 1
+        carry = _temporal_carry(prev.efim, inputs.gamma_full)
+        satisfied, slack = _loewner_check(
+            inputs.nominal_full, prev.efim, inputs.off, carry
+        )
+    efim = symmetrize(inputs.nominal_full - inputs.off - carry)
+    efficiency = np.eye(2 * K) - inputs.nominal_inv_full @ (inputs.off + carry)
 
     try:
         chol = cho_factor(efim, lower=True)
@@ -180,7 +225,7 @@ def recursive_step(
     return RecursiveState(
         t=t,
         efim=efim,
-        nominal=nominal,
+        nominal=inputs.nominal,
         temporal_carry=carry,
         bcrb_mean=float(np.trace(inverse)) / (2 * K),
         eoc_mean=float(np.trace(efficiency)) / (2 * K),
@@ -383,8 +428,9 @@ def run_recursion(
             f"measurement scale must be >= 0, got {disturbance_scale}"
         )
     disturbed = {int(s) for s in disturbance_steps}
-    if constant_from_step is not None:
-        inputs = constant_inputs(
+    constant = constant_from_step is not None
+    if constant:
+        frozen = constant_inputs(
             config,
             trajectory,
             step=constant_from_step,
@@ -398,16 +444,30 @@ def run_recursion(
             trajectory_ensemble,
         )
 
-    states: list[RecursiveState] = []
-    prev: RecursiveState | None = None
-    for t in range(config.num_steps):
-        scale = disturbance_scale if t in disturbed else 1.0
-        if constant_from_step is not None:
-            lam, spatial, gamma = inputs.lambda_d, inputs.spatial_slice, inputs.gamma
+    def prepare(t: int, scale: float) -> StepInputs:
+        if constant:
+            lam, spatial = frozen.lambda_d, frozen.spatial_slice
+            gamma = frozen.gamma if t else None
         else:
             lam = measurement_blocks_at(config, trajectory, t)
             spatial = pfim.spatial_slices[t]
             gamma = pfim.temporal[t - 1] if t else None
-        prev = recursive_step(prev, scale * lam, spatial, gamma)
+        return step_inputs(t, scale * lam, spatial, gamma)
+
+    # Under constant inputs a step's inputs depend only on whether it is the
+    # first step and on its scale, so at most three are prepared per run.
+    prepared: dict[tuple[bool, float], StepInputs] = {}
+    states: list[RecursiveState] = []
+    prev: RecursiveState | None = None
+    for t in range(config.num_steps):
+        scale = disturbance_scale if t in disturbed else 1.0
+        if constant:
+            key = (t == 0, scale)
+            if key not in prepared:
+                prepared[key] = prepare(t, scale)
+            inputs = prepared[key]
+        else:
+            inputs = prepare(t, scale)
+        prev = recursive_step(prev, inputs)
         states.append(prev)
     return states

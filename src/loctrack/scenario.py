@@ -218,10 +218,6 @@ class ScenarioConfig:
     def edge_precisions_at(self, t: int) -> tuple:
         return self.spatial_precision[t]
 
-    def transition_covariance(self, t: int) -> np.ndarray:
-        """Covariance of the step t -> t+1 transition, shape (K, 2, 2)."""
-        return np.asarray(self.temporal_covariance[t])
-
     @property
     def anchor_precision(self) -> float:
         if self.first_step_anchor_variance is None:
@@ -642,6 +638,9 @@ def random_walk_trajectory(config: ScenarioConfig, seed: int) -> Trajectory:
     a draw from the full analysis prior; the spatial coupling terms shape
     the bound, not the tracks.  Use ``sample_trajectory`` for exact draws
     from the joint prior itself.
+
+    All moves are drawn as one (T-1, K, 2) block, in the order a per-step,
+    per-user loop would draw them, and summed along the steps.
     """
     T, K = config.num_steps, config.num_users
     rng = np.random.default_rng(seed)
@@ -650,12 +649,9 @@ def random_walk_trajectory(config: ScenarioConfig, seed: int) -> Trajectory:
     if config.first_step_anchor_variance is not None:
         pos[0] = pos[0] + math.sqrt(config.first_step_anchor_variance) * \
             rng.standard_normal((K, 2))
-    for t in range(T - 1):
-        cov = config.transition_covariance(t)
-        for k in range(K):
-            chol = np.linalg.cholesky(cov[k])
-            pos[t + 1, k] = pos[t, k] + chol @ rng.standard_normal(2)
-    return make_trajectory(config, pos, seed)
+    chol = np.linalg.cholesky(config.temporal_covariance)
+    pos[1:] = (chol @ rng.standard_normal((T - 1, K, 2, 1)))[..., 0]
+    return make_trajectory(config, np.cumsum(pos, axis=0), seed)
 
 
 # ---------------------------------------------------------------------------

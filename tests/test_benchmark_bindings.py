@@ -2,19 +2,26 @@
 
 ``perfbench/spans.py`` wraps the functions in its ``TARGETS`` and skips a
 name the package no longer defines, so a renamed or deleted function would
-read as zero calls without any error. ``perfbench/child.py`` binds the
-arguments of ``coupling.eoc_report`` and ``scenario.sample_trajectory_ensemble``
-by name and reads the report and split fields checked here. The spans
-module is read from its source, so nothing is written under ``perfbench/``.
+read as zero calls without any error. It wraps them on the module
+attribute, so a call that bypasses the attribute is not counted either:
+each run starts at the one ``harness.random_walk_trajectory`` call and
+each recursion step is one ``recursive.recursive_step`` call.
+``perfbench/child.py`` binds the arguments of ``coupling.eoc_report`` and
+``scenario.sample_trajectory_ensemble`` by name and reads the report and
+split fields checked here. The spans module is read from its source, so
+nothing is written under ``perfbench/``.
 """
 
 import importlib
 import inspect
+import json
 import types
 from pathlib import Path
 
-from conftest import shipped_scenario
-from loctrack import coupling, scenario
+import pytest
+
+from conftest import config_dict, shipped_scenario
+from loctrack import coupling, harness, recursive, scenario
 from loctrack.fim import assemble_efim, measurement_fim, prior_fim
 from loctrack.scenario import prior_model, static_trajectory
 
@@ -53,3 +60,49 @@ def test_split_and_report_fields_exist():
     report = coupling.eoc_report(efim, split)
     for field in ("eoc", "bcrb", "mean_eoc", "mean_bcrb"):
         assert hasattr(report, field), field
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` so each call appends to the returned list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("constant_from_step", [None, 1])
+def test_run_recursion_calls_recursive_step_once_per_step(
+    monkeypatch, constant_from_step
+):
+    config = shipped_scenario(num_steps=6)
+    calls = count_calls(monkeypatch, recursive, "recursive_step")
+    recursive.run_recursion(
+        config,
+        static_trajectory(config),
+        constant_from_step=constant_from_step,
+        disturbance_steps=(0, 3),
+        disturbance_scale=0.5,
+    )
+    assert len(calls) == config.num_steps
+
+
+def test_run_experiment_draws_one_walk_per_job(monkeypatch, tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(config_dict(num_steps=3)))
+    spec = harness.ExperimentSpec(
+        scenario_path=str(path),
+        kind="EP_CONVERGENCE",
+        sweep_parameter="sigma-t-inv2",
+        sweep_values=(1.0, 10.0),
+        num_monte_carlo=3,
+        base_seed=5,
+        output_dir=str(tmp_path / "out"),
+    )
+    calls = count_calls(monkeypatch, harness, "random_walk_trajectory")
+    harness.run_experiment(spec)
+    assert len(calls) == len(spec.sweep_values) * spec.num_monte_carlo

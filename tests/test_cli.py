@@ -214,6 +214,7 @@ def test_run_validates_scenario_before_any_run(
         ("EOC_VS_NUM_RIS", "num-ris", [2.0, 3.5], "num-ris sweep value 3.5"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_run_validates_each_sweep_value_before_any_run(
     scenario_file, tmp_path, monkeypatch, capsys, kind, parameter, values, message
 ):
@@ -282,6 +283,15 @@ def test_stationary_rejects_bad_inputs(tmp_path, capsys):
         path.write_text(json.dumps({"m": m, "t": t}))
         assert cli.main(["stationary", str(path)]) == 2
         assert "square matrices of one shape" in capsys.readouterr().err
+    for name, text in [
+        ("list", "[1, 2]"),
+        ("string", '"x"'),
+        ("object-value", json.dumps({"m": {"a": 1}, "t": [[1, 0], [0, 1]]})),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert cli.main(["stationary", str(path)]) == 2
+        assert "cannot read constants file" in capsys.readouterr().err
 
 
 def test_emit_happy_path(spec_file, tmp_path, capsys):
@@ -303,6 +313,28 @@ def test_emit_wrong_figure_kind(spec_file, tmp_path, capsys):
     rc = cli.main(["emit", table_path, "--figure", "fig8"])
     assert rc == 2
     assert "fig8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sweep_value, manifest, message",
+    [
+        ("abc", "{}", "malformed table row"),
+        ("0.0", "{bad", "is not JSON"),
+        ("0.0", "[1]", "does not hold a JSON object"),
+    ],
+    ids=["non-numeric-row", "manifest-not-json", "manifest-not-object"],
+)
+def test_emit_rejects_malformed_table_or_manifest(
+    tmp_path, capsys, sweep_value, manifest, message
+):
+    table_path = tmp_path / "table.csv"
+    table_path.write_text(
+        "experiment,sweep_value,t,k,metric_name,mean,stderr,n\n"
+        f"EOC_VS_SNR,{sweep_value},0,0,eoc-mean,0.5,0.0,1\n"
+    )
+    (tmp_path / "manifest.json").write_text(manifest)
+    assert cli.main(["emit", str(table_path), "--figure", "fig4"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_emit_unknown_figure_rejected_by_parser(tmp_path):

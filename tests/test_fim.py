@@ -194,7 +194,7 @@ def test_temporal_blocks_match_transition_precisions():
     pfim = prior_fim(config)
     for t in range(2):
         for k in range(config.num_users):
-            want = np.linalg.inv(config.transition_covariance(t)[k])
+            want = np.linalg.inv(config.temporal_covariance[t][k])
             assert np.allclose(pfim.temporal[t, k], want, atol=1e-15)
 
 
@@ -281,7 +281,7 @@ def test_assembled_efim_is_sum_of_parts(rng):
             total += anchor * float(pos[0, k] @ pos[0, k])
         for t in range(T - 1):
             for k in range(K):
-                gamma = np.linalg.inv(config.transition_covariance(t)[k])
+                gamma = np.linalg.inv(config.temporal_covariance[t][k])
                 diff = pos[t + 1, k] - pos[t, k]
                 total += float(diff @ gamma @ diff)
         return total

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_scenario, rel_frobenius, shipped_scenario
 from loctrack.blocks import block_diag, neumann_diag_block, symmetrize
-from loctrack.errors import DimensionMismatch, NotSpd
+from loctrack.errors import DimensionMismatch, NotSpd, SingularState
 from loctrack.fim import assemble_efim, measurement_blocks_at, measurement_fim, prior_fim
 from loctrack.recursive import (
     LOEWNER_SLACK,
@@ -20,6 +20,7 @@ from loctrack.recursive import (
     recursive_step,
     run_recursion,
     stationary_point,
+    step_inputs,
 )
 from loctrack.scenario import prior_model, static_trajectory
 
@@ -83,6 +84,92 @@ def test_recursion_matches_batch_marginal(seed, include_anchor):
         check_user_marginals(state, config.num_users)
 
 
+def reference_recursion(config, traj, constant_from_step, disturbed, scale):
+    """The recursion written out from the per-step formulas, every step
+    building its own D_t, O_t, D_t^{-1} and Gamma. Returns one tuple
+    (efim, nominal, carry, bcrb_mean, eoc_mean, satisfied, slack) per step."""
+    K = config.num_users
+    own = np.kron(np.eye(K), np.ones((2, 2))) > 0
+    eye = np.eye(2 * K)
+    if constant_from_step is None:
+        pfim = prior_fim(config, prior_model(config, include_anchor=False))
+    else:
+        frozen = constant_inputs(config, traj, step=constant_from_step)
+    out = []
+    prev = None
+    for t in range(config.num_steps):
+        if constant_from_step is None:
+            lam = measurement_blocks_at(config, traj, t)
+            spatial = pfim.spatial_slices[t]
+            gamma = pfim.temporal[t - 1] if t else np.zeros((K, 2, 2))
+        else:
+            lam, spatial = frozen.lambda_d, frozen.spatial_slice
+            gamma = frozen.gamma if t else np.zeros((K, 2, 2))
+        lam = (scale if t in disturbed else 1.0) * lam
+        own_spatial = [spatial[2 * k:2 * k + 2, 2 * k:2 * k + 2] for k in range(K)]
+        nominal = lam + np.stack(own_spatial) + gamma
+        nominal_full = scipy.linalg.block_diag(*nominal)
+        off = np.where(own, 0.0, -spatial)
+        if prev is None:
+            carry = np.zeros((2 * K, 2 * K))
+            satisfied, slack = True, math.inf
+        else:
+            gamma_full = scipy.linalg.block_diag(*gamma)
+            carry = gamma_full @ npl.solve(prev + gamma_full, gamma_full)
+            carry = 0.5 * (carry + carry.T)
+            diff = nominal_full - (prev + off + carry)
+            eigs = npl.eigvalsh(0.5 * (diff + diff.T))
+            slack = float(eigs[0])
+            satisfied = slack >= -LOEWNER_SLACK * max(float(np.max(np.abs(eigs))), 1.0)
+        efim = nominal_full - off - carry
+        efim = 0.5 * (efim + efim.T)
+        nominal_inv = scipy.linalg.block_diag(*[npl.inv(block) for block in nominal])
+        eoc = float(np.trace(eye - nominal_inv @ (off + carry))) / (2 * K)
+        chol = scipy.linalg.cho_factor(efim, lower=True)
+        bcrb = float(np.trace(scipy.linalg.cho_solve(chol, eye))) / (2 * K)
+        out.append((efim, nominal, carry, bcrb, eoc, satisfied, slack))
+        prev = efim
+    return out
+
+
+@pytest.mark.parametrize("constant_from_step", [None, 1])
+@pytest.mark.parametrize("scale", [0.0, 0.25, 1.0])
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    later_disturbed=st.sets(st.integers(1, 4), max_size=3),
+)
+def test_prepared_steps_match_per_step_reference(
+    constant_from_step, scale, seed, later_disturbed
+):
+    """``run_recursion`` equals the per-step formulas bit for bit, with the
+    inputs frozen or not and with step 0 among the disturbed steps."""
+    config, traj = random_scenario(np.random.default_rng(seed), num_steps=5)
+    disturbed = {0} | later_disturbed
+    kwargs = dict(
+        constant_from_step=constant_from_step,
+        disturbance_steps=sorted(disturbed),
+        disturbance_scale=scale,
+    )
+    try:
+        want = reference_recursion(config, traj, constant_from_step, disturbed, scale)
+    except npl.LinAlgError:
+        # one user has no spatial edge, so at scale 0 its first D_0 is 0
+        with pytest.raises(SingularState):
+            run_recursion(config, traj, **kwargs)
+        return
+    states = run_recursion(config, traj, **kwargs)
+    assert len(states) == len(want)
+    for state, (efim, nominal, carry, bcrb, eoc, satisfied, slack) in zip(states, want):
+        assert np.array_equal(state.efim, efim)
+        assert np.array_equal(state.nominal, nominal)
+        assert np.array_equal(state.temporal_carry, carry)
+        assert state.bcrb_mean == bcrb
+        assert state.eoc_mean == eoc
+        assert state.slack == slack
+        assert state.condition_satisfied == satisfied
+
+
 def test_per_user_accessor_and_series():
     """The shipped toy at +30 dB: the last step's walk contracts, so both the
     series and the pencil spectrum are checked for every user."""
@@ -108,20 +195,24 @@ def test_first_step_has_no_carry(rng):
 def test_recursive_step_shape_guards():
     lam = np.stack([np.eye(2)] * 2)
     with pytest.raises(DimensionMismatch):
-        recursive_step(None, lam, np.eye(6), None)
-    state = recursive_step(None, lam, np.eye(4), None)
+        step_inputs(0, lam, np.eye(6), None)
+    first = step_inputs(0, lam, np.eye(4), None)
+    later = step_inputs(1, lam, np.eye(4), np.stack([np.eye(2)] * 2))
     with pytest.raises(DimensionMismatch):
-        recursive_step(state, lam, np.eye(4), None)
+        recursive_step(None, later)
+    state = recursive_step(None, first)
+    with pytest.raises(DimensionMismatch):
+        recursive_step(state, first)
 
 
 def test_check_convergence_directions():
     """Strong own-information satisfies the condition, weak violates it."""
-    prev = recursive_step(None, 5.0 * np.eye(2)[None], np.zeros((2, 2)), None)
-    gamma = np.eye(2)[None, :, :]
     spatial = np.zeros((2, 2))
-    strong = recursive_step(prev, 10.0 * np.eye(2)[None], spatial, gamma)
+    prev = recursive_step(None, step_inputs(0, 5.0 * np.eye(2)[None], spatial, None))
+    gamma = np.eye(2)[None, :, :]
+    strong = recursive_step(prev, step_inputs(1, 10.0 * np.eye(2)[None], spatial, gamma))
     assert strong.condition_satisfied and strong.slack > 0.0
-    weak = recursive_step(prev, 0.1 * np.eye(2)[None], spatial, gamma)
+    weak = recursive_step(prev, step_inputs(1, 0.1 * np.eye(2)[None], spatial, gamma))
     assert not weak.condition_satisfied and weak.slack < 0.0
 
 

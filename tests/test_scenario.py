@@ -69,7 +69,7 @@ def test_with_num_ris_trims_prefix():
 
 def test_transition_precision_inverts_covariance():
     config = shipped_scenario("paper_baseline", num_steps=3)
-    cov = config.transition_covariance(1)
+    cov = config.temporal_covariance[1]
     prec = prior_model(config).transition_precisions[1]
     for k in range(config.num_users):
         assert np.allclose(cov[k] @ prec[k], np.eye(2), atol=1e-12)
@@ -233,7 +233,7 @@ def test_json_compact_forms_accepted():
     """A scalar spatial precision and a scalar walk variance expand per step."""
     config = scenario_from_json(_reader_dict())
     assert config.spatial_precision == ((4.0, 4.0),) * 3
-    assert config.transition_covariance(1)[0][0, 0] == pytest.approx(0.2)
+    assert config.temporal_covariance[1][0][0, 0] == pytest.approx(0.2)
 
 
 def test_json_missing_key_raises():
@@ -336,7 +336,7 @@ def test_joint_precision_matches_quadratic_form(rng):
                 total += c * float(diff @ diff)
         for t in range(2):
             for k in range(2):
-                prec = np.linalg.inv(config.transition_covariance(t)[k])
+                prec = np.linalg.inv(config.temporal_covariance[t][k])
                 diff = pos[t + 1, k] - pos[t, k]
                 total += float(diff @ prec @ diff)
         return total
@@ -438,6 +438,43 @@ def test_random_walk_anchor_draw():
     unanchored = dataclasses.replace(config, first_step_anchor_variance=None)
     traj = random_walk_trajectory(unanchored, seed=0)
     assert np.array_equal(traj.positions[0], unanchored.user_initial_positions)
+
+
+def per_cell_walk(config, seed):
+    """The walk drawn one (step, user) cell at a time, one Cholesky each."""
+    T, K = config.num_steps, config.num_users
+    rng = np.random.default_rng(seed)
+    pos = np.empty((T, K, 2))
+    pos[0] = config.user_initial_positions
+    if config.first_step_anchor_variance is not None:
+        pos[0] = pos[0] + math.sqrt(config.first_step_anchor_variance) * \
+            rng.standard_normal((K, 2))
+    for t in range(T - 1):
+        for k in range(K):
+            chol = np.linalg.cholesky(config.temporal_covariance[t, k])
+            pos[t + 1, k] = pos[t, k] + chol @ rng.standard_normal(2)
+    return pos
+
+
+@pytest.mark.parametrize("num_steps", [1, 2, 9])
+@pytest.mark.parametrize("anchor", [True, False])
+def test_random_walk_matches_per_cell_draws(num_steps, anchor):
+    """The stacked walk equals the per-cell loop bit for bit, with a
+    different covariance for every (step, user) cell."""
+    config = shipped_scenario("paper_baseline", num_steps=num_steps)
+    rng = np.random.default_rng(num_steps)
+    K = config.num_users
+    raw = rng.standard_normal((max(num_steps - 1, 0), K, 2, 2))
+    cov = 0.05 * (raw @ np.swapaxes(raw, -1, -2) + 0.1 * np.eye(2))
+    config = dataclasses.replace(
+        config,
+        temporal_covariance=cov,
+        first_step_anchor_variance=0.5 if anchor else None,
+    )
+    assert validate(config).ok
+    for seed in (0, 7, 2024):
+        walk = random_walk_trajectory(config, seed)
+        assert np.array_equal(walk.positions, per_cell_walk(config, seed))
 
 
 def test_static_trajectory_repeats_initials():
