@@ -31,7 +31,6 @@ import os
 import numpy as np
 
 from loctrack.asymptotics import (
-    ScenarioConstants,
     limit_spatial_inf,
     limit_spatial_zero,
     limit_temporal_inf,
@@ -46,9 +45,9 @@ with open(os.path.join(CONFIGS, "paper_baseline.json"), encoding="utf-8") as fh:
 STOCK["num-steps"] = 4
 
 
-def constants_at(offset_db: float) -> ScenarioConstants:
+def scenario_at(offset_db: float):
     config = scenario_from_json(STOCK).with_snr_offset_db(offset_db)
-    return ScenarioConstants.from_scenario(config, static_trajectory(config))
+    return config, static_trajectory(config)
 
 
 def show(report):
@@ -70,17 +69,17 @@ def show(report):
 print("=" * 70)
 print("SPATIAL PRECISION -> 0 (users decouple, +70 dB)")
 print("=" * 70)
-show(limit_spatial_zero(constants_at(70.0)))
+show(limit_spatial_zero(*scenario_at(70.0)))
 
 print("=" * 70)
 print("SPATIAL PRECISION -> INFINITY (users fuse, +30 dB)")
 print("=" * 70)
-show(limit_spatial_inf(constants_at(30.0)))
+show(limit_spatial_inf(*scenario_at(30.0)))
 
 print("=" * 70)
 print("TEMPORAL PRECISION -> INFINITY (state freezes, stock SNR)")
 print("=" * 70)
-report = limit_temporal_inf(constants_at(0.0))
+report = limit_temporal_inf(*scenario_at(0.0))
 show(report)
 
 slope = np.trace(report.predicted[0]) / 2

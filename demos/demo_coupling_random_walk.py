@@ -94,7 +94,7 @@ worst = 0.0
 for t in range(T):
     for k in range(K):
         series = delta_series(split, t, k)
-        direct = delta_direct(efim, split, t, k)
+        direct = delta_direct(split, t, k)
         err = np.linalg.norm(series.value - direct) / max(
             np.linalg.norm(direct), 1e-300
         )

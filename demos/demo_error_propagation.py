@@ -44,7 +44,7 @@ states = run_recursion(
 )
 
 inputs = constant_inputs(config, traj, step=1)
-point = stationary_point(inputs.m_full, inputs.t_full)
+point = stationary_point(inputs.m_full, inputs.gamma_full)
 theory = float(np.trace(np.linalg.inv(point.j_star))) / point.j_star.shape[0]
 
 print("=" * 70)

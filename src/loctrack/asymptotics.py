@@ -15,9 +15,12 @@ Three regimes of the constant-input recursion admit closed forms:
   (equivalently M_k C_k with C_k the spatial discount factor from the
   slice Neumann series), and the per-step efficiency collapses as well.
 
-Each limit is checked against the finite-parameter recursion at a documented
-stand-in value (1e3 for "infinite", 1e-3 for "zero"); reports carry both
-sides and their relative trace gaps.
+Each limit takes a scenario config and trajectory, freezes the recursion
+inputs with ``recursive.constant_inputs`` (the same ``StepInputs`` the
+recursion steps on), and checks the closed form against the
+finite-parameter recursion on inputs frozen again at a documented stand-in
+value (1e3 for "infinite", 1e-3 for "zero"); reports carry both sides and
+their relative trace gaps.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy.linalg as npl
 from .blocks import diag_blocks, neumann_diag_block
 from .errors import DimensionMismatch
 from .recursive import (
-    ConstantInputs,
+    StepInputs,
     _temporal_carry,
     constant_inputs,
     iterate_to_convergence,
@@ -42,7 +45,6 @@ __all__ = [
     "ASYMPTOTIC_LARGE",
     "ASYMPTOTIC_SMALL",
     "AsymptoticReport",
-    "ScenarioConstants",
     "limit_spatial_inf",
     "limit_spatial_zero",
     "limit_temporal_inf",
@@ -60,40 +62,6 @@ REGIME_TEMPORAL_INF = "temporal-inf"
 # measurement modes contract slowly, so the budget is generous.
 _ITER_STEPS = 20_000
 _ITER_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ScenarioConstants:
-    """Frozen per-step inputs plus the scenario they came from.
-
-    The config/trajectory pair is kept so a regime can rebuild the slice at
-    a different spatial or temporal precision without guessing how the
-    original slice scaled.
-    """
-
-    config: ScenarioConfig
-    trajectory: Trajectory
-    step: int
-    inputs: ConstantInputs
-
-    @classmethod
-    def from_scenario(
-        cls, config: ScenarioConfig, trajectory: Trajectory, step: int = 1
-    ) -> "ScenarioConstants":
-        return cls(
-            config=config,
-            trajectory=trajectory,
-            step=step,
-            inputs=constant_inputs(config, trajectory, step=step),
-        )
-
-    def with_spatial_precision(self, value: float) -> ConstantInputs:
-        cfg = self.config.with_spatial_precision(value)
-        return constant_inputs(cfg, self.trajectory, step=self.step)
-
-    def with_temporal_precision(self, value: float) -> ConstantInputs:
-        cfg = self.config.with_temporal_precision(value)
-        return constant_inputs(cfg, self.trajectory, step=self.step)
 
 
 @dataclass(frozen=True)
@@ -138,7 +106,7 @@ def _trace_gaps(empirical: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     return np.abs(emp - pred) / np.abs(pred)
 
 
-def _stationary_eoc(inputs: ConstantInputs, j_state: np.ndarray) -> float:
+def _stationary_eoc(inputs: StepInputs, j_state: np.ndarray) -> float:
     """Mean per-user marginal efficiency at a state of the finite system.
 
     E_k = D_k^{-1} ([J^{-1}]_kk)^{-1} with D_k the own-information block
@@ -147,8 +115,8 @@ def _stationary_eoc(inputs: ConstantInputs, j_state: np.ndarray) -> float:
     marginal; a raw slice trace would miss the spatial part entirely
     because its diagonal blocks are zero.
     """
-    K = inputs.n_users
-    nominal = inputs.nominal_diag
+    nominal = inputs.nominal
+    K = nominal.shape[0]
     marg = _per_user_blocks(j_state, K)
     traces = [
         float(np.trace(npl.solve(nominal[k], marg[k]))) for k in range(K)
@@ -157,11 +125,13 @@ def _stationary_eoc(inputs: ConstantInputs, j_state: np.ndarray) -> float:
 
 
 def limit_spatial_zero(
-    constants: ScenarioConstants, finite_value: float = ASYMPTOTIC_SMALL
+    config: ScenarioConfig,
+    trajectory: Trajectory,
+    finite_value: float = ASYMPTOTIC_SMALL,
 ) -> AsymptoticReport:
     """Decoupled-user limit, checked at a small finite spatial precision."""
-    inputs = constants.inputs
-    K = inputs.n_users
+    inputs = constant_inputs(config, trajectory)
+    K = config.num_users
     predicted = np.stack(
         [
             stationary_point(inputs.lambda_d[k], inputs.gamma[k]).j_star
@@ -169,9 +139,9 @@ def limit_spatial_zero(
         ]
     )
 
-    finite = constants.with_spatial_precision(finite_value)
+    finite = constant_inputs(config.with_spatial_precision(finite_value), trajectory)
     run = iterate_to_convergence(
-        finite.m_full, finite.t_full, max_steps=_ITER_STEPS, tol=_ITER_TOL
+        finite.m_full, finite.gamma_full, max_steps=_ITER_STEPS, tol=_ITER_TOL
     )
     empirical = _per_user_blocks(run.j_limit, K)
 
@@ -186,7 +156,9 @@ def limit_spatial_zero(
 
 
 def limit_spatial_inf(
-    constants: ScenarioConstants, finite_value: float = ASYMPTOTIC_LARGE
+    config: ScenarioConfig,
+    trajectory: Trajectory,
+    finite_value: float = ASYMPTOTIC_LARGE,
 ) -> AsymptoticReport:
     """Rigid-group limit, checked at a large finite spatial precision.
 
@@ -194,16 +166,16 @@ def limit_spatial_inf(
     coupling the per-user EFIM of the carry-free first step approaches the
     plain sum of every user's measurement blocks.
     """
-    inputs = constants.inputs
-    K = inputs.n_users
+    inputs = constant_inputs(config, trajectory)
+    K = config.num_users
     summed_m = inputs.lambda_d.sum(axis=0)
     summed_t = inputs.gamma.sum(axis=0)
     common = stationary_point(summed_m, summed_t).j_star
     predicted = np.broadcast_to(common, (K, 2, 2)).copy()
 
-    finite = constants.with_spatial_precision(finite_value)
+    finite = constant_inputs(config.with_spatial_precision(finite_value), trajectory)
     run = iterate_to_convergence(
-        finite.m_full, finite.t_full, max_steps=_ITER_STEPS, tol=_ITER_TOL
+        finite.m_full, finite.gamma_full, max_steps=_ITER_STEPS, tol=_ITER_TOL
     )
     empirical = _per_user_blocks(run.j_limit, K)
 
@@ -227,7 +199,8 @@ def limit_spatial_inf(
 
 
 def limit_temporal_inf(
-    constants: ScenarioConstants,
+    config: ScenarioConfig,
+    trajectory: Trajectory,
     horizon: int = 1000,
     finite_value: float = ASYMPTOTIC_LARGE,
 ) -> AsymptoticReport:
@@ -245,8 +218,8 @@ def limit_temporal_inf(
     """
     if horizon < 4:
         raise DimensionMismatch(f"horizon must be >= 4, got {horizon}")
-    inputs = constants.inputs
-    K = inputs.n_users
+    inputs = constant_inputs(config, trajectory)
+    K = config.num_users
     m_slice = inputs.m_full
 
     predicted = _per_user_blocks(m_slice, K)
@@ -259,7 +232,7 @@ def limit_temporal_inf(
     x = np.zeros_like(m_slice)
     for j in range(K):
         sj = slice(2 * j, 2 * j + 2)
-        x[sj, :] = npl.solve(diag[j], inputs.spatial_off[sj, :])
+        x[sj, :] = npl.solve(diag[j], inputs.off[sj, :])
     walk_radius = float(np.max(np.abs(npl.eigvals(x)))) if K > 1 else 0.0
     series_gap: float | None
     if walk_radius < 0.99:
@@ -283,8 +256,8 @@ def limit_temporal_inf(
     )
 
     # finite-parameter transient: two steps at the stand-in precision
-    finite = constants.with_temporal_precision(finite_value)
-    t_full = finite.t_full
+    finite = constant_inputs(config.with_temporal_precision(finite_value), trajectory)
+    t_full = finite.gamma_full
     j1 = finite.m_full
     j2 = finite.m_full + t_full - _temporal_carry(j1, t_full)
     finite_two = _per_user_blocks(j2, K)

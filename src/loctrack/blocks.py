@@ -94,32 +94,6 @@ def spd_sqrt_and_inv_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return root, inv_root
 
 
-def spectral_radius(mat: np.ndarray, iters: int = 1000, tol: float = 1e-8) -> float:
-    """Spectral radius estimate by power iteration.
-
-    Works on a general square matrix; convergence is checked on the Rayleigh
-    growth factor. Falls back to the dense eigensolver only when the iteration
-    stalls (e.g. paired +/- eigenvalues of equal magnitude).
-    """
-    n = mat.shape[0]
-    if n == 0:
-        return 0.0
-    rng = np.random.default_rng(0)
-    vec = rng.standard_normal(n)
-    vec /= np.linalg.norm(vec)
-    prev = np.inf
-    for _ in range(iters):
-        nxt = mat @ vec
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:
-            return 0.0
-        vec = nxt / norm
-        if abs(norm - prev) <= tol * max(1.0, abs(norm)):
-            return norm
-        prev = norm
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
-
-
 @dataclass(frozen=True)
 class BlockMatrix:
     """Square matrix over the (step, user) grid of 2x2 position blocks.

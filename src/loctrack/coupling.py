@@ -45,7 +45,6 @@ from .blocks import (
     neumann_diag_block,
     off_part,
     spd_sqrt_and_inv_sqrt,
-    spectral_radius,
 )
 from .errors import (
     DimensionMismatch,
@@ -212,7 +211,7 @@ def coupling_spectral_radius(split: DASplit, coupling: np.ndarray) -> float:
     """Spectral radius of Q = D^{-1} A via its symmetric similar form.
 
     D^{1/2} Q D^{-1/2} = D^{-1/2} A D^{-1/2} shares Q's (real) spectrum and
-    is symmetric, which keeps power iteration well behaved.
+    is symmetric, so a symmetric eigensolver reads the radius off it.
     """
     inv_roots = block_diag(
         np.stack(
@@ -223,7 +222,7 @@ def coupling_spectral_radius(split: DASplit, coupling: np.ndarray) -> float:
         )
     )
     similar = inv_roots @ coupling @ inv_roots
-    return spectral_radius(similar)
+    return float(np.max(np.abs(npl.eigvalsh(similar))))
 
 
 def delta_series(
@@ -254,13 +253,15 @@ def delta_series(
     )
 
 
-def delta_direct(efim: BlockMatrix, split: DASplit, t: int, k: int) -> np.ndarray:
+def delta_direct(split: DASplit, t: int, k: int) -> np.ndarray:
     """Coupling excess from the full inverse: [J^{-1}]_gg D_g - I.
 
-    Returns the raw matrix; it is generally not symmetric (D and the inverse
-    block need not commute), and symmetrising it would break the exact
-    identity D (I + Delta)^{-1} = marginal EFIM that consumers rely on.
+    J is the EFIM the split was read off (``split.efim``). Returns the raw
+    matrix; it is generally not symmetric (D and the inverse block need not
+    commute), and symmetrising it would break the exact identity
+    D (I + Delta)^{-1} = marginal EFIM that consumers rely on.
     """
+    efim = split.efim
     g = block_index(t, k, efim.n_users)
     rows = block_slice(g)
     try:

@@ -386,7 +386,7 @@ def _run_recursion_point(config: ScenarioConfig, seed: int, spec: ExperimentSpec
         inputs = constant_inputs(
             config, trajectory, step=constant0, trajectory_ensemble=ensemble
         )
-        point = stationary_point(inputs.m_full, inputs.t_full)
+        point = stationary_point(inputs.m_full, inputs.gamma_full)
         theory = float(np.trace(np.linalg.inv(point.j_star))) / point.j_star.shape[0]
         out.append((0, 0, "theory-bcrb-star", theory))
     return out
@@ -534,6 +534,9 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     with ThreadPoolExecutor(max_workers=1) as pool:
         outcomes = pool.submit(lambda: [work(job) for job in jobs]).result()
 
+    # Every run of a spec returns the same (t, k, metric) keys in the same
+    # order, so each sweep value's successful runs stack into one
+    # (groups, runs) array.
     samples: dict = {}
     failures = []
     for status, (value, seed), payload in outcomes:
@@ -542,8 +545,14 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
                 {"error": payload, "seed": seed, "sweep-value": float(value)}
             )
             continue
-        for t, k, metric, number in payload:
-            samples.setdefault((value, t, k, metric), []).append(float(number))
+        keys = [(t, k, metric) for t, k, metric, _ in payload]
+        value_keys, runs = samples.setdefault(value, (keys, []))
+        if keys != value_keys:
+            raise ValueError(
+                f"run with seed {seed} returned other metrics than the first "
+                f"run at sweep value {_fmt(value)}"
+            )
+        runs.append([float(number) for *_, number in payload])
 
     if len(failures) >= FAILURE_ABORT_FRACTION * len(jobs):
         raise CampaignAborted(
@@ -551,12 +560,19 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             f"{failures[0]['error']}"
         )
 
+    # Reduce along the last axis of a C-contiguous array: each row then sums
+    # in the same order as np.mean/np.std of its own list, bit for bit.
     aggregated = {}
-    for key, vals in samples.items():
-        n = len(vals)
-        mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        aggregated[key] = (mean, stderr, n)
+    for value, (keys, runs) in samples.items():
+        data = np.ascontiguousarray(np.array(runs).T)
+        n = data.shape[1]
+        means = np.mean(data, axis=1)
+        if n > 1:
+            stderrs = np.std(data, axis=1, ddof=1) / math.sqrt(n)
+        else:
+            stderrs = np.zeros(len(keys))
+        for (t, k, metric), mean, stderr in zip(keys, means, stderrs):
+            aggregated[(value, t, k, metric)] = (float(mean), float(stderr), n)
 
     rows = []
     for value in values:

@@ -20,8 +20,11 @@ only the work that depends on J_{t-1}. Under constant inputs a run
 prepares at most three inputs (the first step, the ordinary steps and the
 disturbed steps); otherwise it prepares one per step.
 
-Under constant inputs the recursion J <- M + T - T (J + T)^{-1} T has a
-closed-form fixed point
+``constant_inputs`` freezes one step's inputs as that same ``StepInputs``:
+the ordinary steps of a constant-input run step on it, and the stationary
+and asymptotic analyses read M = Lambda_D + Xi (``m_full``) and
+T = Gamma (``gamma_full``) off it. Under constant inputs the recursion
+J <- M + T - T (J + T)^{-1} T has a closed-form fixed point
 
     J* = ( (1/2) T^{-1/2} (I + 4 T^{1/2} M^{-1} T^{1/2})^{1/2} T^{-1/2}
            - (1/2) T^{-1} )^{-1}
@@ -58,7 +61,6 @@ from .scenario import (
 )
 
 __all__ = [
-    "ConstantInputs",
     "IterationResult",
     "RecursiveState",
     "StationaryPoint",
@@ -135,20 +137,30 @@ def _temporal_carry(prev_efim: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 class StepInputs:
     """What one step of the recursion needs that does not depend on J_{t-1}.
 
-    ``nominal`` holds the (K, 2, 2) own-information blocks
-    D_k = Lambda_D_k + Xi_kk + Gamma_k, ``nominal_full`` their block
+    ``lambda_d`` holds the (K, 2, 2) measurement blocks, ``spatial_slice``
+    the (2K, 2K) spatial slice and ``gamma`` the (K, 2, 2) transition
+    precisions into the step (None for the first step, which has no
+    temporal link). Derived from them: ``nominal``, the own-information
+    blocks D_k = Lambda_D_k + Xi_kk + Gamma_k, ``nominal_full`` their block
     diagonal and ``nominal_inv_full`` the block diagonal of their inverses;
-    ``off`` is the positive spatial coupling O of the slice, and
-    ``gamma_full`` the block-diagonal transition precision into the step
-    (None for the first step, which has no temporal link). Steps with equal
-    inputs can share one instance.
+    ``off``, the positive spatial coupling O of the slice; ``gamma_full``,
+    the block diagonal of ``gamma``. Steps with equal inputs can share one
+    instance.
     """
 
+    lambda_d: np.ndarray
+    spatial_slice: np.ndarray
+    gamma: np.ndarray | None
     nominal: np.ndarray
     nominal_full: np.ndarray
     nominal_inv_full: np.ndarray
     off: np.ndarray
     gamma_full: np.ndarray | None
+
+    @property
+    def m_full(self) -> np.ndarray:
+        """Per-step information gain M: measurement blocks + spatial slice."""
+        return block_diag(self.lambda_d) + self.spatial_slice
 
 
 def step_inputs(
@@ -172,21 +184,21 @@ def step_inputs(
             f"measurement blocks {lam.shape} and spatial slice {slice_ps.shape} "
             f"disagree about the user count"
         )
-    gamma_blocks = (
-        np.zeros((K, 2, 2)) if gamma_prev is None
-        else np.asarray(gamma_prev, dtype=float)
-    )
-    nominal = lam + diag_blocks(slice_ps) + gamma_blocks
+    gamma = None if gamma_prev is None else np.asarray(gamma_prev, dtype=float)
+    nominal = lam + diag_blocks(slice_ps) + (0.0 if gamma is None else gamma)
     try:
         nominal_inv = np.stack([npl.inv(nominal[k]) for k in range(K)])
     except npl.LinAlgError as exc:
         raise SingularState(f"nominal block at step {t} is singular") from exc
     return StepInputs(
+        lambda_d=lam,
+        spatial_slice=slice_ps,
+        gamma=gamma,
         nominal=nominal,
         nominal_full=block_diag(nominal),
         nominal_inv_full=block_diag(nominal_inv),
         off=off_part(slice_ps),
-        gamma_full=None if gamma_prev is None else block_diag(gamma_blocks),
+        gamma_full=None if gamma is None else block_diag(gamma),
     )
 
 
@@ -238,53 +250,18 @@ def recursive_step(prev: RecursiveState | None, inputs: StepInputs) -> Recursive
 # constant inputs and the stationary point
 
 
-@dataclass(frozen=True)
-class ConstantInputs:
-    """Per-step system inputs frozen at one slice.
-
-    ``m_full`` = measurement blocks + full spatial slice (the constant
-    per-step information gain); ``t_full`` the block-diagonal transition
-    precision. The pieces are kept separately for efficiency bookkeeping.
-    """
-
-    lambda_d: np.ndarray
-    spatial_slice: np.ndarray
-    gamma: np.ndarray
-
-    @property
-    def n_users(self) -> int:
-        return self.lambda_d.shape[0]
-
-    @property
-    def m_full(self) -> np.ndarray:
-        return block_diag(self.lambda_d) + self.spatial_slice
-
-    @property
-    def t_full(self) -> np.ndarray:
-        return block_diag(self.gamma)
-
-    @property
-    def spatial_off(self) -> np.ndarray:
-        return off_part(self.spatial_slice)
-
-    @property
-    def nominal_diag(self) -> np.ndarray:
-        """(K, 2, 2) own-information blocks D_k = Lambda_D_k + Xi_kk + Gamma_k."""
-        return self.lambda_d + diag_blocks(self.spatial_slice) + self.gamma
-
-
 def constant_inputs(
     config: ScenarioConfig,
     trajectory: Trajectory,
     step: int = 1,
-    include_anchor: bool = False,
     trajectory_ensemble=None,
-) -> ConstantInputs:
+) -> StepInputs:
     """Freeze the recursion inputs at one step of a trajectory.
 
     Uses the measurement blocks and spatial slice of ``step`` and the
-    precision of the transition into it. The default step 1 (second step)
-    is the first one carrying temporal information.
+    precision of the transition into it (into step 1 when ``step`` is 0),
+    under the prior without the first-step anchor. The default step 1
+    (second step) is the first one carrying temporal information.
     """
     if config.num_steps < 2:
         raise DimensionMismatch(
@@ -293,16 +270,16 @@ def constant_inputs(
     step = int(step)
     if not (0 <= step < config.num_steps):
         raise DimensionMismatch(f"step {step} outside 0..{config.num_steps - 1}")
-    lam = measurement_blocks_at(config, trajectory, step)
-    prior = prior_model(config, include_anchor=include_anchor)
+    prior = prior_model(config, include_anchor=False)
     ensemble = ensemble_positions(
         trajectory_ensemble, config.num_steps, config.num_users
     )
     gamma_index = min(max(step - 1, 0), config.num_steps - 2)
-    return ConstantInputs(
-        lambda_d=lam,
-        spatial_slice=prior_slice(prior, step, ensemble),
-        gamma=prior.transition_precisions[gamma_index],
+    return step_inputs(
+        step,
+        measurement_blocks_at(config, trajectory, step),
+        prior_slice(prior, step, ensemble),
+        prior.transition_precisions[gamma_index],
     )
 
 
@@ -412,16 +389,17 @@ def run_recursion(
     constant_from_step: int | None = None,
     disturbance_steps=(),
     disturbance_scale: float = 1.0,
-    include_anchor: bool = False,
     trajectory_ensemble=None,
 ) -> list[RecursiveState]:
     """Drive the per-step recursion along a trajectory.
 
-    With ``constant_from_step`` set, every step reuses that step's
-    measurement blocks, spatial slice, and transition precision (the
-    constant-input regime of the stationary analysis). ``disturbance_steps``
-    lists 0-based steps whose measurement information is scaled by
-    ``disturbance_scale`` (at least 0); all other steps run at scale 1.
+    The prior carries no first-step anchor. With ``constant_from_step``
+    set, every step reuses that step's measurement blocks, spatial slice,
+    and transition precision (the constant-input regime of the stationary
+    analysis): the ordinary steps step on ``constant_inputs`` itself.
+    ``disturbance_steps`` lists 0-based steps whose measurement information
+    is scaled by ``disturbance_scale`` (at least 0); all other steps run at
+    scale 1.
     """
     if disturbance_scale < 0.0:
         raise DimensionMismatch(
@@ -429,19 +407,20 @@ def run_recursion(
         )
     disturbed = {int(s) for s in disturbance_steps}
     constant = constant_from_step is not None
+    # Under constant inputs a step's inputs depend only on whether it is the
+    # first step and on its scale, so at most three are prepared per run.
+    prepared: dict[tuple[bool, float], StepInputs] = {}
     if constant:
         frozen = constant_inputs(
             config,
             trajectory,
             step=constant_from_step,
-            include_anchor=include_anchor,
             trajectory_ensemble=trajectory_ensemble,
         )
+        prepared[(False, 1.0)] = frozen
     else:
         pfim = prior_fim(
-            config,
-            prior_model(config, include_anchor=include_anchor),
-            trajectory_ensemble,
+            config, prior_model(config, include_anchor=False), trajectory_ensemble
         )
 
     def prepare(t: int, scale: float) -> StepInputs:
@@ -454,9 +433,6 @@ def run_recursion(
             gamma = pfim.temporal[t - 1] if t else None
         return step_inputs(t, scale * lam, spatial, gamma)
 
-    # Under constant inputs a step's inputs depend only on whether it is the
-    # first step and on its scale, so at most three are prepared per run.
-    prepared: dict[tuple[bool, float], StepInputs] = {}
     states: list[RecursiveState] = []
     prev: RecursiveState | None = None
     for t in range(config.num_steps):

@@ -8,6 +8,7 @@ sheet. Tolerances are stated inline next to each check.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import numpy.linalg as npl
@@ -20,7 +21,6 @@ from conftest import (
     shipped_scenario,
 )
 from loctrack.asymptotics import (
-    ScenarioConstants,
     limit_spatial_inf,
     limit_spatial_zero,
     limit_temporal_inf,
@@ -79,7 +79,7 @@ def test_criterion_01_marginal_identity():
         _, _, efim, split = _pipeline(config, traj)
         for t in range(config.num_steps):
             for k in range(config.num_users):
-                delta = delta_direct(efim, split, t, k)
+                delta = delta_direct(split, t, k)
                 lhs = split.nominal_blocks[t, k] @ npl.inv(np.eye(2) + delta)
                 err = rel_frobenius(lhs, marginal_efim(efim, t, k))
                 worst = max(worst, err)
@@ -112,7 +112,7 @@ def test_criterion_02_hitting_probabilities():
                 worst_partition = max(
                     worst_partition, float(np.max(np.abs(part - np.eye(2))))
                 )
-                want = npl.inv(np.eye(2) + delta_direct(efim, split, t, k))
+                want = npl.inv(np.eye(2) + delta_direct(split, t, k))
                 worst_inverse = max(
                     worst_inverse, rel_frobenius(hp.absorb_first, want)
                 )
@@ -278,14 +278,14 @@ def test_criterion_05_stationary_point():
 
 
 def test_criterion_06_recursion_equals_batch_schur():
-    """Forward recursion lands on the batch marginal of the final step."""
+    """Forward recursion lands on the batch marginal of the final step
+    (prior without the first-step anchor, as the recursion runs)."""
     rng = np.random.default_rng(8106)
     worst = 0.0
-    for i in range(10):
+    for _ in range(10):
         config, traj = random_scenario(rng, num_steps=int(rng.integers(2, 7)))
-        include_anchor = i % 2 == 0
-        states = run_recursion(config, traj, include_anchor=include_anchor)
-        mfim, pfim, efim, _ = _pipeline(config, traj, include_anchor)
+        states = run_recursion(config, traj)
+        mfim, pfim, efim, _ = _pipeline(config, traj, include_anchor=False)
         joint = efim.data
         keep = 2 * config.num_users
         past = joint.shape[0] - keep
@@ -352,13 +352,13 @@ def test_criterion_07_error_propagation_campaign():
 def test_criterion_08_asymptotic_regimes():
     """Stand-in precisions 1e-3 / 1e3 against the three closed-form limits."""
 
-    def constants(offset_db):
+    def scenario(offset_db):
         config = shipped_scenario("paper_baseline", num_steps=4).with_snr_offset_db(offset_db)
-        return ScenarioConstants.from_scenario(config, static_trajectory(config))
+        return config, static_trajectory(config)
 
-    zero = limit_spatial_zero(constants(70.0))
-    inf = limit_spatial_inf(constants(30.0))
-    temp = limit_temporal_inf(constants(0.0))
+    zero = limit_spatial_zero(*scenario(70.0))
+    inf = limit_spatial_inf(*scenario(30.0))
+    temp = limit_temporal_inf(*scenario(0.0))
 
     zero_gap = float(np.max(zero.relative_gaps))
     inf_gap = float(np.max(inf.relative_gaps))
@@ -444,7 +444,7 @@ def test_criterion_10_campaign_determinism(tmp_path):
     paths_a = write_outputs(run_experiment(spec(tmp_path / "a")), str(tmp_path / "a"))
     paths_b = write_outputs(run_experiment(spec(tmp_path / "b")), str(tmp_path / "b"))
     same = all(
-        open(pa, "rb").read() == open(pb, "rb").read()
+        Path(pa).read_bytes() == Path(pb).read_bytes()
         for pa, pb in zip(paths_a, paths_b)
     )
     _verdict(10, same, "table.csv and manifest.json byte-identical across reruns")

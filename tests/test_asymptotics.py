@@ -7,37 +7,23 @@ from conftest import random_scenario, shipped_scenario
 from loctrack.asymptotics import (
     ASYMPTOTIC_LARGE,
     ASYMPTOTIC_SMALL,
-    ScenarioConstants,
     limit_spatial_inf,
     limit_spatial_zero,
     limit_temporal_inf,
 )
 from loctrack.errors import DimensionMismatch
-from loctrack.recursive import constant_inputs
 from loctrack.scenario import static_trajectory
 
 
-def boosted_constants(offset_db=70.0, num_steps=4):
+def boosted_scenario(offset_db=70.0, num_steps=4):
     config = shipped_scenario(num_steps=num_steps).with_snr_offset_db(offset_db)
-    return ScenarioConstants.from_scenario(config, static_trajectory(config))
-
-
-def test_scenario_constants_rebuild_slices():
-    config = shipped_scenario(num_steps=3)
-    traj = static_trajectory(config)
-    constants = ScenarioConstants.from_scenario(config, traj)
-    rebuilt = constants.with_spatial_precision(5.0)
-    direct = constant_inputs(config.with_spatial_precision(5.0), traj)
-    assert np.allclose(rebuilt.m_full, direct.m_full)
-    assert np.allclose(rebuilt.t_full, direct.t_full)
-    retimed = constants.with_temporal_precision(25.0)
-    assert np.allclose(retimed.t_full, 25.0 * np.eye(retimed.t_full.shape[0]))
+    return config, static_trajectory(config)
 
 
 def test_spatial_zero_report_structure():
-    constants = boosted_constants()
-    report = limit_spatial_zero(constants)
-    K = constants.inputs.n_users
+    config, traj = boosted_scenario()
+    report = limit_spatial_zero(config, traj)
+    K = config.num_users
     assert report.regime == "spatial-zero"
     assert report.finite_value == ASYMPTOTIC_SMALL
     assert report.predicted.shape == (K, 2, 2)
@@ -53,31 +39,29 @@ def test_spatial_zero_report_structure():
 def test_single_user_is_already_decoupled(rng):
     """With one user the spatial precision is inert, so gaps reach iteration tol."""
     config, traj = random_scenario(rng, num_users=1)
-    constants = ScenarioConstants.from_scenario(config, traj)
-    zero = limit_spatial_zero(constants)
+    zero = limit_spatial_zero(config, traj)
     assert float(np.max(zero.relative_gaps)) < 1e-8
-    inf = limit_spatial_inf(constants)
+    inf = limit_spatial_inf(config, traj)
     assert float(np.max(inf.relative_gaps)) < 1e-8
     assert np.allclose(zero.predicted, inf.predicted)
 
 
 def test_spatial_inf_report_fields():
-    constants = boosted_constants(offset_db=30.0)
-    report = limit_spatial_inf(constants)
+    config, traj = boosted_scenario(offset_db=30.0)
+    report = limit_spatial_inf(config, traj)
     assert report.regime == "spatial-inf"
     assert report.finite_value == ASYMPTOTIC_LARGE
     assert report.first_step_gap is not None
     assert report.first_step_gap >= 0.0
     assert 0.0 < report.eoc <= 1.0 + 1e-12
     # every user is predicted to share one common fixed point
-    for k in range(1, constants.inputs.n_users):
+    for k in range(1, config.num_users):
         assert np.allclose(report.predicted[k], report.predicted[0])
 
 
 def test_temporal_slope_equals_slice_marginal():
     """The additive limit is exactly linear, so the measured slope is exact."""
-    constants = boosted_constants(offset_db=0.0)
-    report = limit_temporal_inf(constants)
+    report = limit_temporal_inf(*boosted_scenario(offset_db=0.0))
     assert report.regime == "temporal-inf"
     assert report.horizon == 1000
     assert float(np.max(report.relative_gaps)) < 1e-9
@@ -87,15 +71,12 @@ def test_temporal_slope_equals_slice_marginal():
 def test_temporal_series_gate():
     """Neumann cross-check runs only when the spatial walk contracts fast."""
     sticky = shipped_scenario(num_steps=4).with_spatial_precision(100.0)
-    near_one = ScenarioConstants.from_scenario(sticky, static_trajectory(sticky))
-    assert limit_temporal_inf(near_one).series_vs_direct is None
-    contracting = boosted_constants(offset_db=0.0)
-    gap = limit_temporal_inf(contracting).series_vs_direct
+    assert limit_temporal_inf(sticky, static_trajectory(sticky)).series_vs_direct is None
+    gap = limit_temporal_inf(*boosted_scenario(offset_db=0.0)).series_vs_direct
     assert gap is not None
     assert gap < 1e-8
 
 
 def test_temporal_horizon_guard():
-    constants = boosted_constants()
     with pytest.raises(DimensionMismatch):
-        limit_temporal_inf(constants, horizon=3)
+        limit_temporal_inf(*boosted_scenario(), horizon=3)

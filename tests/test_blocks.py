@@ -14,7 +14,6 @@ from loctrack.blocks import (
     neumann_diag_block,
     require_spd,
     spd_sqrt_and_inv_sqrt,
-    spectral_radius,
     symmetrize,
 )
 from loctrack.errors import DimensionMismatch, NotSpd
@@ -76,14 +75,6 @@ def test_spd_sqrt_round_trip(rng):
 def test_spd_sqrt_rejects_singular():
     with pytest.raises(NotSpd):
         spd_sqrt_and_inv_sqrt(np.diag([1.0, 0.0]))
-
-
-def test_spectral_radius_matches_eigvals(rng):
-    for _ in range(10):
-        mat = rng.standard_normal((6, 6))
-        want = float(np.max(np.abs(np.linalg.eigvals(mat))))
-        got = spectral_radius(mat)
-        assert got == pytest.approx(want, rel=1e-5)
 
 
 def test_block_index_layout_matches_manual_embedding(rng):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_run_writes_outputs(spec_file, tmp_path, capsys):
     assert out[0] == table_path
     assert out[1] == manifest_path
     assert os.path.exists(table_path)
-    manifest = json.loads(open(manifest_path).read())
+    manifest = json.loads(Path(manifest_path).read_text())
     assert manifest["kind"] == "EOC_VS_SNR"
 
 
@@ -193,7 +194,7 @@ def test_run_rejects_non_numeric_spec_values(
 def test_run_validates_scenario_before_any_run(
     scenario_file, tmp_path, monkeypatch, capsys, key, value, message
 ):
-    payload = json.loads(open(scenario_file).read())
+    payload = json.loads(Path(scenario_file).read_text())
     payload[key] = value
     with open(scenario_file, "w") as fh:
         json.dump(payload, fh)
@@ -302,7 +303,7 @@ def test_emit_happy_path(spec_file, tmp_path, capsys):
     assert rc == 0
     out_path = capsys.readouterr().out.strip()
     assert out_path == os.path.join(str(tmp_path), "campaign", "fig4.csv")
-    header = open(out_path).readline().strip()
+    header = Path(out_path).read_text().split("\n")[0].strip()
     assert header == "snr_db,sigma_s_inv2,eoc_mean,bcrb_mean"
 
 

@@ -62,7 +62,7 @@ def test_split_reads_nominal_blocks_off_the_efim(seed):
             rows = block_slice(block_index(t, k, config.num_users))
             assert np.array_equal(coupling[rows, rows], np.zeros((2, 2)))
             assert np.array_equal(split.nominal_blocks[t, k], efim.data[rows, rows])
-            delta = delta_direct(efim, split, t, k)
+            delta = delta_direct(split, t, k)
             lhs = split.nominal_blocks[t, k] @ np.linalg.inv(np.eye(2) + delta)
             assert rel_frobenius(lhs, marginal_efim(efim, t, k)) <= 1e-8
 
@@ -122,7 +122,7 @@ def test_delta_direct_definition(rng):
             want = inv[block_slice(g), block_slice(g)] @ split.nominal_blocks[
                 t, k
             ] - np.eye(2)
-            got = delta_direct(efim, split, t, k)
+            got = delta_direct(split, t, k)
             assert rel_frobenius(got, want) < 1e-10
 
 
@@ -133,7 +133,7 @@ def test_marginal_identity_through_delta(rng):
         _, _, efim, split = build_all(config, traj)
         for t in range(config.num_steps):
             for k in range(config.num_users):
-                delta = delta_direct(efim, split, t, k)
+                delta = delta_direct(split, t, k)
                 lhs = split.nominal_blocks[t, k] @ np.linalg.inv(
                     np.eye(2) + delta
                 )
@@ -149,8 +149,18 @@ def test_delta_series_matches_direct(rng):
             assert series.converged
             assert series.spectral_radius < 1.0
             assert series.terms_used >= 1
-            direct = delta_direct(efim, split, t, k)
+            direct = delta_direct(split, t, k)
             assert rel_frobenius(series.value, direct) < 1e-7
+
+
+def test_series_radius_is_the_dense_walk_radius(rng):
+    """delta_series reports the spectral radius of the walk operator Q."""
+    for _ in range(5):
+        config, traj = random_scenario(rng)
+        mfim, _, _, split = build_all(config, traj)
+        transient = build_ptpm(split, mfim).transient
+        want = float(np.max(np.abs(np.linalg.eigvals(transient))))
+        assert abs(delta_series(split, 0, 0).spectral_radius - want) <= 1e-10
 
 
 def test_delta_series_raises_on_expanding_walk():
@@ -181,7 +191,7 @@ def test_hitting_probabilities_partition_and_efficiency(seed):
             hp = hitting_probabilities(ptpm, t, k)
             total = hp.return_before_absorb + hp.absorb_first
             assert np.max(np.abs(total - np.eye(2))) < 1e-10
-            delta = delta_direct(efim, split, t, k)
+            delta = delta_direct(split, t, k)
             want = np.linalg.inv(np.eye(2) + delta)
             assert rel_frobenius(hp.absorb_first, want) < 1e-8
 

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import math
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import loctrack.harness as harness
@@ -103,7 +106,7 @@ def test_run_experiment_rerun_is_byte_identical(scenario_file, tmp_path):
     paths_a = write_outputs(first, str(dir_a))
     paths_b = write_outputs(second, str(dir_b))
     for pa, pb in zip(paths_a, paths_b):
-        assert open(pa, "rb").read() == open(pb, "rb").read()
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 def test_manifest_contents(scenario_file, tmp_path):
@@ -117,7 +120,7 @@ def test_manifest_contents(scenario_file, tmp_path):
     assert manifest["sweep-values"] == [0.0, 10.0]
     assert manifest["snr-db-offset"] == 20.0
     assert manifest["failures"] == []
-    want_sha = hashlib.sha256(open(scenario_file, "rb").read()).hexdigest()
+    want_sha = hashlib.sha256(Path(scenario_file).read_bytes()).hexdigest()
     assert manifest["scenario-sha256"] == want_sha
     assert manifest["sigma-s-inv2"] == 10.0
     assert manifest["sigma-t-inv2"] == 10.0
@@ -150,6 +153,52 @@ def test_failures_recorded_below_abort_threshold(
     assert failures[0]["seed"] == bad_seed
     assert "synthetic run failure" in failures[0]["error"]
     assert all(row.n == 10 for row in table.rows)
+
+
+def test_reduce_matches_per_group_mean_and_stderr(
+    scenario_file, tmp_path, monkeypatch
+):
+    """Each row is np.mean / np.std(ddof=1) of its group's successful runs,
+    bit for bit, with rows sorted by (t, k, metric) within a sweep value."""
+    spec = make_spec(scenario_file, tmp_path, num_monte_carlo=12)
+    keys = [(2, 1, "b"), (0, 0, "z"), (2, 1, "a"), (1, 3, "b")]
+    jobs = iter([(v, spec.base_seed + r) for v in spec.sweep_values for r in range(12)])
+    bad = (spec.sweep_values[1], spec.base_seed + 5)
+    draws = {}  # (sweep value, seed) -> one successful run's numbers
+    single = run_experiment(make_spec(scenario_file, tmp_path, num_monte_carlo=1))
+    assert all(row.n == 1 and row.stderr == 0.0 for row in single.rows)
+
+    def synthetic(inner_spec, config, seed):
+        job = next(jobs)
+        assert job[1] == seed
+        if job == bad:
+            raise SingularEfim("synthetic run failure")
+        rng = np.random.default_rng(len(draws))
+        draws[job] = rng.standard_normal(4) * 10.0 ** rng.uniform(-6, 6, size=4)
+        return [(t, k, m, x) for (t, k, m), x in zip(keys, draws[job])]
+
+    monkeypatch.setattr(harness, "_run_one", synthetic)
+    table = run_experiment(spec)
+    assert [f["seed"] for f in table.manifest["failures"]] == [bad[1]]
+    rows = iter(table.rows)
+    for value in spec.sweep_values:
+        runs = [numbers for (v, _), numbers in draws.items() if v == value]
+        for key in sorted(keys):
+            row = next(rows)
+            vals = [float(numbers[keys.index(key)]) for numbers in runs]
+            assert (row.sweep_value, row.t, row.k, row.metric_name) == (value, *key)
+            assert row.n == len(vals)
+            assert row.mean == float(np.mean(vals))
+            assert row.stderr == float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+    assert next(rows, None) is None
+
+    def reordered(inner_spec, config, seed):
+        order = keys if seed % 2 else keys[::-1]
+        return [(t, k, m, 1.0) for t, k, m in order]
+
+    monkeypatch.setattr(harness, "_run_one", reordered)
+    with pytest.raises(ValueError, match="other metrics than the first run"):
+        run_experiment(spec)
 
 
 def test_abort_at_ten_percent_failures(scenario_file, tmp_path, monkeypatch):
@@ -258,7 +307,7 @@ def run_kind(scenario_file, tmp_path, kind, parameter, values, **overrides):
 def read_figure(table, figure, tmp_path):
     paths = emit_figure_data(table, figure, str(tmp_path / figure))
     assert len(paths) == 1
-    lines = open(paths[0], "r", encoding="utf-8").read().strip().split("\n")
+    lines = Path(paths[0]).read_text(encoding="utf-8").strip().split("\n")
     return lines[0], lines[1:]
 
 
