@@ -56,7 +56,7 @@ print(f"validation: {'ok' if report.ok else report.violations}")
 # The joint prior precision is SPD once the first-step anchor is present.
 J_prior = joint_precision(config)
 print(f"joint prior precision side: {J_prior.data.shape[0]} "
-      f"(= 2 x T x K), symmetric: {J_prior.is_symmetric()}")
+      f"(= 2 x T x K), symmetric: {np.array_equal(J_prior.data, J_prior.data.T)}")
 
 # =========================================================================
 # GENERATIVE TRACKS (what campaigns simulate)

@@ -123,27 +123,8 @@ class BlockMatrix:
         object.__setattr__(self, "data", arr)
 
     @property
-    def n_blocks(self) -> int:
-        return self.n_steps * self.n_users
-
-    @property
     def side(self) -> int:
-        return 2 * self.n_blocks
-
-    def block(self, t: int, k: int, t2: int, k2: int) -> np.ndarray:
-        """The 2x2 block coupling state (t, k) to state (t2, k2)."""
-        g = block_index(t, k, self.n_users)
-        h = block_index(t2, k2, self.n_users)
-        return self.data[block_slice(g), block_slice(h)]
-
-    def diag_block(self, t: int, k: int) -> np.ndarray:
-        return self.block(t, k, t, k)
-
-    def is_symmetric(self, tol: float = 1e-10) -> bool:
-        scale = np.linalg.norm(self.data)
-        if scale == 0.0:
-            return True
-        return np.linalg.norm(self.data - self.data.T) <= tol * scale
+        return 2 * self.n_steps * self.n_users
 
 
 def block_diag(blocks: np.ndarray) -> np.ndarray:

@@ -23,9 +23,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .errors import CampaignAborted, LocTrackError
+from .errors import CampaignAborted, LocTrackError, SchemaMismatch
 from .harness import (
     FIGURE_KINDS,
     ResultTable,
@@ -36,6 +34,7 @@ from .harness import (
 )
 from .recursive import stationary_point
 from .scenario import load_scenario, validate
+from .schema import Field, read
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,38 +70,31 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        config = load_scenario(args.scenario)
-    except (OSError, json.JSONDecodeError, LocTrackError) as exc:
+        violations = validate(load_scenario(args.scenario)).violations
+    except OSError as exc:
         return _fail(f"cannot load scenario: {exc}", EXIT_VALIDATION)
-    report = validate(config)
-    if report.ok:
+    except LocTrackError as exc:
+        violations = (str(exc),)
+    if not violations:
         print("ok")
         return EXIT_OK
-    for violation in report.violations:
+    for violation in violations:
         print(violation)
     return EXIT_VALIDATION
 
 
-def _numeric_array(payload: dict, key: str) -> np.ndarray:
-    """The array of JSON numbers under ``key``; ValueError for anything else."""
-    value = np.asarray(payload[key])
-    if value.dtype.kind not in "iuf":
-        raise ValueError(f"{key!r} must be an array of numbers")
-    return value.astype(float)
+# The ``stationary`` constants: the matrices M and T of the fixed point.
+STATIONARY = {"m": Field("array"), "t": Field("array")}
 
 
 def _cmd_stationary(args) -> int:
     try:
         with open(args.constants, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError("expected a JSON object with keys 'm' and 't'")
-        m = _numeric_array(payload, "m")
-        t_mat = _numeric_array(payload, "t")
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            constants = read(STATIONARY, json.load(fh), "constants file")
+    except (OSError, json.JSONDecodeError, SchemaMismatch) as exc:
         return _fail(f"cannot read constants file: {exc}", EXIT_VALIDATION)
     try:
-        point = stationary_point(m, t_mat)
+        point = stationary_point(constants["m"], constants["t"])
     except LocTrackError as exc:
         return _fail(f"{exc}", EXIT_VALIDATION)
     print(json.dumps(point.to_json(), sort_keys=True, indent=2))

@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,17 +25,18 @@ from .fim import assemble_efim, measurement_fim, prior_fim
 from .recursive import constant_inputs, run_recursion, stationary_point
 from .scenario import (
     PRIOR_L1,
+    SCENARIO,
     AlignedPhases,
     RandomPhases,
     ScenarioConfig,
     Trajectory,
-    is_integer,
     load_scenario,
     prior_model,
     random_walk_trajectory,
     sample_trajectory_ensemble,
     validate,
 )
+from .schema import Field, check, enum, read
 
 KIND_EOC_VS_SNR = "EOC_VS_SNR"
 KIND_EOC_VS_NUM_RIS = "EOC_VS_NUM_RIS"
@@ -95,10 +95,6 @@ TREND_MARGIN = 1e-9
 _L1_ENSEMBLE = 100
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _fmt(value: float) -> str:
     """Shortest round-trip decimal form, for byte-stable CSV output."""
     return repr(float(value))
@@ -107,6 +103,8 @@ def _fmt(value: float) -> str:
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
     """One campaign: scenario, kind, sweep grid, seeds, output location.
+    ``experiment_from_json`` checks a spec's JSON form; one built in code is
+    taken as given.
 
     ``disturbance_steps`` and ``constant_from_step`` use 1-based step
     labels matching the CSV convention; step handling converts to 0-based
@@ -125,88 +123,61 @@ class ExperimentSpec:
     disturbance_scale: float = 1.0
     constant_from_step: int | None = 2
 
-    def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
-            raise SchemaMismatch(f"unknown experiment kind {self.kind!r}")
-        for name, value in (("num-monte-carlo", self.num_monte_carlo),
-                            ("base-seed", self.base_seed)):
-            if not is_integer(value):
-                raise SchemaMismatch(f"{name} must be an integer, got {value!r}")
-        if self.num_monte_carlo < 1:
-            raise SchemaMismatch("num-monte-carlo must be at least 1")
-        scale = self.disturbance_scale
-        if not (_is_number(scale) and math.isfinite(scale) and scale >= 0.0):
-            raise SchemaMismatch(
-                f"disturbance.scale must be a finite number >= 0, got {scale!r}"
-            )
-        object.__setattr__(self, "disturbance_scale", float(scale))
-        offset = self.snr_db_offset
-        if not (_is_number(offset) and math.isfinite(offset)):
-            raise SchemaMismatch(
-                f"snr-db-offset must be a finite number, got {offset!r}"
-            )
-        object.__setattr__(self, "snr_db_offset", float(offset))
-        for name, seq in (("sweep.values", self.sweep_values),
-                          ("disturbance.steps", self.disturbance_steps)):
-            if not isinstance(seq, (list, tuple)):
-                raise SchemaMismatch(f"{name} must be a list, got {seq!r}")
-        bad = [v for v in self.sweep_values if not _is_number(v)]
-        if bad:
-            raise SchemaMismatch(f"sweep values must be numbers, got {bad[0]!r}")
-        values = tuple(float(v) for v in self.sweep_values)
-        object.__setattr__(self, "sweep_values", values)
-        if any(not math.isfinite(v) for v in values):
-            raise SchemaMismatch("sweep values must be finite")
-        if list(values) != sorted(values):
-            raise SchemaMismatch("sweep values must be sorted ascending")
-        allowed = _SWEEPABLE[self.kind]
-        if self.sweep_parameter is None:
-            if values:
-                raise SchemaMismatch("sweep values given without a parameter")
-        elif self.sweep_parameter not in allowed:
-            raise SchemaMismatch(
-                f"kind {self.kind} cannot sweep {self.sweep_parameter!r}"
-            )
-        elif not values:
-            raise SchemaMismatch("sweep parameter given without values")
-        object.__setattr__(self, "disturbance_steps", tuple(self.disturbance_steps))
+
+# The entry that checks each value of a sweep of that parameter.
+SWEEP_VALUE = {
+    SWEEP_SNR_DB: Field("number"),
+    SWEEP_SIGMA_S: Field("nonnegative"),
+    SWEEP_SIGMA_T: Field("positive"),
+    SWEEP_NUM_RIS: Field("whole"),
+}
+
+# One entry per spec key; ``experiment_from_json`` adds the rules across keys.
+SPEC = {
+    "scenario": Field("path"),
+    "kind": Field(enum(*EXPERIMENT_KINDS)),
+    "sweep": Field("object", {}, table={
+        "parameter": Field(enum(*SWEEP_VALUE), None, null=True),
+        "values": Field("list", []),
+    }),
+    "num-monte-carlo": Field("count"),
+    "base-seed": Field("index"),
+    "output-dir": Field("path"),
+    "snr-db-offset": Field("number", 0.0),
+    "disturbance": Field("object", {}, table={
+        "steps": Field("list", [], of="step"),
+        "scale": Field("nonnegative", 1.0),
+    }),
+    "constant-from-step": Field("step", 2, null=True),
+}
 
 
 def experiment_from_json(payload: dict, base_dir: str = ".") -> ExperimentSpec:
     """Build a spec from its JSON form; relative paths resolve against
     ``base_dir`` (normally the directory holding the spec file)."""
-    if not isinstance(payload, dict):
-        raise SchemaMismatch(f"experiment spec must be a JSON object, got {payload!r}")
-    for key in ("scenario", "kind", "num-monte-carlo", "base-seed", "output-dir"):
-        if key not in payload:
-            raise SchemaMismatch(f"experiment spec missing key {key!r}")
-
-    def resolve(key):
-        path = payload[key]
-        if not isinstance(path, str):
-            raise SchemaMismatch(f"{key} must be a path string, got {path!r}")
-        return path if os.path.isabs(path) else os.path.join(base_dir, path)
-
-    def section(key):
-        value = payload.get(key) or {}
-        if not isinstance(value, dict):
-            raise SchemaMismatch(f"{key} must be an object, got {value!r}")
-        return value
-
-    sweep = section("sweep")
-    disturbance = section("disturbance")
+    v = read(SPEC, payload, "experiment spec")
+    kind, parameter, values = v["kind"], v["sweep"]["parameter"], v["sweep"]["values"]
+    if (parameter is None) != (not values):
+        raise SchemaMismatch("sweep.parameter and sweep.values go together")
+    if parameter is not None and parameter not in _SWEEPABLE[kind]:
+        raise SchemaMismatch(f"kind {kind} cannot sweep {parameter!r}")
+    if values != sorted(values):
+        raise SchemaMismatch("sweep values must be sorted ascending")
+    for value in values:
+        check(SWEEP_VALUE[parameter], f"{parameter} sweep value {_fmt(value)}", value)
+    # os.path.join keeps an absolute path as it is.
     return ExperimentSpec(
-        scenario_path=resolve("scenario"),
-        kind=payload["kind"],
-        sweep_parameter=sweep.get("parameter"),
-        sweep_values=sweep.get("values", ()),
-        num_monte_carlo=payload["num-monte-carlo"],
-        base_seed=payload["base-seed"],
-        output_dir=resolve("output-dir"),
-        snr_db_offset=payload.get("snr-db-offset", 0.0),
-        disturbance_steps=disturbance.get("steps", ()),
-        disturbance_scale=disturbance.get("scale", 1.0),
-        constant_from_step=payload.get("constant-from-step", 2),
+        scenario_path=os.path.join(base_dir, v["scenario"]),
+        kind=kind,
+        sweep_parameter=parameter,
+        sweep_values=tuple(values),
+        num_monte_carlo=v["num-monte-carlo"],
+        base_seed=v["base-seed"],
+        output_dir=os.path.join(base_dir, v["output-dir"]),
+        snr_db_offset=v["snr-db-offset"],
+        disturbance_steps=tuple(v["disturbance"]["steps"]),
+        disturbance_scale=v["disturbance"]["scale"],
+        constant_from_step=v["constant-from-step"],
     )
 
 
@@ -293,12 +264,12 @@ class ResultTable:
 
 
 def _check_step_labels(spec: ExperimentSpec, num_steps: int) -> None:
-    """Reject 1-based step labels the scenario does not have."""
+    """Reject 1-based step labels past the scenario's last step."""
     labels = [("disturbance.steps", s) for s in spec.disturbance_steps]
     if spec.kind in _RECURSION_KINDS and spec.constant_from_step is not None:
         labels.append(("constant-from-step", spec.constant_from_step))
     for name, label in labels:
-        if not (is_integer(label) and 1 <= label <= num_steps):
+        if label > num_steps:
             raise SchemaMismatch(
                 f"{name} label {label!r} is not an integer step in 1..{num_steps}"
             )
@@ -310,18 +281,8 @@ def _apply_sweep(config: ScenarioConfig, parameter: str, value: float) -> Scenar
     if parameter == SWEEP_SIGMA_S:
         return config.with_spatial_precision(value)
     if parameter == SWEEP_SIGMA_T:
-        if not (math.isfinite(value) and value > 0.0):
-            raise SchemaMismatch(
-                f"sigma-t-inv2 sweep value {_fmt(value)} is not a positive precision"
-            )
         return config.with_temporal_precision(value)
-    if parameter == SWEEP_NUM_RIS:
-        if not float(value).is_integer():
-            raise SchemaMismatch(
-                f"num-ris sweep value {_fmt(value)} is not a whole number"
-            )
-        return config.with_num_ris(int(value))
-    raise SchemaMismatch(f"unknown sweep parameter {parameter!r}")
+    return config.with_num_ris(int(value))
 
 
 def _draw(config: ScenarioConfig, seed: int):
@@ -471,9 +432,9 @@ def trend_warnings(spec: ExperimentSpec, aggregated: dict) -> list:
 def campaign_configs(spec: ExperimentSpec):
     """Base config (SNR offset applied) and per-sweep-value configs.
 
-    Every check that must pass before any run happens here: an invalid
-    scenario, a step label outside it, an inapplicable sweep value or a
-    sweep value that makes the scenario invalid raises SchemaMismatch.
+    Every check that must pass before any run and needs the scenario
+    happens here: an invalid scenario, a step label past its last step, or
+    an SNR offset or sweep value that makes it invalid raises SchemaMismatch.
     """
     base_config = load_scenario(spec.scenario_path)
     report = validate(base_config)
@@ -482,17 +443,18 @@ def campaign_configs(spec: ExperimentSpec):
     _check_step_labels(spec, base_config.num_steps)
     if spec.snr_db_offset:
         base_config = base_config.with_snr_offset_db(spec.snr_db_offset)
-    if not spec.sweep_parameter:
-        return base_config, {0.0: base_config}
+    parameter = spec.sweep_parameter
     configs = {}
-    for value in spec.sweep_values:
-        config = _apply_sweep(base_config, spec.sweep_parameter, value)
+    for value in spec.sweep_values if parameter else (0.0,):
+        name = f"{parameter} sweep value {_fmt(value)}" if parameter else "snr-db-offset"
+        config = _apply_sweep(base_config, parameter, value) if parameter else base_config
+        # An SNR shift can take the noise variance out of its entry's range.
+        check(
+            SCENARIO["noise-variance"], f"{name}: noise-variance", config.noise_variance
+        )
         report = validate(config)
         if not report.ok:
-            raise SchemaMismatch(
-                f"{spec.sweep_parameter} sweep value {_fmt(value)} makes the "
-                f"scenario invalid:\n{report}"
-            )
+            raise SchemaMismatch(f"{name} makes the scenario invalid:\n{report}")
         configs[value] = config
     return base_config, configs
 

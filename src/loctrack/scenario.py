@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ from .errors import (
     SamplingUnsupported,
     SchemaMismatch,
 )
+from .schema import Field, enum, is_number, read
 
 PRIOR_L2 = "l2-squared"
 PRIOR_L1 = "l1-norm"
@@ -64,9 +64,7 @@ class ExplicitPhases:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_array(self.values))
 
 
 @dataclass(frozen=True)
@@ -92,18 +90,6 @@ class RandomPhases:
 
 
 PhaseProfile = ExplicitPhases | AlignedPhases | RandomPhases
-
-
-def _phase_profile_from_json(obj) -> PhaseProfile:
-    if isinstance(obj, list):
-        return ExplicitPhases(np.asarray(obj, dtype=float))
-    if isinstance(obj, dict):
-        policy = obj.get("policy")
-        if policy == "aligned":
-            return AlignedPhases()
-        if policy == "random":
-            return RandomPhases(_json_int(obj, "seed", 0))
-    raise SchemaMismatch(f"unrecognised ris-phase-profiles entry: {obj!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +212,10 @@ class ScenarioConfig:
 
     # -- sweep helpers -----------------------------------------------------
 
-    def with_noise_variance(self, value: float) -> "ScenarioConfig":
-        return dataclasses.replace(self, noise_variance=float(value))
-
     def with_snr_offset_db(self, offset_db: float) -> "ScenarioConfig":
         """Scale the noise variance down by ``offset_db`` decibels."""
-        return self.with_noise_variance(
-            self.noise_variance * 10.0 ** (-offset_db / 10.0)
-        )
+        noise = self.noise_variance * 10.0 ** (-offset_db / 10.0)
+        return dataclasses.replace(self, noise_variance=float(noise))
 
     def with_spatial_precision(self, value: float) -> "ScenarioConfig":
         precision = tuple(
@@ -426,40 +408,17 @@ class ValidationReport:
 
 
 def validate(config: ScenarioConfig) -> ValidationReport:
-    """Semantic checks on a scenario. Collects problems, never raises."""
+    """Checks across fields (``SCENARIO`` checks each value on its own):
+    shapes against K, R and T, edges inside the user range, pilot length
+    against K, SPD transition covariances and RIS separation."""
     bad: list[str] = []
     K, R, T = config.num_users, config.num_ris, config.num_steps
 
-    if K < 1:
-        bad.append(f"num-users must be >= 1, got {K}")
-    if R < 1:
-        bad.append(f"num-ris must be >= 1, got {R}")
-    if T < 1:
-        bad.append(f"num-steps must be >= 1, got {T}")
-    if config.n_bs_antennas < 1:
-        bad.append("n-bs-antennas must be >= 1")
-    if config.n_ris_elements < 1:
-        bad.append("n-ris-elements must be >= 1")
-    if config.carrier_frequency_hz <= 0:
-        bad.append("carrier-frequency-hz must be positive")
-    if config.noise_variance <= 0:
-        bad.append("noise-variance must be positive")
-    if config.transmit_power <= 0:
-        bad.append("transmit-power must be positive")
     if config.pilot_length < K:
         bad.append(
             f"pilot-length {config.pilot_length} shorter than user count {K}; "
             "orthogonal pilots are infeasible"
         )
-    if config.rician_factor_br < 0 or config.rician_factor_ru < 0:
-        bad.append("rician factors must be nonnegative")
-    if config.prior_kind not in (PRIOR_L2, PRIOR_L1):
-        bad.append(f"unknown prior-kind {config.prior_kind!r}")
-    if (
-        config.first_step_anchor_variance is not None
-        and config.first_step_anchor_variance <= 0
-    ):
-        bad.append("first-step-anchor-variance must be positive or null")
 
     if config.bs_position.shape != (2,):
         bad.append(f"bs-position must be a 2-vector, got {config.bs_position.shape}")
@@ -472,14 +431,6 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             f"user-initial-positions must have shape ({K}, 2), "
             f"got {config.user_initial_positions.shape}"
         )
-    for name, arr in (
-        ("bs-position", config.bs_position),
-        ("ris-positions", config.ris_positions),
-        ("user-initial-positions", config.user_initial_positions),
-    ):
-        if not np.all(np.isfinite(arr)):
-            bad.append(f"{name} contains non-finite values")
-
     if config.ris_positions.shape == (R, 2) and config.user_initial_positions.shape == (
         K,
         2,
@@ -510,9 +461,6 @@ def validate(config: ScenarioConfig) -> ValidationReport:
                     bad.append(f"step {t}: self-loop edge ({i}, {i})")
                 if not (0 <= i < K and 0 <= j < K):
                     bad.append(f"step {t}: edge ({i}, {j}) outside user range")
-            for c in prec:
-                if not (c >= 0.0 and math.isfinite(c)):
-                    bad.append(f"step {t}: spatial precision {c} invalid")
     if len(config.spatial_precision) != T:
         bad.append(
             "spatial-precision must list "
@@ -526,30 +474,24 @@ def validate(config: ScenarioConfig) -> ValidationReport:
             f"got {config.temporal_covariance.shape}"
         )
     else:
-        finite = np.all(np.isfinite(config.temporal_covariance), axis=(-2, -1))
-        q = np.where(finite[..., None, None], config.temporal_covariance, 0.0)
+        q = config.temporal_covariance
         q_t = np.swapaxes(q, -1, -2)
         scale = np.maximum(np.linalg.norm(q, axis=(-2, -1)), 1e-300)
         symmetric = np.linalg.norm(q - q_t, axis=(-2, -1)) <= 1e-12 * scale
         positive = np.linalg.eigvalsh(0.5 * (q + q_t))[..., 0] > 0
-        for t, k in zip(*np.nonzero(~(finite & symmetric & positive))):
-            if not finite[t, k]:
-                bad.append(f"transition covariance ({t}, {k}) non-finite")
-            elif not symmetric[t, k]:
+        for t, k in zip(*np.nonzero(~(symmetric & positive))):
+            if not symmetric[t, k]:
                 bad.append(f"transition covariance ({t}, {k}) not symmetric")
             else:
                 bad.append(f"transition covariance ({t}, {k}) not positive definite")
 
     profile = config.ris_phase_profiles
-    if isinstance(profile, ExplicitPhases):
-        want = (T, R, config.n_ris_elements)
-        if profile.values.shape != want:
-            bad.append(
-                f"explicit ris-phase-profiles must have shape {want}, "
-                f"got {profile.values.shape}"
-            )
-        elif not np.all(np.isfinite(profile.values)):
-            bad.append("explicit ris-phase-profiles contain non-finite values")
+    want = (T, R, config.n_ris_elements)
+    if isinstance(profile, ExplicitPhases) and profile.values.shape != want:
+        bad.append(
+            f"explicit ris-phase-profiles must have shape {want}, "
+            f"got {profile.values.shape}"
+        )
 
     for name, arr in (
         ("bs-ris-gains", config.bs_ris_gains),
@@ -807,127 +749,94 @@ def _sample_l1_mcmc(
 # JSON reader
 
 
-def is_integer(value) -> bool:
-    """The rule for every integer in a JSON input: no bool, no float."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+_PHASE_POLICY = {"policy": Field(enum("aligned", "random")), "seed": Field("index", 0)}
+
+# One entry per scenario key; ``validate`` adds the rules across keys.
+SCENARIO = {
+    "bs-position": Field("array"),
+    "ris-positions": Field("array"),
+    "user-initial-positions": Field("array"),
+    "num-users": Field("count"),
+    "num-ris": Field("count"),
+    "num-steps": Field("count"),
+    "n-bs-antennas": Field("count"),
+    "n-ris-elements": Field("count"),
+    "carrier-frequency-hz": Field("positive"),
+    "path-loss-exponent": Field("number"),
+    "rician-factor-br": Field("nonnegative"),
+    "rician-factor-ru": Field("nonnegative"),
+    "noise-variance": Field("positive"),
+    "transmit-power": Field("positive"),
+    "pilot-length": Field("count"),
+    "ris-phase-profiles": Field("array", table=_PHASE_POLICY),
+    "spatial-edges": Field("nested", of="index"),
+    "spatial-precision": Field("nested", of="nonnegative"),
+    "temporal-covariance": Field("array"),
+    "prior-kind": Field(enum(PRIOR_L2, PRIOR_L1)),
+    "first-step-anchor-variance": Field("positive", 1.0, null=True),
+    "bs-ris-gains": Field("array", None, null=True),
+    "bs-ris-aoa": Field("array", None, null=True),
+    "bs-ris-aod": Field("array", None, null=True),
+}
 
 
-def _json_int(obj: dict, key: str, default=None) -> int:
-    """``obj[key]`` as an int; ``scenario_from_json`` reports the ValueError."""
-    value = obj.get(key, default)
-    if not is_integer(value):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _is_pair(edge) -> bool:
+    return isinstance(edge, list) and len(edge) == 2 and not any(
+        isinstance(i, list) for i in edge
+    )
 
 
-_REQUIRED_KEYS = (
-    "bs-position",
-    "ris-positions",
-    "user-initial-positions",
-    "num-users",
-    "num-ris",
-    "num-steps",
-    "n-bs-antennas",
-    "n-ris-elements",
-    "carrier-frequency-hz",
-    "path-loss-exponent",
-    "rician-factor-br",
-    "rician-factor-ru",
-    "noise-variance",
-    "transmit-power",
-    "pilot-length",
-    "ris-phase-profiles",
-    "spatial-edges",
-    "spatial-precision",
-    "temporal-covariance",
-    "prior-kind",
-)
+def _per_step(key: str, raw, T: int, is_item) -> list:
+    """One list for every step, or one list per step, as a list per step."""
+    if isinstance(raw, list) and all(map(is_item, raw)):
+        return [raw] * T
+    if not (isinstance(raw, list) and all(
+        isinstance(step, list) and all(map(is_item, step)) for step in raw
+    )):
+        raise SchemaMismatch(
+            f"scenario JSON has a malformed value: {key} must be one list for "
+            "every step or one list per step"
+        )
+    return raw
 
 
 def scenario_from_json(obj: dict) -> ScenarioConfig:
-    """Build a scenario from the documented kebab-case JSON mapping.
+    """Build a scenario from its JSON mapping, each value checked by ``SCENARIO``."""
+    v = read(SCENARIO, obj, "scenario JSON")
+    T, K = v["num-steps"], v["num-users"]
 
-    Missing keys and unconvertible values raise SchemaMismatch.
-    """
-    missing = [key for key in _REQUIRED_KEYS if key not in obj]
-    if missing:
-        raise SchemaMismatch(f"scenario JSON missing keys: {', '.join(missing)}")
-    try:
-        return _config_from_json(obj)
-    except (TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"scenario JSON has a malformed value: {exc}") from exc
-
-
-def _config_from_json(obj: dict) -> ScenarioConfig:
-    T = _json_int(obj, "num-steps")
-    K = _json_int(obj, "num-users")
-
-    edges_raw = obj["spatial-edges"]
-    if edges_raw and edges_raw[0] and isinstance(edges_raw[0][0], (int, float)):
-        # one flat edge list applied at every step
-        per_step_edges = [edges_raw for _ in range(T)]
+    edges = _per_step("spatial-edges", v["spatial-edges"], T, _is_pair)
+    prec = v["spatial-precision"]
+    if isinstance(prec, list):
+        prec = _per_step("spatial-precision", prec, T, is_number)
     else:
-        per_step_edges = edges_raw if edges_raw else [[] for _ in range(T)]
+        prec = [[prec] * len(step_edges) for step_edges in edges]
 
-    prec_raw = obj["spatial-precision"]
-    if isinstance(prec_raw, (int, float)):
-        per_step_prec = [
-            [float(prec_raw)] * len(step_edges) for step_edges in per_step_edges
-        ]
-    elif prec_raw and isinstance(prec_raw[0], (int, float)):
-        per_step_prec = [list(map(float, prec_raw)) for _ in range(T)]
-    else:
-        per_step_prec = prec_raw if prec_raw else [[] for _ in range(T)]
-
-    q_raw = obj["temporal-covariance"]
+    q = v["temporal-covariance"]
+    if q.shape == ():
+        q = q * np.eye(2)
     n_trans = max(T - 1, 0)
-    if isinstance(q_raw, (int, float)):
-        q = np.broadcast_to(float(q_raw) * np.eye(2), (n_trans, K, 2, 2)).copy()
+    if q.shape in ((2, 2), (K, 2, 2)):
+        q = np.broadcast_to(q, (n_trans, K, 2, 2)).copy()
+    elif q.shape != (n_trans, K, 2, 2):
+        raise SchemaMismatch(
+            "scenario JSON has a malformed value: temporal-covariance must be "
+            f"a scalar, a 2x2 matrix, a (K,2,2) array, or a ({n_trans},{K},2,2) "
+            f"array; got shape {q.shape}"
+        )
+
+    phases = v["ris-phase-profiles"]
+    if isinstance(phases, np.ndarray):
+        phases = ExplicitPhases(phases)
+    elif phases["policy"] == "aligned":
+        phases = AlignedPhases()
     else:
-        q_arr = np.asarray(q_raw, dtype=float)
-        if q_arr.shape == (2, 2):
-            q = np.broadcast_to(q_arr, (n_trans, K, 2, 2)).copy()
-        elif q_arr.shape == (K, 2, 2):
-            q = np.broadcast_to(q_arr[None, :, :, :], (n_trans, K, 2, 2)).copy()
-        elif q_arr.shape == (n_trans, K, 2, 2):
-            q = q_arr
-        else:
-            raise SchemaMismatch(
-                "temporal-covariance must be a scalar, a 2x2 matrix, a (K,2,2) "
-                f"array, or a ({n_trans},{K},2,2) array; got shape {q_arr.shape}"
-            )
+        phases = RandomPhases(phases["seed"])
 
-    anchor = obj.get("first-step-anchor-variance", 1.0)
-
-    def opt_array(key):
-        return None if obj.get(key) is None else np.asarray(obj[key], dtype=float)
-
-    return ScenarioConfig(
-        bs_position=np.asarray(obj["bs-position"], dtype=float),
-        ris_positions=np.asarray(obj["ris-positions"], dtype=float),
-        user_initial_positions=np.asarray(obj["user-initial-positions"], dtype=float),
-        num_users=K,
-        num_ris=_json_int(obj, "num-ris"),
-        num_steps=T,
-        n_bs_antennas=_json_int(obj, "n-bs-antennas"),
-        n_ris_elements=_json_int(obj, "n-ris-elements"),
-        carrier_frequency_hz=float(obj["carrier-frequency-hz"]),
-        path_loss_exponent=float(obj["path-loss-exponent"]),
-        rician_factor_br=float(obj["rician-factor-br"]),
-        rician_factor_ru=float(obj["rician-factor-ru"]),
-        noise_variance=float(obj["noise-variance"]),
-        transmit_power=float(obj["transmit-power"]),
-        pilot_length=_json_int(obj, "pilot-length"),
-        ris_phase_profiles=_phase_profile_from_json(obj["ris-phase-profiles"]),
-        spatial_edges=per_step_edges,
-        spatial_precision=per_step_prec,
-        temporal_covariance=q,
-        first_step_anchor_variance=None if anchor is None else float(anchor),
-        prior_kind=str(obj["prior-kind"]),
-        bs_ris_gains=opt_array("bs-ris-gains"),
-        bs_ris_aoa=opt_array("bs-ris-aoa"),
-        bs_ris_aod=opt_array("bs-ris-aod"),
-    )
+    v.update({"spatial-edges": edges, "spatial-precision": prec,
+              "temporal-covariance": q, "ris-phase-profiles": phases})
+    # Each key names the config field of the same name, with "_" for "-".
+    return ScenarioConfig(**{key.replace("-", "_"): value for key, value in v.items()})
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -936,6 +845,4 @@ def load_scenario(path: str) -> ScenarioConfig:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaMismatch(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise SchemaMismatch(f"{path}: scenario JSON must be an object")
     return scenario_from_json(obj)

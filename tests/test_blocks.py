@@ -90,7 +90,8 @@ def test_block_index_layout_matches_manual_embedding(rng):
     assert np.array_equal(bm.data, manual)
     for t in range(T):
         for k in range(K):
-            assert np.array_equal(bm.diag_block(t, k), blocks[t, k])
+            g = block_slice(block_index(t, k, K))
+            assert np.array_equal(bm.data[g, g], blocks[t, k])
 
 
 def test_add_edge_blocks_stamps_four_blocks(rng):

@@ -7,11 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import loctrack.cli as cli
 import loctrack.harness as harness
 from conftest import config_dict
+from loctrack import schema
+from loctrack.cli import STATIONARY
 from loctrack.errors import CampaignAborted
+from loctrack.harness import SPEC, SWEEP_VALUE
+from loctrack.scenario import SCENARIO
 
 
 @pytest.fixture()
@@ -143,7 +149,7 @@ def test_run_rejects_bad_disturbance_scale(tmp_path, monkeypatch, capsys, scale)
 
 
 @pytest.mark.parametrize("key", ["num-monte-carlo", "base-seed"])
-@pytest.mark.parametrize("value", ["abc", 2.7, True])
+@pytest.mark.parametrize("value", ["abc", 2.7, True, -5])
 def test_run_rejects_non_integer_counts(tmp_path, monkeypatch, capsys, key, value):
     rc, started = _run_recursion_spec(tmp_path, monkeypatch, **{key: value})
     assert (rc, started) == (2, 0)
@@ -160,6 +166,11 @@ def test_run_rejects_non_integer_counts(tmp_path, monkeypatch, capsys, key, valu
         ({"sweep": {"values": 5}}, "sweep.values must be a list"),
         ({"sweep": "abc"}, "sweep must be an object"),
         ({"disturbance": 5}, "disturbance must be an object"),
+        ({"disturbance": 0}, "disturbance must be an object"),
+        ({"sweep": []}, "sweep must be an object"),
+        ({"kind": "EOC_VS_SNR", "constant-from-step": "abc"},
+         "constant-from-step label 'abc'"),
+        ({"snr-db-ofset": 10.0}, "unknown keys: snr-db-ofset"),
     ],
 )
 def test_run_rejects_non_numeric_spec_values(
@@ -189,6 +200,19 @@ def test_run_rejects_non_numeric_spec_values(
          "seed must be an integer"),
         ("ris-phase-profiles", {"policy": "random", "seed": False},
          "seed must be an integer"),
+        ("ris-phase-profiles", {"policy": "random", "seed": -3},
+         "seed must be an integer"),
+        ("noise-variance", math.nan, "noise-variance must be a finite number"),
+        ("rician-factor-br", math.nan, "rician-factor-br must be a finite number"),
+        ("path-loss-exponent", math.nan, "path-loss-exponent must be a finite number"),
+        ("first-step-anchor-variance", math.nan,
+         "first-step-anchor-variance must be a finite number"),
+        ("transmit-power", math.inf, "transmit-power must be a finite number"),
+        ("bs-ris-gains", [math.nan] * 4, "bs-ris-gains must be numbers"),
+        ("carrier-frequency-hz", True, "carrier-frequency-hz must be a finite number"),
+        ("spatial-precision", True, "spatial-precision must be numbers"),
+        ("temporal-covariance", True, "temporal-covariance must be numbers"),
+        ("spatial-edges", [[0.7, 1]], "spatial-edges must be integers"),
     ],
 )
 def test_run_validates_scenario_before_any_run(
@@ -346,3 +370,128 @@ def test_emit_unknown_figure_rejected_by_parser(tmp_path):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+# ---------------------------------------------------------------------------
+# every key of every input table rejects what its kind does not admit
+
+MISSING = object()
+_MUTATIONS = {
+    "string": st.text(max_size=4),
+    "bool": st.booleans(),
+    "fraction": st.floats(0.01, 1e3).filter(lambda v: not v.is_integer()),
+    "nan": st.just(math.nan),
+    "inf": st.sampled_from([math.inf, -math.inf]),
+    "negative": st.one_of(st.integers(max_value=-1), st.floats(-1e6, -1e-6)),
+    "null": st.none(),
+    "missing": st.just(MISSING),
+}
+# The mutations each kind must reject. One it admits (a negative
+# path-loss exponent, a fractional noise variance) is not drawn for it.
+_INTEGER = ("string", "bool", "fraction", "nan", "inf", "negative")
+_REJECTS = {schema.KINDS[name]: rejects for name, rejects in {
+    "count": _INTEGER,
+    "index": _INTEGER,
+    "step": _INTEGER,
+    "number": ("string", "bool", "nan", "inf"),
+    "positive": ("string", "bool", "nan", "inf", "negative"),
+    "nonnegative": ("string", "bool", "nan", "inf", "negative"),
+    "path": ("bool", "fraction", "nan", "negative"),
+    "list": ("string", "bool", "fraction", "nan"),
+    "object": ("string", "bool", "fraction", "nan"),
+}.items()}
+_ENUM_REJECTS = ("string", "bool", "fraction", "nan")
+# Finite numbers, which the sweep list admits, that a sweep value rejects.
+# An SNR offset admits every finite number.
+_SWEEP_REJECTS = {
+    "sigma-s-inv2": _MUTATIONS["negative"],
+    "sigma-t-inv2": st.one_of(st.just(0.0), _MUTATIONS["negative"]),
+    "num-ris": st.one_of(st.just(0.0), _MUTATIONS["fraction"], _MUTATIONS["negative"]),
+}
+
+
+def _entries(name, table, prefix=()):
+    for key, field in table.items():
+        yield name, prefix + (key,), field
+        if field.table is not None:
+            yield from _entries(name, field.table, prefix + (key,))
+
+
+_ENTRIES = [
+    *_entries("scenario", SCENARIO),
+    *_entries("spec", SPEC),
+    *_entries("stationary", STATIONARY),
+    *[("sweep", (key,), field) for key, field in SWEEP_VALUE.items() if key != "snr-db"],
+]
+
+
+def _mutation(data, field):
+    """A value ``field`` must reject: the bad value itself, or a list
+    holding a bad item or leaf."""
+    kind = field.kind
+    if kind in (schema.NESTED, schema.ARRAY):
+        names, wrap = _REJECTS[field.of], data.draw(st.booleans())
+    elif kind is schema.LIST and data.draw(st.booleans()):
+        names, wrap = _REJECTS[field.of], True
+    else:
+        names, wrap = _REJECTS.get(kind, _ENUM_REJECTS), False
+    names += ("null",) * (not field.null)
+    names += ("missing",) * (field.default == schema.REQUIRED)
+    name = data.draw(st.sampled_from(names))
+    value = data.draw(_MUTATIONS[name])
+    if name == "string" and kind not in _REJECTS:  # an enum: not one of its choices
+        value = data.draw(st.text(max_size=4).filter(lambda v: not kind.admits(v)))
+    return [value] if wrap and value is not MISSING else value
+
+
+def _set(payload, path, value):
+    *parents, key = path
+    for parent in parents:
+        payload = payload[parent]
+    if value is MISSING:
+        del payload[key]
+    else:
+        payload[key] = value
+
+
+@pytest.mark.parametrize(
+    "table, path, field", _ENTRIES, ids=[f"{t}:{'.'.join(p)}" for t, p, _ in _ENTRIES]
+)
+@settings(max_examples=8, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_each_table_key_rejects_what_its_kind_does_not_admit(
+    tmp_path, monkeypatch, capsys, table, path, field, data
+):
+    scenario = config_dict(num_steps=3, ris_phase_profiles={"policy": "random", "seed": 1})
+    spec = {
+        "scenario": "scene.json", "kind": "EP_CONVERGENCE",
+        "sweep": {"parameter": "sigma-t-inv2", "values": [10.0]},
+        "num-monte-carlo": 2, "base-seed": 3, "output-dir": "campaign",
+        "snr-db-offset": 0.0, "disturbance": {"steps": [2], "scale": 0.5},
+        "constant-from-step": 2,
+    }
+    constants = {"m": [[1.0]], "t": [[1.0]]}
+    if table == "sweep":
+        kind = "EOC_VS_NUM_RIS" if path == ("num-ris",) else "EP_CONVERGENCE"
+        value = data.draw(_SWEEP_REJECTS[path[0]])
+        spec.update(kind=kind, sweep={"parameter": path[0], "values": [value]})
+    else:
+        value = _mutation(data, field)
+        _set({"scenario": scenario, "spec": spec, "stationary": constants}[table],
+             path, value)
+    for name, payload in (("scene", scenario), ("spec", spec), ("constants", constants)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    started = []
+    monkeypatch.setattr(harness, "_run_one", lambda *args: started.append(args))
+    monkeypatch.setattr(cli, "stationary_point", lambda *args: started.append(args))
+    capsys.readouterr()
+    if table == "stationary":
+        rc = cli.main(["stationary", str(tmp_path / "constants.json")])
+    else:
+        rc = cli.main(["run", str(tmp_path / "spec.json")])
+    message = capsys.readouterr().err
+    assert (rc, started) == (2, []), message
+    assert all(part in message for part in path), message
+    if table == "scenario":
+        assert cli.main(["validate", str(tmp_path / "scene.json")]) == 2

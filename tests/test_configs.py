@@ -1,12 +1,16 @@
 """Every shipped config passes the checks ``loctrack run`` makes before any
-run, and every shipped campaign runs end to end."""
+run, every shipped campaign runs end to end, and every key the shipped
+configs and the benchmark's generated inputs use is a table key."""
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from loctrack.harness import (
+    SPEC,
     campaign_configs,
     emit_figure_data,
     experiment_from_json,
@@ -14,11 +18,51 @@ from loctrack.harness import (
     run_experiment,
     write_outputs,
 )
-from loctrack.scenario import load_scenario, validate
+from loctrack.scenario import SCENARIO, load_scenario, validate
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 CAMPAIGNS = sorted(CONFIG_DIR.glob("fig*.json"))
+
+
+def _unknown_keys(payload: dict, table: dict, prefix: str = "") -> list:
+    unknown = []
+    for key, value in payload.items():
+        field = table.get(key)
+        if field is None:
+            unknown.append(prefix + key)
+        elif field.table is not None and isinstance(value, dict):
+            unknown += _unknown_keys(value, field.table, f"{prefix}{key}.")
+    return unknown
+
+
+def _benchmark_inputs(tmp_path, monkeypatch) -> list:
+    """Every scenario and spec file ``perfbench/run.py`` writes, full and
+    ``--tiny``, through its own ``write_inputs``."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    module_spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py"
+    )
+    run = importlib.util.module_from_spec(module_spec)
+    monkeypatch.setitem(sys.modules, module_spec.name, run)
+    module_spec.loader.exec_module(run)
+    for name, workload in run.WORKLOADS.items():
+        for tiny in (False, True):
+            run.write_inputs(workload, 1, tmp_path / f"{name}-{tiny}", tiny)
+    return sorted(tmp_path.glob("*/*.json"))
+
+
+def test_every_input_key_is_a_table_key(tmp_path, monkeypatch):
+    """Unknown keys exit 2, so a key the tables lack would stop a shipped
+    campaign or a benchmark workload."""
+    unknown = {}
+    for path in CONFIGS + _benchmark_inputs(tmp_path, monkeypatch):
+        payload = json.loads(path.read_text())
+        keys = _unknown_keys(payload, SPEC if "kind" in payload else SCENARIO)
+        if keys:
+            unknown[str(path)] = keys
+    assert not unknown
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)

@@ -44,32 +44,31 @@ def make_spec(scenario_file, tmp_path, **overrides):
     return ExperimentSpec(**base)
 
 
-def test_spec_validation(scenario_file, tmp_path):
-    with pytest.raises(SchemaMismatch):
-        make_spec(scenario_file, tmp_path, kind="EOC_VS_MOON_PHASE")
-    with pytest.raises(SchemaMismatch):
-        make_spec(scenario_file, tmp_path, num_monte_carlo=0)
-    with pytest.raises(SchemaMismatch):
-        make_spec(scenario_file, tmp_path, sweep_values=(10.0, 0.0))
-    with pytest.raises(SchemaMismatch):
-        make_spec(scenario_file, tmp_path, sweep_values=(0.0, float("nan")))
-    with pytest.raises(SchemaMismatch):
-        make_spec(scenario_file, tmp_path, sweep_parameter=None)
-    with pytest.raises(SchemaMismatch):
-        make_spec(scenario_file, tmp_path, sweep_values=())
-    with pytest.raises(SchemaMismatch):
-        make_spec(
-            scenario_file,
-            tmp_path,
-            kind="EOC_VS_NUM_RIS",
-            sweep_parameter="snr-db",
-        )
-    none_swept = make_spec(
-        scenario_file,
-        tmp_path,
-        kind="TRAJECTORY",
-        sweep_parameter=None,
-        sweep_values=(),
+def test_spec_validation(tmp_path):
+    """The spec reader rejects each malformed spec; an unswept TRAJECTORY
+    spec is fine."""
+    payload = {
+        "scenario": "scene.json",
+        "kind": "EOC_VS_SNR",
+        "sweep": {"parameter": "snr-db", "values": [0.0, 10.0]},
+        "num-monte-carlo": 3,
+        "base-seed": 11,
+        "output-dir": "out",
+    }
+    for change in (
+        {"kind": "EOC_VS_MOON_PHASE"},
+        {"num-monte-carlo": 0},
+        {"sweep": {"parameter": "snr-db", "values": [10.0, 0.0]}},
+        {"sweep": {"parameter": "snr-db", "values": [0.0, float("nan")]}},
+        {"sweep": {"values": [0.0, 10.0]}},
+        {"sweep": {"parameter": "snr-db", "values": []}},
+        {"kind": "EOC_VS_NUM_RIS"},
+    ):
+        with pytest.raises(SchemaMismatch):
+            experiment_from_json({**payload, **change}, base_dir=str(tmp_path))
+    unswept = {k: v for k, v in payload.items() if k != "sweep"}
+    none_swept = experiment_from_json(
+        {**unswept, "kind": "TRAJECTORY"}, base_dir=str(tmp_path)
     )
     assert none_swept.sweep_values == ()
 
