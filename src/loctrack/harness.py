@@ -344,7 +344,9 @@ def _run_recursion_point(config: ScenarioConfig, seed: int, spec: ExperimentSpec
         out.append((t_idx + 1, 0, "bcrb-mean", state.bcrb_mean))
         out.append((t_idx + 1, 0, "eoc-mean", state.eoc_mean))
     if with_theory and constant0 is not None:
-        inputs = constant_inputs(
+        # Undisturbed steps after the first stepped on the frozen inputs.
+        frozen = [s.inputs for s in states[1:] if s.t + 1 not in spec.disturbance_steps]
+        inputs = frozen[0] if frozen else constant_inputs(
             config, trajectory, step=constant0, trajectory_ensemble=ensemble
         )
         point = stationary_point(inputs.m_full, inputs.gamma_full)

@@ -9,16 +9,19 @@ where D_t stacks each user's own information (measurement + spatial diagonal
 + transition precision), O_t the positive spatial couplings of the slice,
 and G_{t-1} the information loss carried over the temporal link. Each
 step reports the normalised trace of the efficiency slice
-E_t = I - D_t^{-1} (O_t + G_{t-1}) and the slack of the Loewner condition
-D_t >= J_{t-1} + O_t + G_{t-1}, under which J_t >= J_{t-1}. A disturbance
-is a scale on one step's measurement blocks, applied by ``run_recursion``.
+E_t = I - D_t^{-1} (O_t + G_{t-1}) and, computed on first read, the slack
+of the Loewner condition D_t >= J_{t-1} + O_t + G_{t-1}, under which
+J_t >= J_{t-1}. A disturbance is a scale on one step's measurement blocks,
+applied by ``run_recursion``.
 
 Everything but the carry G_{t-1} is fixed by the step's own inputs, so it
 is prepared once per distinct input (``step_inputs``): D_t, its block
 inverse, O_t and the block-diagonal Gamma. ``recursive_step`` then does
-only the work that depends on J_{t-1}. Under constant inputs a run
-prepares at most three inputs (the first step, the ordinary steps and the
-disturbed steps); otherwise it prepares one per step.
+only the work that depends on J_{t-1}, calling LAPACK's ``dpotrf`` and
+``dpotrs`` directly (bitwise equal to scipy's ``cho_factor``/``cho_solve``,
+which wrap them). Under constant inputs a run prepares at most three inputs
+(the first step, the ordinary steps and the disturbed steps); otherwise it
+prepares one per step.
 
 ``constant_inputs`` freezes one step's inputs as that same ``StepInputs``:
 the ordinary steps of a constant-input run step on it, and the stationary
@@ -37,10 +40,11 @@ j = (m + sqrt(m^2 + 4 m tau)) / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.linalg as npl
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lapack
 
 from .blocks import (
     block_diag,
@@ -82,44 +86,55 @@ LOEWNER_SLACK = 1e-10
 class RecursiveState:
     """One step of the information recursion.
 
-    ``efim`` is the (2K, 2K) per-step equivalent information; ``nominal``
-    the (K, 2, 2) own-information blocks; ``temporal_carry`` the loss G
-    carried over the temporal link; ``eoc_mean`` the normalised trace of
-    the efficiency slice E = I - D^{-1}(O + G). The slice trace only sees
+    ``efim`` is the (2K, 2K) per-step equivalent information; ``inputs`` the
+    ``StepInputs`` the step ran on, whose ``nominal`` (K, 2, 2)
+    own-information blocks the state also exposes; ``temporal_carry`` the
+    loss G carried over the temporal link; ``eoc_mean`` the normalised trace
+    of the efficiency slice E = I - D^{-1}(O + G). The slice trace only sees
     block-diagonal coupling (the temporal carry), which is the dominant
     loss channel while tracking; a user's marginal efficiency
     D_k^{-1} ([J^{-1}]_kk)^{-1} also sees the spatial part.
-    ``condition_satisfied`` and ``slack`` report the Loewner condition
+    ``previous_efim`` is J_{t-1}. ``condition_satisfied`` and ``slack``,
+    computed on first read, report the Loewner condition
     D_t >= J_{t-1} + O_t + G_{t-1}; ``slack`` is the smallest eigenvalue of
     the difference (infinite at step 0, which has no predecessor).
     """
 
     t: int
     efim: np.ndarray
-    nominal: np.ndarray
+    inputs: StepInputs
     temporal_carry: np.ndarray
     bcrb_mean: float
     eoc_mean: float
-    condition_satisfied: bool
-    slack: float
+    previous_efim: np.ndarray | None
+
+    @property
+    def nominal(self) -> np.ndarray:
+        return self.inputs.nominal
 
     @property
     def n_users(self) -> int:
         return self.nominal.shape[0]
 
+    @cached_property
+    def _loewner(self) -> tuple[bool, float]:
+        """Whether D_t >= J_{t-1} + O_t + G_{t-1} holds, and its slack."""
+        if self.previous_efim is None:
+            return True, float("inf")
+        own, off = self.inputs.nominal_full, self.inputs.off
+        diff = symmetrize(own - (self.previous_efim + off + self.temporal_carry))
+        eigs = npl.eigvalsh(diff)
+        slack = float(eigs[0])
+        scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+        return slack >= -LOEWNER_SLACK * max(scale, 1.0), slack
 
-def _loewner_check(
-    nominal_full: np.ndarray,
-    prev_efim: np.ndarray,
-    spatial_off: np.ndarray,
-    carry: np.ndarray,
-) -> tuple[bool, float]:
-    """Whether D_t >= J_{t-1} + O_t + G_{t-1} holds, and its slack."""
-    diff = symmetrize(nominal_full - (prev_efim + spatial_off + carry))
-    eigs = npl.eigvalsh(diff)
-    slack = float(eigs[0])
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return slack >= -LOEWNER_SLACK * max(scale, 1.0), slack
+    @property
+    def condition_satisfied(self) -> bool:
+        return self._loewner[0]
+
+    @property
+    def slack(self) -> float:
+        return self._loewner[1]
 
 
 def _temporal_carry(prev_efim: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -215,34 +230,31 @@ def recursive_step(prev: RecursiveState | None, inputs: StepInputs) -> Recursive
             "the first step takes no transition precision and every later "
             "step needs one"
         )
+    eye = np.eye(2 * K)
     if prev is None:
         t = 0
         carry = np.zeros((2 * K, 2 * K))
-        satisfied, slack = True, float("inf")
     else:
         t = prev.t + 1
         carry = _temporal_carry(prev.efim, inputs.gamma_full)
-        satisfied, slack = _loewner_check(
-            inputs.nominal_full, prev.efim, inputs.off, carry
-        )
     efim = symmetrize(inputs.nominal_full - inputs.off - carry)
-    efficiency = np.eye(2 * K) - inputs.nominal_inv_full @ (inputs.off + carry)
+    efficiency = eye - inputs.nominal_inv_full @ (inputs.off + carry)
 
-    try:
-        chol = cho_factor(efim, lower=True)
-    except npl.LinAlgError as exc:
-        raise SingularState(f"recursive EFIM at step {t} lost positivity") from exc
-    inverse = cho_solve(chol, np.eye(2 * K))
+    # dpotrf reports success on a NaN diagonal, so non-finite entries are
+    # rejected (ValueError) before it runs.
+    chol, info = lapack.dpotrf(np.asarray_chkfinite(efim), lower=1, clean=0)
+    if info != 0:
+        raise SingularState(f"recursive EFIM at step {t} lost positivity")
+    inverse, _ = lapack.dpotrs(chol, eye, lower=1)
 
     return RecursiveState(
         t=t,
         efim=efim,
-        nominal=inputs.nominal,
+        inputs=inputs,
         temporal_carry=carry,
-        bcrb_mean=float(np.trace(inverse)) / (2 * K),
-        eoc_mean=float(np.trace(efficiency)) / (2 * K),
-        condition_satisfied=satisfied,
-        slack=slack,
+        bcrb_mean=float(inverse.trace()) / (2 * K),
+        eoc_mean=float(efficiency.trace()) / (2 * K),
+        previous_efim=None if prev is None else prev.efim,
     )
 
 

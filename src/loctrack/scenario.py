@@ -829,6 +829,11 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
     if isinstance(phases, np.ndarray):
         phases = ExplicitPhases(phases)
     elif phases["policy"] == "aligned":
+        if "seed" in obj["ris-phase-profiles"]:
+            raise SchemaMismatch(
+                "scenario JSON has a key that does not apply: "
+                "ris-phase-profiles.seed (the aligned policy draws no phases)"
+            )
         phases = AlignedPhases()
     else:
         phases = RandomPhases(phases["seed"])

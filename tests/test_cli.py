@@ -213,6 +213,8 @@ def test_run_rejects_non_numeric_spec_values(
         ("spatial-precision", True, "spatial-precision must be numbers"),
         ("temporal-covariance", True, "temporal-covariance must be numbers"),
         ("spatial-edges", [[0.7, 1]], "spatial-edges must be integers"),
+        ("ris-phase-profiles", {"policy": "aligned", "seed": 3},
+         "ris-phase-profiles.seed"),
     ],
 )
 def test_run_validates_scenario_before_any_run(

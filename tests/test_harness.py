@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import loctrack.harness as harness
+import loctrack.recursive as recursive
 from conftest import config_dict
 from loctrack.errors import CampaignAborted, SchemaMismatch, SingularEfim
 from loctrack.harness import (
@@ -21,6 +22,7 @@ from loctrack.harness import (
     trend_warnings,
     write_outputs,
 )
+from loctrack.scenario import scenario_from_json
 
 
 @pytest.fixture()
@@ -362,6 +364,41 @@ def test_emit_convergence_figure(scenario_file, tmp_path):
     # theory column is constant within one sweep value
     thirds = {r.split(",")[1]: r.split(",")[4] for r in rows}
     assert len(thirds) == 2
+
+
+@pytest.mark.parametrize(
+    "num_steps, disturbed, builds",
+    [(6, (), 1), (6, (6,), 1), (6, (2, 3, 4, 5, 6), 2), (2, (2,), 2)],
+)
+def test_theory_row_reads_the_undisturbed_frozen_inputs(
+    tmp_path, monkeypatch, num_steps, disturbed, builds
+):
+    """``theory-bcrb-star`` is the fixed point of the frozen inputs
+    ``constant_inputs`` builds, also when a disturbance covers the last step.
+    The run's own frozen inputs are reused; they are built a second time only
+    when every step after the first is disturbed."""
+    config = scenario_from_json(config_dict(num_steps=num_steps))
+    spec = make_spec(
+        "unused", tmp_path, kind="EP_CONVERGENCE", sweep_parameter="sigma-t-inv2",
+        sweep_values=(1.0,), disturbance_steps=disturbed, disturbance_scale=0.25,
+    )
+    trajectory, _ = harness._draw(config, 3)
+    inputs = recursive.constant_inputs(config, trajectory, step=1)
+    j_star = recursive.stationary_point(inputs.m_full, inputs.gamma_full).j_star
+    want = float(np.trace(np.linalg.inv(j_star))) / j_star.shape[0]
+
+    calls = []
+    real = recursive.constant_inputs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(recursive, "constant_inputs", counting)
+    monkeypatch.setattr(harness, "constant_inputs", counting)
+    rows = harness._run_recursion_point(config, 3, spec, with_theory=True)
+    assert rows[-1] == (0, 0, "theory-bcrb-star", want)
+    assert len(calls) == builds
 
 
 def test_emit_asymptotic_figures(scenario_file, tmp_path):

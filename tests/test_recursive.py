@@ -171,6 +171,38 @@ def test_prepared_steps_match_per_step_reference(
         assert state.condition_satisfied == satisfied
 
 
+def test_slack_is_computed_on_first_read(monkeypatch):
+    """``run_recursion`` runs no eigen-check; the first read of ``slack`` runs
+    it once per step after the first (a second read reuses it), and it
+    equals the per-step formulas."""
+    config, traj = random_scenario(np.random.default_rng(5), num_steps=5)
+    want = reference_recursion(config, traj, None, set(), 1.0)
+    calls = []
+    real = npl.eigvalsh
+    monkeypatch.setattr(npl, "eigvalsh", lambda a: calls.append(a) or real(a))
+    states = run_recursion(config, traj)
+    assert calls == []
+    for state, (*_, satisfied, slack) in zip(states, want):
+        assert state.slack == slack
+        assert state.condition_satisfied == satisfied
+        assert state.slack == slack
+    assert len(calls) == config.num_steps - 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_step_input_raises_value_error(bad):
+    """A non-finite EFIM is rejected before the factorisation, which would
+    take a NaN diagonal as positive, so no NaN ``bcrb_mean`` comes out."""
+    lam = np.stack([np.eye(2)] * 2)
+    poisoned = lam.copy()
+    poisoned[0, 0, 0] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        recursive_step(None, step_inputs(0, poisoned, np.eye(4), None))
+    first = recursive_step(None, step_inputs(0, lam, np.eye(4), None))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        recursive_step(first, step_inputs(1, poisoned, np.eye(4), lam))
+
+
 def test_per_user_accessor_and_series():
     """The shipped toy at +30 dB: the last step's walk contracts, so both the
     series and the pencil spectrum are checked for every user."""
