@@ -20,7 +20,9 @@ Stand-ins 1e3 and 1e-3 replace the actual limits, so each regime needs the
 measurement information on the right side of its stand-in: the decoupled
 limit wants measurements strong against the 1e-3 residual coupling (here
 +70 dB over stock), the fused limit wants them weak against the 1e3
-coupling yet strong enough to seat the consensus fixed point (+30 dB), and
+coupling yet strong enough to seat the consensus fixed point (+30 dB; at
+stock SNR the coupling swamps them and the finite system fails the SPD
+test of the closed-form fixed point, raising NotSpd), and
 the frozen-trajectory limit runs at stock SNR, where the slice walk is too
 slowly mixing for the series cross-check (reported as absent, not wrong).
 """

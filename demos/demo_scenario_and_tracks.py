@@ -5,29 +5,23 @@ Scenario setup, validation, and user tracks
 
 Loads the stock deployment from ``configs/paper_baseline.json`` (one base
 station, four reflecting surfaces on a vertical line, three users), runs
-the semantic validator, then generates user tracks two ways:
+the semantic validator, assembles the joint prior precision the bound
+assumes, then generates user tracks with the generative motion model
+(anchor draw + Gaussian random walk), which is what the experiment
+campaigns simulate.
 
-1. the generative motion model (anchor draw + Gaussian random walk), which
-   is what the experiment campaigns simulate;
-2. an exact draw from the full spatio-temporal prior, which is what the
-   bound assumes.
-
-The second one visibly pulls the users toward their centroid because the
-spatial coupling term at sigma_s^-2 = 10 dwarfs the anchor over ~10 m user
-separations. That contrast is worth seeing once before trusting either.
+The tracks are not drawn from the joint prior: its spatial coupling term
+at sigma_s^-2 = 10 would pull the users toward their centroid, and the
+campaigns keep that coupling on the analysis side, in the bound.
 """
 
 import os
 
 import numpy as np
 
-from loctrack.scenario import (
-    joint_precision,
-    load_scenario,
-    random_walk_trajectory,
-    sample_trajectory,
-    validate,
-)
+from loctrack.blocks import chain_matrix
+from loctrack.fim import prior_fim
+from loctrack.scenario import load_scenario, random_walk_trajectory, validate
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(HERE, os.pardir, "configs")
@@ -53,10 +47,14 @@ print(f"noise variance: {config.noise_variance}, "
 report = validate(config)
 print(f"validation: {'ok' if report.ok else report.violations}")
 
-# The joint prior precision is SPD once the first-step anchor is present.
-J_prior = joint_precision(config)
-print(f"joint prior precision side: {J_prior.data.shape[0]} "
-      f"(= 2 x T x K), symmetric: {np.array_equal(J_prior.data, J_prior.data.T)}")
+# The joint prior precision: per-step spatial slices (the first-step anchor
+# folded into step 0) chained by the transition precisions. It is SPD once
+# the anchor is present.
+pf = prior_fim(config)
+J_prior = chain_matrix(pf.spatial_slices, pf.temporal).data
+print(f"joint prior precision side: {J_prior.shape[0]} "
+      f"(= 2 x T x K), symmetric: {np.array_equal(J_prior, J_prior.T)}, "
+      f"smallest eigenvalue: {np.linalg.eigvalsh(J_prior)[0]:.3e}")
 
 # =========================================================================
 # GENERATIVE TRACKS (what campaigns simulate)
@@ -80,24 +78,3 @@ step_sizes = np.linalg.norm(np.diff(walk.positions, axis=0), axis=2)
 rayleigh_mean = np.sqrt(0.1 * np.pi / 2)
 print(f"mean step size {step_sizes.mean():.3f} m "
       f"(Rayleigh mean sqrt(0.1 pi/2) = {rayleigh_mean:.3f} for Q = 0.1 I)")
-
-# =========================================================================
-# EXACT PRIOR DRAW (what the bound assumes)
-# =========================================================================
-
-exact = sample_trajectory(config, seed=2024)
-
-print()
-print("=" * 70)
-print("EXACT PRIOR DRAW (same seed)")
-print("=" * 70)
-spread_walk = np.linalg.norm(
-    walk.positions - walk.positions.mean(axis=1, keepdims=True), axis=2
-).mean()
-spread_exact = np.linalg.norm(
-    exact.positions - exact.positions.mean(axis=1, keepdims=True), axis=2
-).mean()
-print(f"mean distance from per-step centroid: walk {spread_walk:.2f} m, "
-      f"exact prior {spread_exact:.2f} m")
-print("the spatial potential compresses the exact draw; the campaigns use")
-print("the walk and keep the coupled prior on the analysis side")

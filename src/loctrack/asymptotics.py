@@ -18,9 +18,11 @@ Three regimes of the constant-input recursion admit closed forms:
 Each limit takes a scenario config and trajectory, freezes the recursion
 inputs with ``recursive.constant_inputs`` (the same ``StepInputs`` the
 recursion steps on), and checks the closed form against the
-finite-parameter recursion on inputs frozen again at a documented stand-in
+finite-parameter system on inputs frozen again at a documented stand-in
 value (1e3 for "infinite", 1e-3 for "zero"); reports carry both sides and
-their relative trace gaps.
+their relative trace gaps. The spatial limits take the finite side from
+the closed-form fixed point ``recursive.stationary_point``, which raises
+NotSpd when the stand-in leaves M or T outside its SPD test.
 """
 
 from __future__ import annotations
@@ -32,13 +34,8 @@ import numpy.linalg as npl
 
 from .blocks import diag_blocks, neumann_diag_block
 from .errors import DimensionMismatch
-from .recursive import (
-    StepInputs,
-    _temporal_carry,
-    constant_inputs,
-    iterate_to_convergence,
-    stationary_point,
-)
+from .coupling import coupling_spectral_radius
+from .recursive import StepInputs, _temporal_carry, constant_inputs, stationary_point
 from .scenario import ScenarioConfig, Trajectory
 
 __all__ = [
@@ -57,11 +54,6 @@ ASYMPTOTIC_SMALL = 1e-3
 REGIME_SPATIAL_ZERO = "spatial-zero"
 REGIME_SPATIAL_INF = "spatial-inf"
 REGIME_TEMPORAL_INF = "temporal-inf"
-
-# Iteration budget for the finite-parameter stationary computations; weak
-# measurement modes contract slowly, so the budget is generous.
-_ITER_STEPS = 20_000
-_ITER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -140,10 +132,8 @@ def limit_spatial_zero(
     )
 
     finite = constant_inputs(config.with_spatial_precision(finite_value), trajectory)
-    run = iterate_to_convergence(
-        finite.m_full, finite.gamma_full, max_steps=_ITER_STEPS, tol=_ITER_TOL
-    )
-    empirical = _per_user_blocks(run.j_limit, K)
+    j_star = stationary_point(finite.m_full, finite.gamma_full).j_star
+    empirical = _per_user_blocks(j_star, K)
 
     return AsymptoticReport(
         regime=REGIME_SPATIAL_ZERO,
@@ -151,7 +141,7 @@ def limit_spatial_zero(
         predicted=predicted,
         empirical=empirical,
         relative_gaps=_trace_gaps(empirical, predicted),
-        eoc=_stationary_eoc(finite, run.j_limit),
+        eoc=_stationary_eoc(finite, j_star),
     )
 
 
@@ -174,10 +164,8 @@ def limit_spatial_inf(
     predicted = np.broadcast_to(common, (K, 2, 2)).copy()
 
     finite = constant_inputs(config.with_spatial_precision(finite_value), trajectory)
-    run = iterate_to_convergence(
-        finite.m_full, finite.gamma_full, max_steps=_ITER_STEPS, tol=_ITER_TOL
-    )
-    empirical = _per_user_blocks(run.j_limit, K)
+    j_star = stationary_point(finite.m_full, finite.gamma_full).j_star
+    empirical = _per_user_blocks(j_star, K)
 
     first_step = _per_user_blocks(finite.m_full, K)
     first_gap = float(
@@ -193,7 +181,7 @@ def limit_spatial_inf(
         predicted=predicted,
         empirical=empirical,
         relative_gaps=_trace_gaps(empirical, predicted),
-        eoc=_stationary_eoc(finite, run.j_limit),
+        eoc=_stationary_eoc(finite, j_star),
         first_step_gap=first_gap,
     )
 
@@ -233,9 +221,8 @@ def limit_temporal_inf(
     for j in range(K):
         sj = slice(2 * j, 2 * j + 2)
         x[sj, :] = npl.solve(diag[j], inputs.off[sj, :])
-    walk_radius = float(np.max(np.abs(npl.eigvals(x)))) if K > 1 else 0.0
     series_gap: float | None
-    if walk_radius < 0.99:
+    if coupling_spectral_radius(diag, inputs.off) < 0.99:
         series_gap = 0.0
         for k in range(K):
             total, _, _ = neumann_diag_block(x, k, 10_000, 1e-10)

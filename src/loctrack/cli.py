@@ -6,7 +6,8 @@ Subcommands
     Execute a campaign and write ``table.csv`` plus ``manifest.json`` to
     the spec's output directory.
 ``loctrack validate <scenario.json>``
-    Semantic checks on a scenario file; violations go to stdout.
+    Semantic checks on a scenario file; violations go to stdout, one a
+    line (every bad key of the file at once).
 ``loctrack stationary <constants.json>``
     Solve the constant-input fixed point for a JSON ``{"m": ..., "t": ...}``
     pair and print the closed-form solution with its residual.
@@ -74,7 +75,7 @@ def _cmd_validate(args) -> int:
     except OSError as exc:
         return _fail(f"cannot load scenario: {exc}", EXIT_VALIDATION)
     except LocTrackError as exc:
-        violations = (str(exc),)
+        violations = str(exc).splitlines()
     if not violations:
         print("ok")
         return EXIT_OK

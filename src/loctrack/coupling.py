@@ -98,9 +98,6 @@ class DASplit:
     def n_users(self) -> int:
         return self.nominal_blocks.shape[1]
 
-    def nominal(self, t: int, k: int) -> np.ndarray:
-        return self.nominal_blocks[t, k]
-
     def coupling(self) -> np.ndarray:
         """The dense (2TK, 2TK) coupling A = D - J, built on each call."""
         return off_part(self.efim.data)
@@ -207,9 +204,11 @@ class SeriesResult:
     spectral_radius: float
 
 
-def coupling_spectral_radius(split: DASplit, coupling: np.ndarray) -> float:
+def coupling_spectral_radius(nominal_blocks: np.ndarray, coupling: np.ndarray) -> float:
     """Spectral radius of Q = D^{-1} A via its symmetric similar form.
 
+    ``nominal_blocks`` holds the SPD 2x2 diagonal blocks of D in state
+    order (any leading shape), ``coupling`` the symmetric A.
     D^{1/2} Q D^{-1/2} = D^{-1/2} A D^{-1/2} shares Q's (real) spectrum and
     is symmetric, so a symmetric eigensolver reads the radius off it.
     """
@@ -217,7 +216,7 @@ def coupling_spectral_radius(split: DASplit, coupling: np.ndarray) -> float:
         np.stack(
             [
                 spd_sqrt_and_inv_sqrt(block)[1]
-                for block in split.nominal_blocks.reshape(-1, 2, 2)
+                for block in nominal_blocks.reshape(-1, 2, 2)
             ]
         )
     )
@@ -239,7 +238,7 @@ def delta_series(
     has spectral radius >= 1.
     """
     coupling = split.coupling()
-    radius = coupling_spectral_radius(split, coupling)
+    radius = coupling_spectral_radius(split.nominal_blocks, coupling)
     if radius >= 1.0:
         raise SeriesDiverged(
             f"coupling operator has spectral radius {radius:.6f} >= 1; "
@@ -335,14 +334,6 @@ class EocReport:
     mean_eoc: float
     mean_bcrb: float
     total_bcrb: float
-
-    @property
-    def n_steps(self) -> int:
-        return self.eoc.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.eoc.shape[1]
 
 
 def eoc_report(efim: BlockMatrix, split: DASplit) -> EocReport:

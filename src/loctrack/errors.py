@@ -21,10 +21,6 @@ class SamplingUnsupported(LocTrackError):
     """Trajectory sampling requested for a prior kind without a sampler."""
 
 
-class NotGaussian(LocTrackError):
-    """A closed-form Gaussian quantity was requested for a non-Gaussian prior."""
-
-
 class EmptyEnsemble(LocTrackError):
     """A Monte Carlo expectation was requested over zero trajectories."""
 

@@ -65,12 +65,10 @@ from .scenario import (
 )
 
 __all__ = [
-    "IterationResult",
     "RecursiveState",
     "StationaryPoint",
     "StepInputs",
     "constant_inputs",
-    "iterate_to_convergence",
     "recursive_step",
     "run_recursion",
     "stationary_point",
@@ -348,47 +346,6 @@ def stationary_point(m: np.ndarray, t_mat: np.ndarray) -> StationaryPoint:
         j_star=j_star,
         residual=_riccati_residual(m, t_mat, j_star),
     )
-
-
-@dataclass(frozen=True)
-class IterationResult:
-    """Outcome of iterating the constant-input recursion.
-
-    ``converged`` is False when the step budget ran out; the last iterate is
-    still returned.
-    """
-
-    j_limit: np.ndarray
-    steps: int
-    converged: bool
-
-
-def iterate_to_convergence(
-    m: np.ndarray,
-    t_mat: np.ndarray,
-    j_init: np.ndarray | None = None,
-    max_steps: int = 500,
-    tol: float = 1e-6,
-) -> IterationResult:
-    """Iterate J <- M + T - T (J + T)^{-1} T until relative stagnation.
-
-    Starting from ``j_init`` (default M, the carry-free first step).
-    """
-    m = symmetrize(np.asarray(m, dtype=float))
-    t_mat = symmetrize(np.asarray(t_mat, dtype=float))
-    j = m.copy() if j_init is None else symmetrize(np.asarray(j_init, dtype=float))
-
-    converged = False
-    steps = 0
-    for n in range(1, max_steps + 1):
-        j_next = symmetrize(m + t_mat - _temporal_carry(j, t_mat))
-        delta = np.linalg.norm(j_next - j) / max(np.linalg.norm(j), 1e-300)
-        j = j_next
-        steps = n
-        if delta < tol:
-            converged = True
-            break
-    return IterationResult(j_limit=j, steps=steps, converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
-"""Scenario configuration, validation, and prior-model trajectory sampling.
+"""Scenario configuration, validation, prior models and user tracks.
 
 A scenario fixes the deployment geometry (one BS, R reflecting surfaces, K
 users over T steps), the radio constants, and the spatio-temporal prior that
 ties user positions together. Two prior kinds are supported:
 
 * ``l2-squared``: quadratic spatial potential per edge, Gaussian transitions.
-  The joint prior is Gaussian, so its precision matrix is available in closed
-  form and trajectories are drawn exactly through a Cholesky factor.
+  Its prior information is the same for every trajectory, so nothing is
+  sampled for it.
 * ``l1-norm``: spatial potential proportional to the inter-user distance.
-  The joint prior is not Gaussian; trajectories are drawn with a
-  Metropolis-within-Gibbs sweep, vectorised across chains.
+  Its prior information is an expectation over the prior, taken over an
+  ensemble drawn with a Metropolis-within-Gibbs sweep, vectorised across
+  chains.
+
+Tracks are drawn with the generative random walk
+(``random_walk_trajectory``), not from the joint prior: the spatial
+coupling shapes the bound, not the motion.
 
 Scenarios are read from the kebab-case JSON files under ``configs/``.
 Indices are 0-based throughout the API.
@@ -23,21 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .blocks import (
-    BlockMatrix,
-    add_edge_blocks,
-    block_index,
-    block_slice,
-    chain_matrix,
-    require_spd,
-)
+from .blocks import add_edge_blocks
 from .errors import (
     DegenerateGeometry,
     DimensionMismatch,
     EmptyEnsemble,
-    NotGaussian,
     SamplingUnsupported,
     SchemaMismatch,
 )
@@ -510,10 +506,9 @@ def validate(config: ScenarioConfig) -> ValidationReport:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """User positions over time, shape (T, K, 2), plus the seed that made it."""
+    """User positions over time, shape (T, K, 2)."""
 
     positions: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         arr = _frozen_array(self.positions)
@@ -549,9 +544,7 @@ def check_separation(config: ScenarioConfig, positions: np.ndarray) -> None:
         )
 
 
-def make_trajectory(
-    config: ScenarioConfig, positions: np.ndarray, seed: int | None = None
-) -> Trajectory:
+def make_trajectory(config: ScenarioConfig, positions: np.ndarray) -> Trajectory:
     """Wrap raw positions after checking shape and RIS separation."""
     arr = np.asarray(positions, dtype=float)
     want = (config.num_steps, config.num_users, 2)
@@ -560,7 +553,7 @@ def make_trajectory(
             f"positions must have shape {want}, got {arr.shape}"
         )
     check_separation(config, arr)
-    return Trajectory(arr, seed)
+    return Trajectory(arr)
 
 
 def static_trajectory(config: ScenarioConfig) -> Trajectory:
@@ -578,8 +571,7 @@ def random_walk_trajectory(config: ScenarioConfig, seed: int) -> Trajectory:
     This is the simulation-side motion model (each user wanders from its
     initial position with the configured transition covariances).  It is not
     a draw from the full analysis prior; the spatial coupling terms shape
-    the bound, not the tracks.  Use ``sample_trajectory`` for exact draws
-    from the joint prior itself.
+    the bound, not the tracks.
 
     All moves are drawn as one (T-1, K, 2) block, in the order a per-step,
     per-user loop would draw them, and summed along the steps.
@@ -593,54 +585,11 @@ def random_walk_trajectory(config: ScenarioConfig, seed: int) -> Trajectory:
             rng.standard_normal((K, 2))
     chol = np.linalg.cholesky(config.temporal_covariance)
     pos[1:] = (chol @ rng.standard_normal((T - 1, K, 2, 1)))[..., 0]
-    return make_trajectory(config, np.cumsum(pos, axis=0), seed)
-
-
-# ---------------------------------------------------------------------------
-# joint prior precision (l2-squared only)
-
-
-def joint_precision(
-    config: ScenarioConfig, prior: PriorModel | None = None
-) -> BlockMatrix:
-    """Precision matrix of the joint prior over all (step, user) positions.
-
-    Only the ``l2-squared`` prior is jointly Gaussian; the ``l1-norm`` kind
-    raises NotGaussian. The anchor must be enabled, otherwise the prior is
-    translation invariant and the precision is singular (raises NotSpd).
-    """
-    if prior is None:
-        prior = prior_model(config)
-    if prior.kind != PRIOR_L2:
-        raise NotGaussian(
-            f"joint precision is closed-form only for {PRIOR_L2!r}, "
-            f"got {prior.kind!r}"
-        )
-    slices = [prior_slice(prior, t) for t in range(config.num_steps)]
-    precision = chain_matrix(slices, prior.transition_precisions)
-    require_spd(precision.data, "joint prior precision")
-    return precision
-
-
-def _anchor_linear_term(config: ScenarioConfig) -> np.ndarray:
-    """Linear term b of the joint Gaussian, so the mean is solve(Lambda, b)."""
-    T, K = config.num_steps, config.num_users
-    b = np.zeros(2 * T * K)
-    for k in range(K):
-        g = block_index(0, k, K)
-        b[block_slice(g)] = config.anchor_precision * config.user_initial_positions[k]
-    return b
+    return make_trajectory(config, np.cumsum(pos, axis=0))
 
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def sample_trajectory(config: ScenarioConfig, seed: int) -> Trajectory:
-    """Draw one trajectory from the scenario's spatio-temporal prior."""
-    return Trajectory(
-        sample_trajectory_ensemble(config, 1, seed)[0], seed
-    )
 
 
 def sample_trajectory_ensemble(
@@ -649,11 +598,12 @@ def sample_trajectory_ensemble(
     seed: int,
     burn_in: int = DEFAULT_BURN_IN,
 ) -> np.ndarray:
-    """Draw ``count`` independent trajectories, shape (count, T, K, 2).
+    """Draw ``count`` independent l1-norm prior trajectories, (count, T, K, 2).
 
-    l2-squared: exact joint-Gaussian draws through the Cholesky factor of the
-    joint precision. l1-norm: independent Metropolis-within-Gibbs chains,
-    vectorised across the ensemble, each burned in for ``burn_in`` sweeps.
+    Independent Metropolis-within-Gibbs chains, vectorised across the
+    ensemble, each burned in for ``burn_in`` sweeps. Only the l1-norm prior
+    is sampled (its prior information is an ensemble expectation); any
+    other kind raises SamplingUnsupported.
     """
     if count < 1:
         raise DimensionMismatch(f"ensemble size must be >= 1, got {count}")
@@ -662,28 +612,11 @@ def sample_trajectory_ensemble(
             "prior without a first-step anchor is translation invariant; "
             "it has no normalisable distribution to sample"
         )
-    if config.prior_kind == PRIOR_L2:
-        draws = _sample_gaussian(config, count, seed)
-    elif config.prior_kind == PRIOR_L1:
-        draws = _sample_l1_mcmc(config, count, seed, burn_in)
-    else:
+    if config.prior_kind != PRIOR_L1:
         raise SamplingUnsupported(f"no sampler for prior kind {config.prior_kind!r}")
+    draws = _sample_l1_mcmc(config, count, seed, burn_in)
     check_separation(config, draws.reshape(-1, config.num_users, 2))
     return draws
-
-
-def _sample_gaussian(config: ScenarioConfig, count: int, seed: int) -> np.ndarray:
-    T, K = config.num_steps, config.num_users
-    precision = joint_precision(config).data
-    b = _anchor_linear_term(config)
-    chol, lower = cho_factor(precision, lower=True)
-    mean = cho_solve((chol, lower), b)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2 * T * K, count))
-    # x = mean + L^{-T} z has covariance (L L^T)^{-1} = precision^{-1}.
-    dev = solve_triangular(chol, z, lower=lower, trans="T")
-    flat = mean[:, None] + dev
-    return np.ascontiguousarray(flat.T).reshape(count, T, K, 2)
 
 
 def _log_prior_terms_l1(

@@ -4,7 +4,8 @@ Each JSON input (a scenario, an experiment spec, the ``stationary``
 constants) is a table that maps every key to one ``Field``: a kind from
 ``KINDS``, whose name carries its range, and a default or ``REQUIRED``.
 ``read`` rejects a key the table does not list, a missing required key and
-any value its field does not admit, and names the key in each message.
+any value its field does not admit; it gathers every such key of one input
+into one error, one line per key, naming the key on each.
 Rules that relate two keys stay with the consumer (``scenario.validate``,
 ``harness.experiment_from_json``).
 """
@@ -128,27 +129,38 @@ def check(field: Field, name: str, value):
     return value if kind.cast is None else kind.cast(value)
 
 
-def read(table: dict, payload, what: str, prefix: str = "") -> dict:
+def read(table: dict, payload, what: str) -> dict:
     """Every key of ``table`` read from the JSON object ``payload``, with
     defaults filled in. ``what`` names the input in the messages; a nested
-    table's keys are named ``<key>.<subkey>``."""
+    table's keys are named ``<key>.<subkey>``. Every unknown, missing and
+    malformed key, nested ones included, is reported in one SchemaMismatch,
+    one key per line."""
+    problems: list[str] = []
+    values = _read(table, payload, what, "", problems)
+    if problems:
+        raise SchemaMismatch("\n".join(problems))
+    return values
+
+
+def _read(table: dict, payload, what: str, prefix: str, problems: list) -> dict:
+    """``read`` for one (possibly nested) table; appends to ``problems``."""
     if not isinstance(payload, dict):
-        raise SchemaMismatch(f"{what} must be a JSON object, got {payload!r}")
-    unknown = [f"{prefix}{key}" for key in payload if key not in table]
-    if unknown:
-        raise SchemaMismatch(f"{what} has unknown keys: {', '.join(unknown)}")
-    missing = [f"{prefix}{key}" for key, field in table.items()
-               if field.default == REQUIRED and key not in payload]
-    if missing:
-        raise SchemaMismatch(f"{what} missing keys: {', '.join(missing)}")
+        problems.append(f"{what} must be a JSON object, got {payload!r}")
+        return {}
+    problems.extend(f"{what} has unknown keys: {prefix}{key}"
+                    for key in payload if key not in table)
     values = {}
     for key, field in table.items():
-        name, value = f"{prefix}{key}", payload.get(key, field.default)
+        name = f"{prefix}{key}"
+        if field.default == REQUIRED and key not in payload:
+            problems.append(f"{what} missing keys: {name}")
+            continue
+        value = payload.get(key, field.default)
         if field.table is not None and isinstance(value, dict):
-            values[key] = read(field.table, value, what, prefix=f"{name}.")
+            values[key] = _read(field.table, value, what, f"{name}.", problems)
             continue
         try:
             values[key] = check(field, name, value)
         except SchemaMismatch as exc:
-            raise SchemaMismatch(f"{what} has a malformed value: {exc}") from None
+            problems.append(f"{what} has a malformed value: {exc}")
     return values

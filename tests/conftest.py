@@ -162,6 +162,30 @@ def rel_frobenius(actual: np.ndarray, expected: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(actual) - np.asarray(expected))) / denom
 
 
+def iterate_fixed_point(
+    m: np.ndarray,
+    t_mat: np.ndarray,
+    j_init: np.ndarray,
+    max_steps: int = 20_000,
+    tol: float = 1e-12,
+) -> np.ndarray:
+    """Iterate J <- M + T - T (J + T)^{-1} T from ``j_init`` to stagnation.
+
+    The oracle the closed-form fixed point is checked against: it stops
+    once a step moves J by less than ``tol`` (relative Frobenius) and
+    fails the test if ``max_steps`` steps do not get there.
+    """
+    j = np.asarray(j_init, dtype=float)
+    for _ in range(max_steps):
+        j_next = m + t_mat - t_mat @ np.linalg.solve(j + t_mat, t_mat)
+        j_next = 0.5 * (j_next + j_next.T)
+        moved = np.linalg.norm(j_next - j) / max(np.linalg.norm(j), 1e-300)
+        j = j_next
+        if moved < tol:
+            return j
+    raise AssertionError(f"fixed-point iteration did not settle in {max_steps} steps")
+
+
 def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
     """Columnwise central differences of a vector-valued function."""
     x = np.asarray(x, dtype=float)

@@ -7,11 +7,13 @@ from conftest import random_scenario, shipped_scenario
 from loctrack.asymptotics import (
     ASYMPTOTIC_LARGE,
     ASYMPTOTIC_SMALL,
+    _per_user_blocks,
     limit_spatial_inf,
     limit_spatial_zero,
     limit_temporal_inf,
 )
-from loctrack.errors import DimensionMismatch
+from loctrack.errors import DimensionMismatch, NotSpd
+from loctrack.recursive import constant_inputs, stationary_point
 from loctrack.scenario import static_trajectory
 
 
@@ -37,13 +39,39 @@ def test_spatial_zero_report_structure():
 
 
 def test_single_user_is_already_decoupled(rng):
-    """With one user the spatial precision is inert, so gaps reach iteration tol."""
+    """With one user the spatial precision is inert, so both sides agree."""
     config, traj = random_scenario(rng, num_users=1)
     zero = limit_spatial_zero(config, traj)
     assert float(np.max(zero.relative_gaps)) < 1e-8
     inf = limit_spatial_inf(config, traj)
     assert float(np.max(inf.relative_gaps)) < 1e-8
     assert np.allclose(zero.predicted, inf.predicted)
+
+
+@pytest.mark.parametrize(
+    "limit, offset_db",
+    [(limit_spatial_zero, 70.0), (limit_spatial_inf, 30.0)],
+    ids=["spatial-zero", "spatial-inf"],
+)
+def test_spatial_limits_read_the_closed_form_fixed_point(limit, offset_db):
+    """The finite side is the closed-form fixed point at the stand-in."""
+    config, traj = boosted_scenario(offset_db=offset_db)
+    report = limit(config, traj)
+    finite = constant_inputs(
+        config.with_spatial_precision(report.finite_value), traj
+    )
+    j_star = stationary_point(finite.m_full, finite.gamma_full).j_star
+    assert np.array_equal(
+        report.empirical, _per_user_blocks(j_star, config.num_users)
+    )
+
+
+def test_spatial_inf_stand_in_fails_spd_test_at_stock_snr():
+    """At the stock SNR the 1e3 spatial stand-in swamps the measurement
+    information, so M fails the SPD test and the limit raises."""
+    config = shipped_scenario("paper_baseline")
+    with pytest.raises(NotSpd):
+        limit_spatial_inf(config, static_trajectory(config))
 
 
 def test_spatial_inf_report_fields():

@@ -277,6 +277,27 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "noise" in capsys.readouterr().out
 
 
+def test_validate_names_every_bad_key_at_once(tmp_path, capsys):
+    """An unknown, a malformed, a missing and a malformed nested key: one
+    line each, from one run."""
+    obj = config_dict(
+        noise_variance="x", ris_phase_profiles={"policy": "random", "seed": -1}
+    )
+    obj["spare-key"] = 1
+    del obj["pilot-length"]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "scenario JSON has unknown keys: spare-key",
+        "scenario JSON has a malformed value: noise-variance must be a finite "
+        "number > 0, got 'x'",
+        "scenario JSON missing keys: pilot-length",
+        "scenario JSON has a malformed value: ris-phase-profiles.seed must be an "
+        "integer >= 0, got -1",
+    ]
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert cli.main(["validate", str(tmp_path / "nope.json")]) == 2
 

@@ -68,7 +68,7 @@ def test_position_jacobian_rejects_axis_alignment():
     from loctrack.scenario import Trajectory
 
     with pytest.raises(DegenerateGeometry):
-        position_jacobian(config, Trajectory(pos, None), 0, 0)
+        position_jacobian(config, Trajectory(pos), 0, 0)
 
 
 # ---------------------------------------------------------------------------

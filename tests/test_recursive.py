@@ -9,14 +9,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scenario, rel_frobenius, shipped_scenario
+from conftest import iterate_fixed_point, random_scenario, rel_frobenius, shipped_scenario
 from loctrack.blocks import block_diag, neumann_diag_block, symmetrize
 from loctrack.errors import DimensionMismatch, NotSpd, SingularState
 from loctrack.fim import assemble_efim, measurement_blocks_at, measurement_fim, prior_fim
 from loctrack.recursive import (
     LOEWNER_SLACK,
     constant_inputs,
-    iterate_to_convergence,
     recursive_step,
     run_recursion,
     stationary_point,
@@ -310,9 +309,8 @@ def test_iteration_converges_to_closed_form(rng):
     point = stationary_point(m, t_mat)
     for _ in range(10):
         j0 = random_spd(rng, side)
-        result = iterate_to_convergence(m, t_mat, j_init=j0, tol=1e-12)
-        assert result.converged
-        assert rel_frobenius(result.j_limit, point.j_star) < 1e-6
+        j_limit = iterate_fixed_point(m, t_mat, j0)
+        assert rel_frobenius(j_limit, point.j_star) < 1e-6
 
 
 def test_constant_inputs_reproduce_manual_recursion():

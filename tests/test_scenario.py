@@ -6,15 +6,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 from conftest import CONFIGS, random_scenario, shipped_scenario
+from loctrack.blocks import chain_matrix
 from loctrack.errors import (
     DegenerateGeometry,
     DimensionMismatch,
-    NotGaussian,
+    SamplingUnsupported,
     SchemaMismatch,
 )
+from loctrack.fim import prior_fim
 from loctrack.scenario import (
     PRIOR_L1,
     PRIOR_L2,
@@ -22,7 +23,6 @@ from loctrack.scenario import (
     ExplicitPhases,
     RandomPhases,
     check_separation,
-    joint_precision,
     load_scenario,
     make_trajectory,
     prior_model,
@@ -306,7 +306,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# prior model and joint precision
+# prior model and the assembled prior precision
 
 
 def test_prior_model_anchor_toggle():
@@ -320,9 +320,11 @@ def test_prior_model_anchor_toggle():
 
 
 def test_joint_precision_matches_quadratic_form(rng):
-    """The joint precision must reproduce the energy of explicit deviations."""
+    """The assembled prior precision must reproduce the energy of explicit
+    deviations."""
     config = shipped_scenario(num_steps=3, num_users=2)
-    precision = joint_precision(config).data
+    pf = prior_fim(config)
+    precision = chain_matrix(pf.spatial_slices, pf.temporal).data
     anchor = 1.0 / config.first_step_anchor_variance
 
     def energy(pos):
@@ -351,49 +353,25 @@ def test_joint_precision_matches_quadratic_form(rng):
         assert quad == pytest.approx(polar, rel=1e-9)
 
 
-def test_joint_precision_rejects_l1():
-    config = shipped_scenario(prior_kind=PRIOR_L1)
-    with pytest.raises(NotGaussian):
-        joint_precision(config)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
 
-def test_gaussian_ensemble_matches_precision():
-    """Sample covariance and mean against the closed-form joint Gaussian."""
-    config = shipped_scenario(num_steps=2, num_users=2)
-    count = 4000
-    draws = sample_trajectory_ensemble(config, count, seed=11)
-    assert draws.shape == (count, 2, 2, 2)
-    flat = draws.reshape(count, -1)
-
-    precision = joint_precision(config).data
-    cov_want = np.linalg.inv(precision)
-    cov_got = np.cov(flat.T)
-    assert np.linalg.norm(cov_got - cov_want) / np.linalg.norm(cov_want) < 0.1
-
-    # the mean solves precision @ mean = b where only the anchor contributes
-    # a linear term; the spatial attraction then pulls every user towards
-    # the centroid, so the mean is NOT the initial positions
-    anchor = 1.0 / config.first_step_anchor_variance
-    b = np.zeros((2, 2, 2))
-    b[0] = anchor * config.user_initial_positions
-    chol = cho_factor(precision, lower=True)
-    mean_want = cho_solve(chol, b.reshape(-1))
-    mean_got = flat.mean(axis=0)
-    scatter = np.sqrt(np.diag(cov_want) / count)
-    assert np.all(np.abs(mean_got - mean_want) < 6.0 * scatter + 1e-9)
-
-
 def test_gaussian_ensemble_deterministic():
-    config = shipped_scenario(num_steps=2)
-    a = sample_trajectory_ensemble(config, 16, seed=5)
-    b = sample_trajectory_ensemble(config, 16, seed=5)
-    c = sample_trajectory_ensemble(config, 16, seed=6)
+    """The l1 sampler replays its draws from the seed."""
+    config = shipped_scenario(num_steps=2, prior_kind=PRIOR_L1)
+    a = sample_trajectory_ensemble(config, 16, seed=5, burn_in=20)
+    b = sample_trajectory_ensemble(config, 16, seed=5, burn_in=20)
+    c = sample_trajectory_ensemble(config, 16, seed=6, burn_in=20)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_sampler_rejects_quadratic_prior():
+    """Only the l1-norm prior is sampled; its information is an expectation."""
+    config = shipped_scenario(num_steps=2, prior_kind=PRIOR_L2)
+    with pytest.raises(SamplingUnsupported):
+        sample_trajectory_ensemble(config, 4, seed=1)
 
 
 def test_l1_ensemble_is_finite_and_anchored():
