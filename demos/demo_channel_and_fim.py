@@ -106,15 +106,15 @@ print("=" * 70)
 print("MEASUREMENT FIM AND JOINT BCRB (static toy)")
 print("=" * 70)
 
-mfim = measurement_fim(config, traj)
-block = mfim.lambda_d[0, 0]
+lambda_d = measurement_fim(config, traj)
+block = lambda_d[0, 0]
 eigs = np.linalg.eigvalsh(block)
 print(f"Lambda_D block (step 1, user 1):\n{block.round(3)}")
 print(f"eigenvalues: {eigs.round(4)} "
       "(anisotropic: the surfaces sit on one line)")
 
-pfim = prior_fim(config, prior_model(config, include_anchor=True))
-efim = assemble_efim(mfim, pfim)
+pfim = prior_fim(prior_model(config, include_anchor=True))
+efim = assemble_efim(lambda_d, pfim)
 result = bcrb(efim)
 print(f"joint BCRB (sum of position MSE lower bounds): {result.total:.4f} m^2")
 for t in range(config.num_steps):

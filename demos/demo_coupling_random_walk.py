@@ -41,13 +41,13 @@ config = load_scenario(os.path.join(CONFIGS, "toy.json"))
 traj = static_trajectory(config)
 T, K = config.num_steps, config.num_users
 
-mfim = measurement_fim(config, traj)
-pfim = prior_fim(config, prior_model(config, include_anchor=True))
-efim = assemble_efim(mfim, pfim)
+lambda_d = measurement_fim(config, traj)
+pfim = prior_fim(prior_model(config, include_anchor=True))
+efim = assemble_efim(lambda_d, pfim)
 # D is read off the EFIM's own diagonal blocks, so A = D - J is hollow; the
 # prior only tells the split which states carry the step-0 anchor.
 split = split_d_a(efim, pfim)
-ptpm = build_ptpm(split, mfim)
+ptpm = build_ptpm(split, lambda_d)
 
 # =========================================================================
 # IDENTITY 1: ROW SUMS

@@ -21,7 +21,12 @@ import numpy as np
 
 from loctrack.blocks import chain_matrix
 from loctrack.fim import prior_fim
-from loctrack.scenario import load_scenario, random_walk_trajectory, validate
+from loctrack.scenario import (
+    load_scenario,
+    prior_model,
+    random_walk_trajectory,
+    validate,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(HERE, os.pardir, "configs")
@@ -50,8 +55,8 @@ print(f"validation: {'ok' if report.ok else report.violations}")
 # The joint prior precision: per-step spatial slices (the first-step anchor
 # folded into step 0) chained by the transition precisions. It is SPD once
 # the anchor is present.
-pf = prior_fim(config)
-J_prior = chain_matrix(pf.spatial_slices, pf.temporal).data
+pf = prior_fim(prior_model(config))
+J_prior = chain_matrix(pf.spatial_slices, pf.temporal)
 print(f"joint prior precision side: {J_prior.shape[0]} "
       f"(= 2 x T x K), symmetric: {np.array_equal(J_prior, J_prior.T)}, "
       f"smallest eigenvalue: {np.linalg.eigvalsh(J_prior)[0]:.3e}")

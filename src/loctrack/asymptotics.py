@@ -18,11 +18,13 @@ Three regimes of the constant-input recursion admit closed forms:
 Each limit takes a scenario config and trajectory, freezes the recursion
 inputs with ``recursive.constant_inputs`` (the same ``StepInputs`` the
 recursion steps on), and checks the closed form against the
-finite-parameter system on inputs frozen again at a documented stand-in
-value (1e3 for "infinite", 1e-3 for "zero"); reports carry both sides and
-their relative trace gaps. The spatial limits take the finite side from
-the closed-form fixed point ``recursive.stationary_point``, which raises
-NotSpd when the stand-in leaves M or T outside its SPD test.
+finite-parameter system on inputs frozen again at a fixed stand-in value
+(``ASYMPTOTIC_LARGE`` = 1e3 for "infinite", ``ASYMPTOTIC_SMALL`` = 1e-3
+for "zero"), which each report records as ``finite_value``; reports carry
+both sides and their relative trace gaps. The spatial limits take the
+finite side from the closed-form fixed point ``recursive.stationary_point``,
+which raises NotSpd when the stand-in leaves M or T outside its SPD test.
+The temporal slope is read over a fixed ``HORIZON`` of additive steps.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 import numpy.linalg as npl
 
 from .blocks import diag_blocks, neumann_diag_block
-from .errors import DimensionMismatch
 from .coupling import coupling_spectral_radius
 from .recursive import StepInputs, _temporal_carry, constant_inputs, stationary_point
 from .scenario import ScenarioConfig, Trajectory
@@ -50,6 +51,9 @@ __all__ = [
 # Stand-in parameter values for "infinite" and "zero" precision.
 ASYMPTOTIC_LARGE = 1e3
 ASYMPTOTIC_SMALL = 1e-3
+
+# Steps of the limiting additive recursion behind the temporal slope.
+HORIZON = 1000
 
 REGIME_SPATIAL_ZERO = "spatial-zero"
 REGIME_SPATIAL_INF = "spatial-inf"
@@ -79,7 +83,6 @@ class AsymptoticReport:
     first_step_gap: float | None = None
     series_vs_direct: float | None = None
     finite_step_gap: float | None = None
-    horizon: int | None = None
 
 
 def _per_user_blocks(full: np.ndarray, n_users: int) -> np.ndarray:
@@ -117,11 +120,9 @@ def _stationary_eoc(inputs: StepInputs, j_state: np.ndarray) -> float:
 
 
 def limit_spatial_zero(
-    config: ScenarioConfig,
-    trajectory: Trajectory,
-    finite_value: float = ASYMPTOTIC_SMALL,
+    config: ScenarioConfig, trajectory: Trajectory
 ) -> AsymptoticReport:
-    """Decoupled-user limit, checked at a small finite spatial precision."""
+    """Decoupled-user limit, checked at spatial precision ASYMPTOTIC_SMALL."""
     inputs = constant_inputs(config, trajectory)
     K = config.num_users
     predicted = np.stack(
@@ -131,13 +132,15 @@ def limit_spatial_zero(
         ]
     )
 
-    finite = constant_inputs(config.with_spatial_precision(finite_value), trajectory)
+    finite = constant_inputs(
+        config.with_spatial_precision(ASYMPTOTIC_SMALL), trajectory
+    )
     j_star = stationary_point(finite.m_full, finite.gamma_full).j_star
     empirical = _per_user_blocks(j_star, K)
 
     return AsymptoticReport(
         regime=REGIME_SPATIAL_ZERO,
-        finite_value=finite_value,
+        finite_value=ASYMPTOTIC_SMALL,
         predicted=predicted,
         empirical=empirical,
         relative_gaps=_trace_gaps(empirical, predicted),
@@ -146,11 +149,9 @@ def limit_spatial_zero(
 
 
 def limit_spatial_inf(
-    config: ScenarioConfig,
-    trajectory: Trajectory,
-    finite_value: float = ASYMPTOTIC_LARGE,
+    config: ScenarioConfig, trajectory: Trajectory
 ) -> AsymptoticReport:
-    """Rigid-group limit, checked at a large finite spatial precision.
+    """Rigid-group limit, checked at spatial precision ASYMPTOTIC_LARGE.
 
     Also verifies the first-step collapse: with overwhelming spatial
     coupling the per-user EFIM of the carry-free first step approaches the
@@ -163,7 +164,9 @@ def limit_spatial_inf(
     common = stationary_point(summed_m, summed_t).j_star
     predicted = np.broadcast_to(common, (K, 2, 2)).copy()
 
-    finite = constant_inputs(config.with_spatial_precision(finite_value), trajectory)
+    finite = constant_inputs(
+        config.with_spatial_precision(ASYMPTOTIC_LARGE), trajectory
+    )
     j_star = stationary_point(finite.m_full, finite.gamma_full).j_star
     empirical = _per_user_blocks(j_star, K)
 
@@ -177,7 +180,7 @@ def limit_spatial_inf(
 
     return AsymptoticReport(
         regime=REGIME_SPATIAL_INF,
-        finite_value=finite_value,
+        finite_value=ASYMPTOTIC_LARGE,
         predicted=predicted,
         empirical=empirical,
         relative_gaps=_trace_gaps(empirical, predicted),
@@ -187,25 +190,20 @@ def limit_spatial_inf(
 
 
 def limit_temporal_inf(
-    config: ScenarioConfig,
-    trajectory: Trajectory,
-    horizon: int = 1000,
-    finite_value: float = ASYMPTOTIC_LARGE,
+    config: ScenarioConfig, trajectory: Trajectory
 ) -> AsymptoticReport:
     """Rigid-trajectory limit: linear information growth.
 
     predicted/empirical hold per-user growth slopes. The empirical slope
-    runs the limiting additive recursion J_t = J_{t-1} + M over the horizon
-    and takes a difference quotient over its second half; the prediction is
+    runs the limiting additive recursion J_t = J_{t-1} + M over HORIZON
+    steps and takes a difference quotient over its second half; the prediction is
     the per-user marginal of the slice information, cross-checked against
     the M_k C_k Neumann form whenever the spatial-slice walk contracts fast
     enough to resum within budget (``series_vs_direct`` is None otherwise).
     ``finite_step_gap`` measures how close the finite-parameter recursion
-    at the stand-in precision comes to the limit after two steps, the
-    regime's transient window.
+    at the stand-in precision ASYMPTOTIC_LARGE comes to the limit after two
+    steps, the regime's transient window.
     """
-    if horizon < 4:
-        raise DimensionMismatch(f"horizon must be >= 4, got {horizon}")
     inputs = constant_inputs(config, trajectory)
     K = config.num_users
     m_slice = inputs.m_full
@@ -235,15 +233,17 @@ def limit_temporal_inf(
         series_gap = None
 
     # limiting additive recursion: slope by difference quotient
-    half = horizon // 2
+    half = HORIZON // 2
     j_half = half * m_slice
-    j_full = horizon * m_slice
+    j_full = HORIZON * m_slice
     slope = (_per_user_blocks(j_full, K) - _per_user_blocks(j_half, K)) / (
-        horizon - half
+        HORIZON - half
     )
 
     # finite-parameter transient: two steps at the stand-in precision
-    finite = constant_inputs(config.with_temporal_precision(finite_value), trajectory)
+    finite = constant_inputs(
+        config.with_temporal_precision(ASYMPTOTIC_LARGE), trajectory
+    )
     t_full = finite.gamma_full
     j1 = finite.m_full
     j2 = finite.m_full + t_full - _temporal_carry(j1, t_full)
@@ -264,12 +264,11 @@ def limit_temporal_inf(
 
     return AsymptoticReport(
         regime=REGIME_TEMPORAL_INF,
-        finite_value=finite_value,
+        finite_value=ASYMPTOTIC_LARGE,
         predicted=predicted,
         empirical=slope,
         relative_gaps=_trace_gaps(slope, predicted),
         eoc=eoc,
         series_vs_direct=series_gap,
         finite_step_gap=finite_gap,
-        horizon=horizon,
     )

@@ -186,8 +186,8 @@ def add_edge_blocks(mat: np.ndarray, pairs, weights) -> np.ndarray:
     return mat
 
 
-def chain_matrix(slices: np.ndarray, temporal: np.ndarray) -> BlockMatrix:
-    """Time-chain information matrix over the (step, user) grid.
+def chain_matrix(slices: np.ndarray, temporal: np.ndarray) -> np.ndarray:
+    """Dense (2TK, 2TK) time-chain information matrix over the (step, user) grid.
 
     ``slices`` (T, 2K, 2K) go on the block diagonal, one per step;
     ``temporal`` (T-1, K, 2, 2) holds the link weights, entry (t, k) stamped
@@ -202,4 +202,4 @@ def chain_matrix(slices: np.ndarray, temporal: np.ndarray) -> BlockMatrix:
     pairs = [(g, g + K) for g in range(K * (T - 1))]
     weights = np.asarray(temporal, dtype=float).reshape(-1, 2, 2)
     mat += add_edge_blocks(np.zeros_like(mat), pairs, weights)
-    return BlockMatrix(mat, T, K)
+    return mat

@@ -4,12 +4,14 @@ The assembled information J splits as J = D - A: D keeps each state's own
 (nominal) information, the diagonal blocks of J (measurement block plus
 the diagonal blocks of both prior parts), and A carries the nonnegative
 couplings between states (zero diagonal blocks). ``split_d_a(efim, pfim)``
-reads D off J itself; the prior supplies only the anchor. A is not kept:
-the random-walk readings build it from J when they need it. Left-normalising
-by D gives a transition operator Q = D^{-1} A whose rows, together with
-the absorption column R = D^{-1} (measurement + anchor) blocks, sum to
-identity: the information flow behaves like an absorbing random walk over
-(step, user) states.
+reads D off J itself; the prior supplies only its step-0 anchor precision.
+A is not kept: the random-walk readings build it from J when they need it.
+Left-normalising by D gives a transition operator Q = D^{-1} A whose rows,
+together with the absorption column R = D^{-1} (measurement + anchor)
+blocks, sum to identity: the information flow behaves like an absorbing
+random walk over (step, user) states. ``build_ptpm(split, lambda_d)`` takes
+the measurement part as the (T, K, 2, 2) array ``fim.measurement_fim``
+returns and adds the anchor at step 0.
 
 Three quantities per state follow:
 
@@ -53,7 +55,7 @@ from .errors import (
     SingularEfim,
     SingularInner,
 )
-from .fim import MeasurementFim, PriorFim
+from .fim import PriorFim
 
 __all__ = [
     "DASplit",
@@ -69,7 +71,7 @@ __all__ = [
     "split_d_a",
 ]
 
-# Default truncation of the coupling Neumann series.
+# Truncation of the coupling Neumann series.
 SERIES_MAX_TERMS = 10_000
 SERIES_TOL = 1e-10
 
@@ -82,13 +84,14 @@ class DASplit:
     split matrix J itself (not a copy). The coupling A = D - J, with zero
     diagonal blocks and +precision couplings off them, is built only by
     the random-walk readings that need it (``coupling``).
-    ``absorb_extra`` carries prior information that acts like a measurement
-    for the walk (the step-0 anchor), needed so absorption rows balance.
+    ``anchor_precision`` is the step-0 anchor (0.0 when left out), prior
+    information that the walk absorbs like a measurement, so that
+    absorption rows balance.
     """
 
     nominal_blocks: np.ndarray
     efim: BlockMatrix
-    absorb_extra: np.ndarray
+    anchor_precision: float
 
     @property
     def n_steps(self) -> int:
@@ -112,15 +115,10 @@ def split_d_a(efim: BlockMatrix, pfim: PriorFim) -> DASplit:
     T, K = efim.n_steps, efim.n_users
     if (pfim.n_steps, pfim.n_users) != (T, K):
         raise DimensionMismatch("EFIM and prior grids disagree")
-
-    absorb_extra = np.zeros((T, K, 2, 2))
-    if pfim.include_anchor:
-        absorb_extra[0, :] = pfim.anchor_precision * np.eye(2)
-
     return DASplit(
         nominal_blocks=diag_blocks(efim.data).reshape(T, K, 2, 2),
         efim=efim,
-        absorb_extra=absorb_extra,
+        anchor_precision=pfim.anchor_precision,
     )
 
 
@@ -165,22 +163,22 @@ def _transient(split: DASplit, coupling: np.ndarray) -> np.ndarray:
     return transient
 
 
-def build_ptpm(split: DASplit, mfim: MeasurementFim) -> Ptpm:
+def build_ptpm(split: DASplit, lambda_d: np.ndarray) -> Ptpm:
     """Left-normalise the split by D into walk operators Q and R.
 
     The absorption column collects the truly external information of each
-    state: its measurement block plus, at step 0, the anchor block — both
-    tie the state to something outside the (step, user) grid, which is
-    exactly what absorption means for the walk.
+    state: its (T, K, 2, 2) measurement block plus, at step 0, the anchor
+    precision times I. Both tie the state to something outside the
+    (step, user) grid, which is exactly what absorption means for the walk.
     """
     T, K = split.n_steps, split.n_users
+    external = np.array(lambda_d, dtype=float)
+    external[0] += split.anchor_precision * np.eye(2)
     absorption = np.zeros((2 * T * K, 2))
     for t in range(T):
         for k in range(K):
             rows = block_slice(block_index(t, k, K))
-            absorption[rows, :] = _solve_nominal(
-                split, t, k, mfim.lambda_d[t, k] + split.absorb_extra[t, k]
-            )
+            absorption[rows, :] = _solve_nominal(split, t, k, external[t, k])
     return Ptpm(
         transient=_transient(split, split.coupling()),
         absorption=absorption,
@@ -224,13 +222,7 @@ def coupling_spectral_radius(nominal_blocks: np.ndarray, coupling: np.ndarray) -
     return float(np.max(np.abs(npl.eigvalsh(similar))))
 
 
-def delta_series(
-    split: DASplit,
-    t: int,
-    k: int,
-    max_terms: int = SERIES_MAX_TERMS,
-    tol: float = SERIES_TOL,
-) -> SeriesResult:
+def delta_series(split: DASplit, t: int, k: int) -> SeriesResult:
     """Coupling excess of state (t, k) by explicit Neumann summation.
 
     Accumulates the (t, k) diagonal blocks of Q^n for n >= 1 with Q built
@@ -244,8 +236,9 @@ def delta_series(
             f"coupling operator has spectral radius {radius:.6f} >= 1; "
             "the Neumann series has no sum"
         )
+    g = block_index(t, k, split.n_users)
     total, terms, converged = neumann_diag_block(
-        _transient(split, coupling), block_index(t, k, split.n_users), max_terms, tol
+        _transient(split, coupling), g, SERIES_MAX_TERMS, SERIES_TOL
     )
     return SeriesResult(
         value=total, terms_used=terms, converged=converged, spectral_radius=radius

@@ -7,13 +7,16 @@ parts that this module builds separately and then sums:
   the channel-parameter information and T_u the position Jacobian of those
   parameters;
 * spatial prior: one (2K x 2K) slice per step from the inter-user edges,
-  plus the step-0 anchor on the diagonal when enabled
+  plus the step-0 anchor on the diagonal when its precision is positive
   (``scenario.prior_slice``);
 * temporal prior: the transition precisions Gamma = Q^{-1}, linking each
   user's state to its next step.
 
-``assemble_efim`` lays the per-step slices (spatial slice plus measurement
-blocks) and the temporal links out with ``blocks.chain_matrix``.
+``measurement_fim`` returns the measurement part as a plain (T, K, 2, 2)
+array and ``prior_fim`` the two prior parts, read from a
+``scenario.PriorModel`` alone. ``assemble_efim`` lays the per-step slices
+(spatial slice plus measurement blocks) and the temporal links out with
+``blocks.chain_matrix`` and wraps the sum in a ``BlockMatrix`` once.
 
 The Bayesian CRB is the trace of the inverse of the assembled matrix; the
 per-user bound is the trace of the matching 2x2 diagonal block.
@@ -42,13 +45,11 @@ from .scenario import (
     ScenarioConfig,
     Trajectory,
     ensemble_positions,
-    prior_model,
     prior_slice,
 )
 
 __all__ = [
     "BcrbResult",
-    "MeasurementFim",
     "PriorFim",
     "assemble_efim",
     "bcrb",
@@ -91,25 +92,6 @@ def position_jacobian(
     return out
 
 
-@dataclass(frozen=True)
-class MeasurementFim:
-    """Position-domain measurement information per (step, user).
-
-    ``lambda_d`` holds the (T, K, 2, 2) information blocks in position
-    coordinates.
-    """
-
-    lambda_d: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.lambda_d.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.lambda_d.shape[1]
-
-
 def _measurement_cell(
     config: ScenarioConfig, trajectory: Trajectory, t: int, k: int
 ) -> np.ndarray:
@@ -135,8 +117,8 @@ def measurement_blocks_at(
     )
 
 
-def measurement_fim(config: ScenarioConfig, trajectory: Trajectory) -> MeasurementFim:
-    """Measurement information for every (step, user) pair.
+def measurement_fim(config: ScenarioConfig, trajectory: Trajectory) -> np.ndarray:
+    """(T, K, 2, 2) position-domain measurement blocks, one per (step, user).
 
     Per pair: Lambda_eta = (2 P / sigma_eff^2) Re(J_h^H J_h) over the 2R
     channel parameters, mapped to position as T_u Lambda_eta T_u^T.
@@ -147,25 +129,21 @@ def measurement_fim(config: ScenarioConfig, trajectory: Trajectory) -> Measureme
             f"trajectory is {trajectory.num_steps}x{trajectory.num_users}, "
             f"scenario wants {T}x{K}"
         )
-    return MeasurementFim(
-        lambda_d=np.stack(
-            [measurement_blocks_at(config, trajectory, t) for t in range(T)]
-        )
-    )
+    return np.stack([measurement_blocks_at(config, trajectory, t) for t in range(T)])
 
 
 @dataclass(frozen=True)
 class PriorFim:
     """Spatial and temporal prior information in block form.
 
-    ``spatial_slices`` holds one (2K, 2K) matrix per step (anchor folded
-    into slice 0 when enabled); ``temporal`` holds the (T-1, K, 2, 2)
-    transition precisions, entry t coupling steps t and t+1.
+    ``spatial_slices`` holds one (2K, 2K) matrix per step, with
+    ``anchor_precision`` (0.0 when left out) folded into slice 0;
+    ``temporal`` holds the (T-1, K, 2, 2) transition precisions, entry t
+    coupling steps t and t+1.
     """
 
     spatial_slices: np.ndarray
     temporal: np.ndarray
-    include_anchor: bool
     anchor_precision: float
 
     @property
@@ -177,19 +155,13 @@ class PriorFim:
         return self.spatial_slices.shape[1] // 2
 
 
-def prior_fim(
-    config: ScenarioConfig,
-    prior: PriorModel | None = None,
-    trajectory_ensemble=None,
-) -> PriorFim:
-    """Prior information blocks for the configured prior kind.
+def prior_fim(prior: PriorModel, trajectory_ensemble=None) -> PriorFim:
+    """Prior information blocks of one prior model.
 
     One ``scenario.prior_slice`` per step; the distance kind needs a
-    trajectory ensemble for its Monte Carlo edge weights.
+    (n, T, K, 2) trajectory ensemble for its Monte Carlo edge weights.
     """
-    if prior is None:
-        prior = prior_model(config)
-    T, K = config.num_steps, config.num_users
+    T, K = len(prior.spatial_edges), prior.transition_precisions.shape[1]
     ensemble = ensemble_positions(trajectory_ensemble, T, K)
     slices = np.zeros((T, 2 * K, 2 * K))
     for t in range(T):
@@ -197,25 +169,21 @@ def prior_fim(
     return PriorFim(
         spatial_slices=slices,
         temporal=prior.transition_precisions,
-        include_anchor=prior.include_anchor,
         anchor_precision=prior.anchor_precision,
     )
 
 
-def assemble_efim(mfim: MeasurementFim, pfim: PriorFim) -> BlockMatrix:
-    """Sum of measurement, spatial, and temporal information."""
-    if (mfim.n_steps, mfim.n_users) != (pfim.n_steps, pfim.n_users):
+def assemble_efim(lambda_d: np.ndarray, pfim: PriorFim) -> BlockMatrix:
+    """Sum of the (T, K, 2, 2) measurement blocks and the prior information."""
+    T, K = lambda_d.shape[:2]
+    if (T, K) != (pfim.n_steps, pfim.n_users):
         raise DimensionMismatch(
-            f"measurement grid {mfim.n_steps}x{mfim.n_users} does not match "
+            f"measurement grid {T}x{K} does not match "
             f"prior grid {pfim.n_steps}x{pfim.n_users}"
         )
-    slices = pfim.spatial_slices + np.stack(
-        [block_diag(blocks) for blocks in mfim.lambda_d]
-    )
-    total = chain_matrix(slices, pfim.temporal).data
-    return BlockMatrix(
-        symmetrize(total, "assembled EFIM"), mfim.n_steps, mfim.n_users
-    )
+    slices = pfim.spatial_slices + np.stack([block_diag(blocks) for blocks in lambda_d])
+    total = chain_matrix(slices, pfim.temporal)
+    return BlockMatrix(symmetrize(total, "assembled EFIM"), T, K)
 
 
 @dataclass(frozen=True)

@@ -295,11 +295,9 @@ def _draw(config: ScenarioConfig, seed: int):
 
 
 def _eoc_pipeline(config: ScenarioConfig, trajectory: Trajectory, ensemble):
-    mfim = measurement_fim(config, trajectory)
-    pfim = prior_fim(
-        config, prior_model(config, include_anchor=True), trajectory_ensemble=ensemble
-    )
-    efim = assemble_efim(mfim, pfim)
+    lambda_d = measurement_fim(config, trajectory)
+    pfim = prior_fim(prior_model(config, include_anchor=True), ensemble)
+    efim = assemble_efim(lambda_d, pfim)
     return eoc_report(efim, split_d_a(efim, pfim))
 
 

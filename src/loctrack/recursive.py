@@ -110,10 +110,6 @@ class RecursiveState:
     def nominal(self) -> np.ndarray:
         return self.inputs.nominal
 
-    @property
-    def n_users(self) -> int:
-        return self.nominal.shape[0]
-
     @cached_property
     def _loewner(self) -> tuple[bool, float]:
         """Whether D_t >= J_{t-1} + O_t + G_{t-1} holds, and its slack."""
@@ -388,9 +384,7 @@ def run_recursion(
         )
         prepared[(False, 1.0)] = frozen
     else:
-        pfim = prior_fim(
-            config, prior_model(config, include_anchor=False), trajectory_ensemble
-        )
+        pfim = prior_fim(prior_model(config, include_anchor=False), trajectory_ensemble)
 
     def prepare(t: int, scale: float) -> StepInputs:
         if constant:

@@ -194,12 +194,6 @@ class ScenarioConfig:
 
     # -- prior accessors ---------------------------------------------------
 
-    def edges_at(self, t: int) -> tuple:
-        return self.spatial_edges[t]
-
-    def edge_precisions_at(self, t: int) -> tuple:
-        return self.spatial_precision[t]
-
     @property
     def anchor_precision(self) -> float:
         if self.first_step_anchor_variance is None:
@@ -278,9 +272,7 @@ class PriorModel:
     transition_precisions : ndarray
         Shape (T-1, K, 2, 2); entry t couples steps t and t+1.
     anchor_precision : float
-        Step-0 anchor precision (0.0 when the anchor is disabled).
-    include_anchor : bool
-        Whether the anchor contributes to the spatial prior information.
+        Step-0 anchor precision; 0.0 when the anchor is left out.
     """
 
     kind: str
@@ -288,7 +280,6 @@ class PriorModel:
     spatial_precision: tuple
     transition_precisions: np.ndarray
     anchor_precision: float
-    include_anchor: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -299,15 +290,16 @@ class PriorModel:
 def prior_model(config: ScenarioConfig, include_anchor: bool = True) -> PriorModel:
     """Extract the prior description a scenario implies.
 
-    The only inversion of the transition covariances; consumers read the stack.
+    ``include_anchor`` keeps the step-0 anchor (EoC) or leaves it out (the
+    recursion). The only inversion of the transition covariances; consumers
+    read the stack.
     """
     return PriorModel(
         kind=config.prior_kind,
         spatial_edges=config.spatial_edges,
         spatial_precision=config.spatial_precision,
         transition_precisions=np.linalg.inv(config.temporal_covariance),
-        anchor_precision=config.anchor_precision,
-        include_anchor=include_anchor and config.anchor_precision > 0.0,
+        anchor_precision=config.anchor_precision if include_anchor else 0.0,
     )
 
 
@@ -325,20 +317,14 @@ def _unit_deviation_terms(diff: np.ndarray) -> np.ndarray:
 
 
 def ensemble_positions(trajectory_ensemble, T: int, K: int) -> np.ndarray | None:
-    """Trajectory ensemble as a checked (n, T, K, 2) stack; None stays None.
-
-    Accepts an array or an iterable of ``Trajectory``.
-    """
+    """Trajectory ensemble as a checked (n, T, K, 2) array; None stays None."""
     if trajectory_ensemble is None:
         return None
-    if isinstance(trajectory_ensemble, np.ndarray):
-        arr = trajectory_ensemble
-    else:
-        arr = np.stack([tr.positions for tr in trajectory_ensemble])
+    arr = np.asarray(trajectory_ensemble)
     if arr.ndim != 4 or arr.shape[0] == 0:
         raise EmptyEnsemble(
             f"trajectory ensemble must be a nonempty (n, T, K, 2) stack, "
-            f"got shape {getattr(arr, 'shape', None)}"
+            f"got shape {arr.shape}"
         )
     if arr.shape[1:] != (T, K, 2):
         raise DimensionMismatch(
@@ -355,7 +341,8 @@ def prior_slice(
     Each edge (i, j) is stamped with its 2x2 weight: precision * I for the
     quadratic kind; for the distance kind the average over ``ensemble``
     (n, T, K, 2) of precision * (I - e e^T) / (2 d), e the unit vector
-    between the users and d their distance. The anchor joins at t = 0.
+    between the users and d their distance. A positive anchor precision
+    joins the diagonal at t = 0.
     """
     edges = prior.spatial_edges[t]
     precisions = prior.spatial_precision[t]
@@ -378,7 +365,7 @@ def prior_slice(
         raise DimensionMismatch(f"unknown prior kind {prior.kind!r}")
     K = prior.transition_precisions.shape[1]
     mat = add_edge_blocks(np.zeros((2 * K, 2 * K)), edges, weights)
-    if t == 0 and prior.include_anchor:
+    if t == 0 and prior.anchor_precision > 0.0:
         mat += prior.anchor_precision * np.eye(2 * K)
     return mat
 
@@ -643,7 +630,7 @@ def _log_prior_terms_l1(
         gamma = gammas[t, k]
         diff = pos[:, t + 1, k, :] - here
         out -= 0.5 * np.einsum("ni,ij,nj->n", diff, gamma, diff)
-    for (i, j), c in zip(config.edges_at(t), config.edge_precisions_at(t)):
+    for (i, j), c in zip(config.spatial_edges[t], config.spatial_precision[t]):
         if k == i or k == j:
             other = j if k == i else i
             diff = here - pos[:, t, other, :]

@@ -6,7 +6,6 @@ sheet. Tolerances are stated inline next to each check.
 """
 
 import json
-import math
 import time
 from pathlib import Path
 
@@ -60,11 +59,11 @@ def _verdict(n, ok, detail):
 
 
 def _pipeline(config, trajectory, include_anchor=True):
-    mfim = measurement_fim(config, trajectory)
-    pfim = prior_fim(config, prior_model(config, include_anchor=include_anchor))
-    efim = assemble_efim(mfim, pfim)
+    lambda_d = measurement_fim(config, trajectory)
+    pfim = prior_fim(prior_model(config, include_anchor=include_anchor))
+    efim = assemble_efim(lambda_d, pfim)
     split = split_d_a(efim, pfim)
-    return mfim, pfim, efim, split
+    return lambda_d, pfim, efim, split
 
 
 def _twenty_scenarios():
@@ -98,8 +97,8 @@ def test_criterion_02_hitting_probabilities():
     worst_inverse = 0.0
     worst_rows = 0.0
     for config, traj in _twenty_scenarios():
-        mfim, _, efim, split = _pipeline(config, traj)
-        ptpm = build_ptpm(split, mfim)
+        lambda_d, _, efim, split = _pipeline(config, traj)
+        ptpm = build_ptpm(split, lambda_d)
         TK = config.num_steps * config.num_users
         full = np.hstack([ptpm.transient, ptpm.absorption])
         for g in range(TK):
@@ -150,17 +149,17 @@ def _tridiagonal_defect(mat, n_steps, n_users):
 
 
 def _spatial_part(pfim):
-    return chain_matrix(pfim.spatial_slices, np.zeros_like(pfim.temporal)).data
+    return chain_matrix(pfim.spatial_slices, np.zeros_like(pfim.temporal))
 
 
 def _temporal_part(pfim):
-    return chain_matrix(np.zeros_like(pfim.spatial_slices), pfim.temporal).data
+    return chain_matrix(np.zeros_like(pfim.spatial_slices), pfim.temporal)
 
 
 def test_criterion_03_prior_row_sums():
     """Spatial prior rows vanish; temporal prior is a zero-row tridiagonal."""
     quad = shipped_scenario(num_steps=4, num_users=3)
-    pfim_l2 = prior_fim(quad, prior_model(quad, include_anchor=False))
+    pfim_l2 = prior_fim(prior_model(quad, include_anchor=False))
     groups = quad.num_steps * quad.num_users
     l2_ps = _block_row_defect(_spatial_part(pfim_l2), groups)
     l2_pt = _block_row_defect(_temporal_part(pfim_l2), groups)
@@ -173,9 +172,7 @@ def test_criterion_03_prior_row_sums():
     # guard rightly rejects
     dist = shipped_scenario(num_steps=3, prior_kind=PRIOR_L1).with_spatial_precision(1.0)
     ensemble = sample_trajectory_ensemble(dist, 10_000, 8103)
-    pfim_l1 = prior_fim(
-        dist, prior_model(dist, include_anchor=False), trajectory_ensemble=ensemble
-    )
+    pfim_l1 = prior_fim(prior_model(dist, include_anchor=False), ensemble)
     l1_groups = dist.num_steps * dist.num_users
     l1_ps = _block_row_defect(_spatial_part(pfim_l1), l1_groups)
     l1_pt = _block_row_defect(_temporal_part(pfim_l1), l1_groups)
@@ -282,7 +279,7 @@ def test_criterion_06_recursion_equals_batch_schur():
     for _ in range(10):
         config, traj = random_scenario(rng, num_steps=int(rng.integers(2, 7)))
         states = run_recursion(config, traj)
-        mfim, pfim, efim, _ = _pipeline(config, traj, include_anchor=False)
+        lambda_d, pfim, efim, _ = _pipeline(config, traj, include_anchor=False)
         joint = efim.data
         keep = 2 * config.num_users
         past = joint.shape[0] - keep

@@ -12,7 +12,7 @@ from loctrack.asymptotics import (
     limit_spatial_zero,
     limit_temporal_inf,
 )
-from loctrack.errors import DimensionMismatch, NotSpd
+from loctrack.errors import NotSpd
 from loctrack.recursive import constant_inputs, stationary_point
 from loctrack.scenario import static_trajectory
 
@@ -35,7 +35,6 @@ def test_spatial_zero_report_structure():
     assert 0.0 < report.eoc <= 1.0 + 1e-12
     assert report.first_step_gap is None
     assert report.series_vs_direct is None
-    assert report.horizon is None
 
 
 def test_single_user_is_already_decoupled(rng):
@@ -91,7 +90,6 @@ def test_temporal_slope_equals_slice_marginal():
     """The additive limit is exactly linear, so the measured slope is exact."""
     report = limit_temporal_inf(*boosted_scenario(offset_db=0.0))
     assert report.regime == "temporal-inf"
-    assert report.horizon == 1000
     assert float(np.max(report.relative_gaps)) < 1e-9
     assert report.finite_step_gap is not None
 
@@ -103,8 +101,3 @@ def test_temporal_series_gate():
     gap = limit_temporal_inf(*boosted_scenario(offset_db=0.0)).series_vs_direct
     assert gap is not None
     assert gap < 1e-8
-
-
-def test_temporal_horizon_guard():
-    with pytest.raises(DimensionMismatch):
-        limit_temporal_inf(*boosted_scenario(), horizon=3)

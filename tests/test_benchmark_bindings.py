@@ -53,7 +53,7 @@ def test_bound_parameters_exist():
 
 def test_split_and_report_fields_exist():
     config = shipped_scenario()
-    pfim = prior_fim(config, prior_model(config, include_anchor=True))
+    pfim = prior_fim(prior_model(config, include_anchor=True))
     efim = assemble_efim(measurement_fim(config, static_trajectory(config)), pfim)
     split = coupling.split_d_a(efim, pfim)
     assert split.nominal_blocks.shape == (config.num_steps, config.num_users, 2, 2)

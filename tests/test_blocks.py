@@ -81,17 +81,17 @@ def test_block_index_layout_matches_manual_embedding(rng):
     T, K = 3, 2
     blocks = rng.standard_normal((T, K, 2, 2))
     slices = np.stack([block_diag(blocks[t]) for t in range(T)])
-    bm = chain_matrix(slices, np.zeros((T - 1, K, 2, 2)))
+    mat = chain_matrix(slices, np.zeros((T - 1, K, 2, 2)))
     manual = np.zeros((2 * T * K, 2 * T * K))
     for t in range(T):
         for k in range(K):
             g = block_index(t, k, K)
             manual[block_slice(g), block_slice(g)] = blocks[t, k]
-    assert np.array_equal(bm.data, manual)
+    assert np.array_equal(mat, manual)
     for t in range(T):
         for k in range(K):
             g = block_slice(block_index(t, k, K))
-            assert np.array_equal(bm.data[g, g], blocks[t, k])
+            assert np.array_equal(mat[g, g], blocks[t, k])
 
 
 def test_add_edge_blocks_stamps_four_blocks(rng):
@@ -114,7 +114,7 @@ def test_chain_matrix_links_each_user_to_its_next_step(rng):
     T, K = 3, 2
     slices = rng.standard_normal((T, 2 * K, 2 * K))
     temporal = rng.standard_normal((T - 1, K, 2, 2))
-    mat = chain_matrix(slices, temporal).data
+    mat = chain_matrix(slices, temporal)
     for _ in range(5):
         x = rng.standard_normal((T, K, 2))
         want = sum(x[t].ravel() @ slices[t] @ x[t].ravel() for t in range(T))

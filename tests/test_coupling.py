@@ -1,6 +1,5 @@
 """Information-coupling walk: splits, transition matrix, and identities."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -25,11 +24,11 @@ from loctrack.scenario import prior_model, static_trajectory
 
 
 def build_all(config, traj, include_anchor=True):
-    mfim = measurement_fim(config, traj)
-    pfim = prior_fim(config, prior_model(config, include_anchor=include_anchor))
-    efim = assemble_efim(mfim, pfim)
+    lambda_d = measurement_fim(config, traj)
+    pfim = prior_fim(prior_model(config, include_anchor=include_anchor))
+    efim = assemble_efim(lambda_d, pfim)
     split = split_d_a(efim, pfim)
-    return mfim, pfim, efim, split
+    return lambda_d, pfim, efim, split
 
 
 def test_split_reconstructs_efim(rng):
@@ -71,7 +70,7 @@ def test_split_allocates_no_dense_matrix():
     """split_d_a keeps a reference to J and builds no (2TK x 2TK) array."""
     config = shipped_scenario("paper_baseline")
     traj = static_trajectory(config)
-    pfim = prior_fim(config, prior_model(config, include_anchor=True))
+    pfim = prior_fim(prior_model(config, include_anchor=True))
     efim = assemble_efim(measurement_fim(config, traj), pfim)
     tracemalloc.start()
     try:
@@ -84,24 +83,42 @@ def test_split_allocates_no_dense_matrix():
 
 
 def test_absorb_extra_holds_only_step0_anchor():
+    """The split keeps the anchor precision; the walk absorbs it at step 0 only."""
     config = shipped_scenario(num_steps=3)
     traj = static_trajectory(config)
-    _, _, _, split = build_all(config, traj, include_anchor=True)
+    lambda_d, _, _, split = build_all(config, traj, include_anchor=True)
     anchor = 1.0 / config.first_step_anchor_variance
+    assert split.anchor_precision == anchor
     T, K = config.num_steps, config.num_users
+    absorption = build_ptpm(split, lambda_d).absorption.reshape(T, K, 2, 2)
     for t in range(T):
         for k in range(K):
-            want = anchor * np.eye(2) if t == 0 else np.zeros((2, 2))
-            assert np.allclose(split.absorb_extra[t, k], want, atol=1e-15)
+            external = lambda_d[t, k] + (anchor * np.eye(2) if t == 0 else 0.0)
+            want = np.linalg.solve(split.nominal_blocks[t, k], external)
+            assert np.allclose(absorption[t, k], want, rtol=1e-13, atol=0.0)
     _, _, _, bare = build_all(config, traj, include_anchor=False)
-    assert np.max(np.abs(bare.absorb_extra)) == 0.0
+    assert bare.anchor_precision == 0.0
+
+
+@pytest.mark.parametrize("include_anchor", [True, False])
+def test_split_anchor_precision_is_the_first_slice_anchor(include_anchor):
+    """Slice 0 gains exactly anchor_precision * I, the value the split carries."""
+    config = shipped_scenario(num_steps=3)
+    traj = static_trajectory(config)
+    bare = prior_fim(prior_model(config, include_anchor=False))
+    _, pfim, _, split = build_all(config, traj, include_anchor=include_anchor)
+    K = config.num_users
+    gained = pfim.spatial_slices[0] - bare.spatial_slices[0]
+    assert np.array_equal(gained, pfim.anchor_precision * np.eye(2 * K))
+    assert split.anchor_precision == pfim.anchor_precision
+    assert (pfim.anchor_precision > 0.0) == include_anchor
 
 
 def test_ptpm_block_rows_sum_to_identity(rng):
     for _ in range(5):
         config, traj = random_scenario(rng)
-        mfim, _, efim, split = build_all(config, traj)
-        ptpm = build_ptpm(split, mfim)
+        lambda_d, _, efim, split = build_all(config, traj)
+        ptpm = build_ptpm(split, lambda_d)
         T, K = config.num_steps, config.num_users
         full = np.hstack([ptpm.transient, ptpm.absorption])
         for g in range(T * K):
@@ -157,8 +174,8 @@ def test_series_radius_is_the_dense_walk_radius(rng):
     """delta_series reports the spectral radius of the walk operator Q."""
     for _ in range(5):
         config, traj = random_scenario(rng)
-        mfim, _, _, split = build_all(config, traj)
-        transient = build_ptpm(split, mfim).transient
+        lambda_d, _, _, split = build_all(config, traj)
+        transient = build_ptpm(split, lambda_d).transient
         want = float(np.max(np.abs(np.linalg.eigvals(transient))))
         assert abs(delta_series(split, 0, 0).spectral_radius - want) <= 1e-10
 
@@ -173,7 +190,7 @@ def test_delta_series_raises_on_expanding_walk():
     split = DASplit(
         nominal_blocks=nominal,
         efim=BlockMatrix(block_diag(nominal.reshape(T * K, 2, 2)) - coupling, T, K),
-        absorb_extra=np.zeros((T, K, 2, 2)),
+        anchor_precision=0.0,
     )
     with pytest.raises(SeriesDiverged):
         delta_series(split, 0, 0)
@@ -184,8 +201,8 @@ def test_delta_series_raises_on_expanding_walk():
 def test_hitting_probabilities_partition_and_efficiency(seed):
     """F + F_to_B = I and F_to_B = (I + Delta)^{-1} on random scenarios."""
     config, traj = random_scenario(np.random.default_rng(seed))
-    mfim, _, efim, split = build_all(config, traj)
-    ptpm = build_ptpm(split, mfim)
+    lambda_d, _, efim, split = build_all(config, traj)
+    ptpm = build_ptpm(split, lambda_d)
     for t in range(config.num_steps):
         for k in range(config.num_users):
             hp = hitting_probabilities(ptpm, t, k)
@@ -198,8 +215,8 @@ def test_hitting_probabilities_partition_and_efficiency(seed):
 
 def test_eoc_report_cross_field_identities(rng):
     config, traj = random_scenario(rng, num_users=2, num_steps=3)
-    mfim, _, efim, split = build_all(config, traj)
-    ptpm = build_ptpm(split, mfim)
+    lambda_d, _, efim, split = build_all(config, traj)
+    ptpm = build_ptpm(split, lambda_d)
     report = eoc_report(efim, split)
     T, K = config.num_steps, config.num_users
     inv = np.linalg.inv(efim.data)

@@ -1,6 +1,5 @@
 """Fisher information assembly against Monte Carlo and brute-force oracles."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from conftest import random_scenario, rel_frobenius, shipped_scenario
 from loctrack.blocks import block_index, block_slice, chain_matrix, symmetrize
-from loctrack.channel import cascaded_channel, channel_jacobian, geometry_params
+from loctrack.channel import channel_jacobian, geometry_params
 from loctrack.errors import DegenerateGeometry, DimensionMismatch
 from loctrack.fim import (
     assemble_efim,
@@ -94,7 +93,7 @@ def test_measurement_fim_matches_score_covariance(rng):
     """
     config = shipped_scenario().with_num_ris(3)
     traj = static_trajectory(config)
-    mfim = measurement_fim(config, traj)
+    lambda_d = measurement_fim(config, traj)
     t, k = 0, 1
     jac = channel_jacobian(config, traj, t, k)
     sigma = jac.effective_noise_variance
@@ -108,19 +107,19 @@ def test_measurement_fim_matches_score_covariance(rng):
     scores = (2.0 * math.sqrt(power) / sigma) * np.real(jac.matrix.conj().T @ noise)
     scores = position_jacobian(config, traj, t, k) @ scores
     cov = scores @ scores.T / n_draws
-    assert rel_frobenius(cov, mfim.lambda_d[t, k]) < 0.05
+    assert rel_frobenius(cov, lambda_d[t, k]) < 0.05
 
 
 def test_measurement_blocks_are_jacobian_sandwich():
     config = shipped_scenario()
     traj = static_trajectory(config)
-    mfim = measurement_fim(config, traj)
+    lambda_d = measurement_fim(config, traj)
     for t in range(config.num_steps):
         for k in range(config.num_users):
             t_u = position_jacobian(config, traj, t, k)
             want = t_u @ channel_info(config, traj, t, k) @ t_u.T
-            assert np.allclose(mfim.lambda_d[t, k], want, rtol=1e-12, atol=1e-15)
-            assert np.allclose(mfim.lambda_d[t, k], mfim.lambda_d[t, k].T)
+            assert np.allclose(lambda_d[t, k], want, rtol=1e-12, atol=1e-15)
+            assert np.allclose(lambda_d[t, k], lambda_d[t, k].T)
 
 
 def test_measurement_fim_trajectory_shape_guard():
@@ -136,7 +135,7 @@ def test_measurement_fim_trajectory_shape_guard():
 
 def test_prior_spatial_rows_sum_to_zero_without_anchor(rng):
     config, _ = random_scenario(rng, num_users=3)
-    pfim = prior_fim(config, prior_model(config, include_anchor=False))
+    pfim = prior_fim(prior_model(config, include_anchor=False))
     K = config.num_users
     for t in range(config.num_steps):
         slice_t = pfim.spatial_slices[t]
@@ -149,8 +148,8 @@ def test_prior_spatial_rows_sum_to_zero_without_anchor(rng):
 
 def test_prior_anchor_folds_into_first_slice():
     config = shipped_scenario()
-    with_anchor = prior_fim(config, prior_model(config, include_anchor=True))
-    without = prior_fim(config, prior_model(config, include_anchor=False))
+    with_anchor = prior_fim(prior_model(config, include_anchor=True))
+    without = prior_fim(prior_model(config, include_anchor=False))
     anchor = 1.0 / config.first_step_anchor_variance
     K = config.num_users
     diff = with_anchor.spatial_slices[0] - without.spatial_slices[0]
@@ -162,8 +161,8 @@ def test_prior_anchor_folds_into_first_slice():
 
 def test_temporal_prior_is_block_tridiagonal_chain(rng):
     config, _ = random_scenario(rng, num_steps=4, num_users=2)
-    pfim = prior_fim(config)
-    full = chain_matrix(np.zeros_like(pfim.spatial_slices), pfim.temporal).data
+    pfim = prior_fim(prior_model(config))
+    full = chain_matrix(np.zeros_like(pfim.spatial_slices), pfim.temporal)
     T, K = config.num_steps, config.num_users
     # rows of the temporal chain sum to zero, exactly
     for t in range(T):
@@ -191,7 +190,7 @@ def test_temporal_prior_is_block_tridiagonal_chain(rng):
 
 def test_temporal_blocks_match_transition_precisions():
     config = shipped_scenario(num_steps=3)
-    pfim = prior_fim(config)
+    pfim = prior_fim(prior_model(config))
     for t in range(2):
         for k in range(config.num_users):
             want = np.linalg.inv(config.temporal_covariance[t][k])
@@ -210,10 +209,10 @@ def test_l1_prior_blocks_match_finite_difference_hessian():
     """
     config = shipped_scenario(num_steps=2, num_users=2, prior_kind=PRIOR_L1)
     draws = sample_trajectory_ensemble(config, 400, seed=9, burn_in=150)
-    pfim = prior_fim(config, trajectory_ensemble=draws)
+    pfim = prior_fim(prior_model(config), trajectory_ensemble=draws)
 
     t, i, j = 0, 0, 1
-    c = config.edge_precisions_at(t)[0]
+    c = config.spatial_precision[t][0]
     u = draws[:, t, i, :]
     v = draws[:, t, j, :]
 
@@ -239,7 +238,7 @@ def test_l1_prior_blocks_match_finite_difference_hessian():
 def test_l1_prior_rows_still_sum_to_zero():
     config = shipped_scenario(num_steps=2, num_users=3, prior_kind=PRIOR_L1)
     draws = sample_trajectory_ensemble(config, 200, seed=2, burn_in=100)
-    pfim = prior_fim(config, prior_model(config, include_anchor=False), draws)
+    pfim = prior_fim(prior_model(config, include_anchor=False), draws)
     K = config.num_users
     for t in range(2):
         slice_t = pfim.spatial_slices[t]
@@ -253,7 +252,7 @@ def test_l1_prior_rows_still_sum_to_zero():
 def test_l1_prior_requires_ensemble():
     config = shipped_scenario(prior_kind=PRIOR_L1)
     with pytest.raises(Exception) as info:
-        prior_fim(config)
+        prior_fim(prior_model(config))
     assert "ensemble" in str(info.value).lower()
 
 
@@ -265,16 +264,16 @@ def test_assembled_efim_is_sum_of_parts(rng):
     """x^T J x equals the measurement, edge, anchor and link energies of x."""
     config, traj = random_scenario(rng)
     T, K = config.num_steps, config.num_users
-    mfim = measurement_fim(config, traj)
-    efim = assemble_efim(mfim, prior_fim(config))
+    lambda_d = measurement_fim(config, traj)
+    efim = assemble_efim(lambda_d, prior_fim(prior_model(config)))
     anchor = 1.0 / config.first_step_anchor_variance
 
     def energy(pos):
         total = 0.0
         for t in range(T):
             for k in range(K):
-                total += float(pos[t, k] @ mfim.lambda_d[t, k] @ pos[t, k])
-            for (i, j), c in zip(config.edges_at(t), config.edge_precisions_at(t)):
+                total += float(pos[t, k] @ lambda_d[t, k] @ pos[t, k])
+            for (i, j), c in zip(config.spatial_edges[t], config.spatial_precision[t]):
                 diff = pos[t, i] - pos[t, j]
                 total += c * float(diff @ diff)
         for k in range(K):
@@ -298,7 +297,8 @@ def test_marginal_efim_matches_inverse_route(rng):
     """Schur marginal equals the inverse of the inverse's diagonal block."""
     for _ in range(3):
         config, traj = random_scenario(rng)
-        efim = assemble_efim(measurement_fim(config, traj), prior_fim(config))
+        pfim = prior_fim(prior_model(config))
+        efim = assemble_efim(measurement_fim(config, traj), pfim)
         inv = np.linalg.inv(efim.data)
         for t in range(config.num_steps):
             for k in range(config.num_users):
@@ -310,7 +310,8 @@ def test_marginal_efim_matches_inverse_route(rng):
 
 def test_bcrb_traces_from_direct_inverse(rng):
     config, traj = random_scenario(rng)
-    efim = assemble_efim(measurement_fim(config, traj), prior_fim(config))
+    pfim = prior_fim(prior_model(config))
+    efim = assemble_efim(measurement_fim(config, traj), pfim)
     result = bcrb(efim)
     inv = np.linalg.inv(efim.data)
     assert result.total == pytest.approx(float(np.trace(inv)), rel=1e-10)

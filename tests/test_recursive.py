@@ -33,9 +33,9 @@ def random_spd(rng, side, cond_span=2.0):
 def batch_marginal_last_slice(config, trajectory):
     """Schur complement of the joint EFIM onto the final step's slice, under
     the prior without the first-step anchor (as the recursion runs)."""
-    mfim = measurement_fim(config, trajectory)
-    pfim = prior_fim(config, prior_model(config, include_anchor=False))
-    joint = assemble_efim(mfim, pfim).data
+    lambda_d = measurement_fim(config, trajectory)
+    pfim = prior_fim(prior_model(config, include_anchor=False))
+    joint = assemble_efim(lambda_d, pfim).data
     keep = 2 * config.num_users
     past = joint.shape[0] - keep
     a_pp = joint[:past, :past]
@@ -92,7 +92,7 @@ def reference_recursion(config, traj, constant_from_step, disturbed, scale):
     own = np.kron(np.eye(K), np.ones((2, 2))) > 0
     eye = np.eye(2 * K)
     if constant_from_step is None:
-        pfim = prior_fim(config, prior_model(config, include_anchor=False))
+        pfim = prior_fim(prior_model(config, include_anchor=False))
     else:
         frozen = constant_inputs(config, traj, step=constant_from_step)
     out = []
@@ -221,7 +221,7 @@ def test_first_step_has_no_carry(rng):
     assert len(states) == config.num_steps
     for t, state in enumerate(states):
         assert state.t == t
-        assert state.n_users == config.num_users
+        assert state.nominal.shape[0] == config.num_users
 
 
 def test_recursive_step_shape_guards():
@@ -253,7 +253,7 @@ def test_step_slack_matches_check_convergence(rng):
     D_t - J_{t-1} - O_t - G_{t-1}, built here from the step's inputs."""
     config, traj = random_scenario(rng, num_steps=4, num_users=3)
     K = config.num_users
-    pfim = prior_fim(config, prior_model(config, include_anchor=False))
+    pfim = prior_fim(prior_model(config, include_anchor=False))
     states = run_recursion(config, traj)
     own = np.kron(np.eye(K), np.ones((2, 2))) > 0
     for t in range(1, config.num_steps):

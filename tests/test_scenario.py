@@ -313,18 +313,18 @@ def test_prior_model_anchor_toggle():
     config = shipped_scenario()
     with_anchor = prior_model(config, include_anchor=True)
     without = prior_model(config, include_anchor=False)
-    assert with_anchor.include_anchor and not without.include_anchor
     assert with_anchor.anchor_precision == pytest.approx(
         1.0 / config.first_step_anchor_variance
     )
+    assert without.anchor_precision == 0.0
 
 
 def test_joint_precision_matches_quadratic_form(rng):
     """The assembled prior precision must reproduce the energy of explicit
     deviations."""
     config = shipped_scenario(num_steps=3, num_users=2)
-    pf = prior_fim(config)
-    precision = chain_matrix(pf.spatial_slices, pf.temporal).data
+    pf = prior_fim(prior_model(config))
+    precision = chain_matrix(pf.spatial_slices, pf.temporal)
     anchor = 1.0 / config.first_step_anchor_variance
 
     def energy(pos):
@@ -333,7 +333,7 @@ def test_joint_precision_matches_quadratic_form(rng):
             diff = pos[0, k] - config.user_initial_positions[k]
             total += anchor * float(diff @ diff)
         for t in range(3):
-            for (i, j), c in zip(config.edges_at(t), config.edge_precisions_at(t)):
+            for (i, j), c in zip(config.spatial_edges[t], config.spatial_precision[t]):
                 diff = pos[t, i] - pos[t, j]
                 total += c * float(diff @ diff)
         for t in range(2):
