@@ -94,8 +94,9 @@ for col in range(2 * R):
     worst = max(worst, err)
 print(f"max relative column error over {2 * R} columns: {worst:.2e}")
 
-T_u = position_jacobian(config, traj, t=0, k=0)
-print(f"position Jacobian T_u shape: {T_u.shape} (2 x 2R)")
+T_u = position_jacobian(config, traj)
+print(f"position Jacobians: shape {T_u.shape} (T x K x 2 x 2R), "
+      f"one {T_u[0, 0].shape} T_u per (step, user)")
 
 # =========================================================================
 # MEASUREMENT INFORMATION AND THE JOINT BOUND

@@ -34,17 +34,19 @@ def block_slice(g: int) -> slice:
 
 
 def symmetrize(mat: np.ndarray, warn_label: str | None = None) -> np.ndarray:
-    """Return (X + X.T)/2, warning if the raw asymmetry is beyond round-off.
+    """Return (X + X^T)/2 over the last two axes, warning if the raw
+    asymmetry is beyond round-off.
 
     Parameters
     ----------
     mat : ndarray
-        Square matrix, nominally symmetric up to floating-point noise.
+        Square matrix, or a stack of them, nominally symmetric up to
+        floating-point noise.
     warn_label : str, optional
-        If given, emit a warning naming this quantity when the relative
-        asymmetry exceeds the documented threshold.
+        If given, emit a warning naming this (single-matrix) quantity when
+        the relative asymmetry exceeds the documented threshold.
     """
-    sym = 0.5 * (mat + mat.T)
+    sym = 0.5 * (mat + mat.mT)
     if warn_label is not None:
         scale = np.linalg.norm(mat)
         if scale > 0.0:

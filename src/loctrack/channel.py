@@ -18,6 +18,13 @@ folded into an effective noise variance that the measurement FIM divides by.
 Channel parameters per (step, user) are stacked [angles(R), gains(R)] where
 angle i is the arrival angle at surface i seen from the user and gain i the
 surface-to-user amplitude gain. All derivative code follows that ordering.
+
+The formulas broadcast over leading axes. ``cascaded_channel``,
+``cascade_from_parameters`` and ``channel_jacobian`` evaluate one (step,
+user) cell; they are the oracles the finite-difference checks read.
+``jacobian_factors`` evaluates every cell of a run of steps in one pass
+(link geometry, the (S, R, N_r) phase array, the reflection sums) and
+feeds the measurement kernel of ``loctrack.fim``.
 """
 
 from __future__ import annotations
@@ -69,6 +76,11 @@ def geometry_params(
             f"surface-user distance {np.min(dist):.3e} m below guard "
             f"{GEOMETRY_GUARD} m"
         )
+    return _link_params(delta, dist, path_loss_exponent)
+
+
+def _link_params(delta, dist, path_loss_exponent: float) -> GeometryParams:
+    """``geometry_params`` of user-minus-surface offsets, without the guard."""
     angle = np.arccos(np.clip(delta[..., 0] / dist, -1.0, 1.0))
     gain = dist ** (-abs(path_loss_exponent) / 2.0)
     return GeometryParams(angle=angle, gain=gain, distance=dist)
@@ -91,6 +103,11 @@ def steering_derivative(angle, n_elements: int) -> np.ndarray:
     return -1j * np.pi * m * sine * steering_vector(angle, n_elements)
 
 
+def _served_users(config: ScenarioConfig) -> np.ndarray:
+    """(R,) user served by each surface under the aligned policy: i mod K."""
+    return np.arange(config.num_ris) % config.num_users
+
+
 def resolve_phases(
     config: ScenarioConfig, trajectory: Trajectory, t: int
 ) -> np.ndarray:
@@ -100,28 +117,34 @@ def resolve_phases(
     cascade phase elementwise, which drives the reflection response to its
     sqrt(N_r) maximum for the served user.
     """
-    return _phase_stack(config, trajectory, t, config.bs_ris_geometry()[1])
+    served = None
+    if isinstance(config.ris_phase_profiles, AlignedPhases):
+        served = geometry_params(
+            config.ris_positions,
+            trajectory.positions[t, _served_users(config)],
+            config.path_loss_exponent,
+        ).angle[None]
+    return _phase_array(config, range(t, t + 1), served)[0]
 
 
-def _phase_stack(
-    config: ScenarioConfig, trajectory: Trajectory, t: int, aoa: np.ndarray
-) -> np.ndarray:
-    """``resolve_phases`` given the (R,) BS-side arrival angles ``aoa``."""
+def _phase_array(config: ScenarioConfig, steps: range, served_angles) -> np.ndarray:
+    """(S, R, N_r) phase shifts at ``steps``, radians.
+
+    ``served_angles`` (S, R) holds the arrival angle of each surface's
+    served user at those steps; only the aligned policy reads it. Random
+    phases draw one seeded stream per (step, surface).
+    """
     profile = config.ris_phase_profiles
     n = config.n_ris_elements
     if isinstance(profile, ExplicitPhases):
-        return np.asarray(profile.values[t], dtype=float)
+        return np.asarray(profile.values[list(steps)], dtype=float)
     if isinstance(profile, RandomPhases):
-        return np.stack([profile.values_for(t, i, n) for i in range(config.num_ris)])
-    if isinstance(profile, AlignedPhases):
-        served = np.arange(config.num_ris) % config.num_users
-        geo = geometry_params(
-            config.ris_positions,
-            trajectory.positions[t, served],
-            config.path_loss_exponent,
+        return np.array(
+            [[profile.values_for(t, i, n) for i in range(config.num_ris)] for t in steps]
         )
-        m = np.arange(n)
-        return np.pi * m * (np.cos(aoa) - np.cos(geo.angle))[:, None]
+    if isinstance(profile, AlignedPhases):
+        aoa = config.bs_ris_geometry()[1]
+        return np.pi * np.arange(n) * (np.cos(aoa) - np.cos(served_angles))[..., None]
     raise DimensionMismatch(f"unknown phase profile {profile!r}")
 
 
@@ -137,16 +160,18 @@ def _nlos_power_fraction(config: ScenarioConfig) -> float:
 
 def effective_noise_variance(
     config: ScenarioConfig, br_gains: np.ndarray, ru_gains: np.ndarray
-) -> float:
+) -> float | np.ndarray:
     """Thermal noise plus average unresolved-multipath power per antenna.
 
     The NLoS cross terms of each cascade carry a fraction
     (1 + k_br + k_ru)/((1 + k_br)(1 + k_ru)) of the per-link power
     (g_br * g_ru)^2, scaled by the transmit power like the signal itself.
     As both Rician factors grow this collapses to the thermal floor.
+    Gains broadcast over leading axes; the sum runs over the last (surface)
+    axis, so (S, K, R) user-hop gains give (S, K) variances.
     """
-    extra = _nlos_power_fraction(config) * float(
-        np.sum((np.asarray(br_gains) * np.asarray(ru_gains)) ** 2)
+    extra = _nlos_power_fraction(config) * np.sum(
+        (np.asarray(br_gains) * np.asarray(ru_gains)) ** 2, axis=-1
     )
     return config.noise_variance + config.transmit_power * extra
 
@@ -174,19 +199,18 @@ class ChannelVector:
     effective_noise_variance: float
 
 
-def _surface_terms(
-    config: ScenarioConfig, trajectory: Trajectory, t: int, ru_angles: np.ndarray
-):
-    """Per-surface terms of the cascade at step t, all R surfaces at once.
+def _surface_terms(config: ScenarioConfig, phases: np.ndarray, ru_angles: np.ndarray):
+    """Per-surface terms of the cascade, broadcast over leading axes.
 
-    For user-hop arrival angles ``ru_angles`` (R,), returns the reflection
-    responses g (R,), their angle derivatives dg (R,), the BS rows
-    rho_mix * g_br_i * a_bs(aod_i) as an (R, N_b) array, so the cascade is
-    ``(ru_gains * g) @ rows``, and the BS-RIS gains g_br (R,).
+    For phases (..., R, N_r) and user-hop arrival angles (..., R), returns
+    the reflection responses g (..., R), their angle derivatives dg
+    (..., R), the BS rows rho_mix * g_br_i * a_bs(aod_i) as an (R, N_b)
+    array, so one cell's cascade is ``(ru_gains * g) @ rows``, and the
+    BS-RIS gains g_br (R,).
     """
     aod, aoa, br_gains = config.bs_ris_geometry()
     n_b, n_r = config.n_bs_antennas, config.n_ris_elements
-    omega = np.exp(1j * _phase_stack(config, trajectory, t, aoa)) / np.sqrt(n_r)
+    omega = np.exp(1j * phases) / np.sqrt(n_r)
     ris_in = steering_vector(aoa, n_r)
     g = np.vecdot(ris_in, omega * steering_vector(ru_angles, n_r))
     dg = np.vecdot(ris_in, omega * steering_derivative(ru_angles, n_r))
@@ -201,7 +225,9 @@ def cascaded_channel(
     geo = geometry_params(
         config.ris_positions, trajectory.position(t, k), config.path_loss_exponent
     )
-    g, _, rows, br_gains = _surface_terms(config, trajectory, t, geo.angle)
+    g, _, rows, br_gains = _surface_terms(
+        config, resolve_phases(config, trajectory, t), geo.angle
+    )
     return ChannelVector(
         vector=(geo.gain * g) @ rows,
         ru_angles=geo.angle,
@@ -225,7 +251,9 @@ def cascade_from_parameters(
     per-surface arrival angles and gains vary; this is the function the
     channel Jacobian differentiates, so derivative checks go through here.
     """
-    g, _, rows, _ = _surface_terms(config, trajectory, t, ru_angles)
+    g, _, rows, _ = _surface_terms(
+        config, resolve_phases(config, trajectory, t), ru_angles
+    )
     return (np.asarray(ru_gains, dtype=float) * g) @ rows
 
 
@@ -244,12 +272,39 @@ class ChannelJacobian:
 def channel_jacobian(
     config: ScenarioConfig, trajectory: Trajectory, t: int, k: int
 ) -> ChannelJacobian:
-    """Analytic Jacobian of the cascade for user k at step t."""
+    """Analytic Jacobian of the cascade for user k at step t.
+
+    Column a is ``coeffs[a] * rows[a mod R]`` with the coefficients and
+    BS rows of ``jacobian_factors``.
+    """
     geo = geometry_params(
         config.ris_positions, trajectory.position(t, k), config.path_loss_exponent
     )
-    g, dg, rows, br_gains = _surface_terms(config, trajectory, t, geo.angle)
+    g, dg, rows, br_gains = _surface_terms(
+        config, resolve_phases(config, trajectory, t), geo.angle
+    )
+    coeffs = np.concatenate([geo.gain * dg, g])
     return ChannelJacobian(
-        matrix=np.concatenate([(geo.gain * dg)[:, None] * rows, g[:, None] * rows]).T,
+        matrix=(coeffs[:, None] * np.concatenate([rows, rows])).T,
         effective_noise_variance=effective_noise_variance(config, br_gains, geo.gain),
     )
+
+
+def jacobian_factors(
+    config: ScenarioConfig, steps: range, delta: np.ndarray, dist: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factors of the channel Jacobians of every (step, user) cell at once.
+
+    ``delta`` (S, K, R, 2) holds the user-minus-surface offsets at
+    ``steps`` and ``dist`` (S, K, R) their lengths, all above the guard.
+    Column a of cell (s, k)'s Jacobian is ``coeffs[s, k, a] * rows[a mod
+    R]``, the same factors ``channel_jacobian`` multiplies out. Returns the
+    coefficients [gain * dg, g] as (S, K, 2R), the (R, N_b) BS rows and the
+    (S, K) effective noise variances.
+    """
+    geo = _link_params(delta, dist, config.path_loss_exponent)
+    served = geo.angle[:, _served_users(config), np.arange(config.num_ris)]
+    phases = _phase_array(config, steps, served)
+    g, dg, rows, br_gains = _surface_terms(config, phases[:, None], geo.angle)
+    coeffs = np.concatenate([geo.gain * dg, g], axis=-1)
+    return coeffs, rows, effective_noise_variance(config, br_gains, geo.gain)

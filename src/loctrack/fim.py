@@ -13,7 +13,12 @@ parts that this module builds separately and then sums:
   user's state to its next step.
 
 ``measurement_fim`` returns the measurement part as a plain (T, K, 2, 2)
-array and ``prior_fim`` the two prior parts, read from a
+array from one array kernel over every (step, user) cell: the channel
+factors of ``channel.jacobian_factors``, one Gram matrix of the BS rows
+(the N_b axis summed once per call) and the (T, K, 2, 2R) T_u of
+``position_jacobian``. ``measurement_blocks_at`` is that kernel at one
+step, the recursion's per-step input. ``prior_fim`` returns the two prior
+parts, read from a
 ``scenario.PriorModel`` alone. ``assemble_efim`` lays the per-step slices
 (spatial slice plus measurement blocks) and the temporal links out with
 ``blocks.chain_matrix`` and wraps the sum in a ``BlockMatrix`` once.
@@ -37,7 +42,7 @@ from .blocks import (
     chain_matrix,
     symmetrize,
 )
-from .channel import channel_jacobian
+from .channel import geometry_params, jacobian_factors, resolve_phases
 from .errors import DegenerateGeometry, DimensionMismatch, SingularEfim
 from .scenario import (
     GEOMETRY_GUARD,
@@ -60,76 +65,123 @@ __all__ = [
 ]
 
 
-def position_jacobian(
-    config: ScenarioConfig, trajectory: Trajectory, t: int, k: int
-) -> np.ndarray:
-    """Derivatives of the stacked channel parameters w.r.t. position.
+def _link_offsets(config: ScenarioConfig, positions: np.ndarray):
+    """(S, K, R, 2) user-minus-surface offsets of (S, K, 2) positions, and
+    their (S, K, R) lengths."""
+    delta = positions[..., None, :] - config.ris_positions
+    return delta, np.sqrt(np.vecdot(delta, delta))
 
-    Returns a (2, 2R) matrix: row 0 differentiates by x, row 1 by y; columns
-    follow the [angles(R), gains(R)] stacking of the channel module. The
-    angle part needs the user off each surface's array axis, where arccos is
-    not differentiable; such geometries raise DegenerateGeometry.
+
+def _link_fault(t: int, k: int, dist: np.ndarray, dy: np.ndarray) -> str | None:
+    """Why T_u of cell (t, k) is undefined, surface by surface; None if it is not.
+
+    ``dist`` and ``dy`` hold the cell's (R,) link lengths and y offsets.
     """
-    R = config.num_ris
-    user = trajectory.position(t, k)
-    out = np.zeros((2, 2 * R))
-    alpha_mag = abs(config.path_loss_exponent)
-    for i in range(R):
-        delta = user - config.ris_positions[i]
-        dist = float(np.linalg.norm(delta))
-        if dist <= GEOMETRY_GUARD:
-            raise DegenerateGeometry(
-                f"user {k} within guard distance of surface {i} at step {t}"
-            )
-        if abs(delta[1]) <= GEOMETRY_GUARD:
-            raise DegenerateGeometry(
+    for i in range(len(dist)):
+        if dist[i] <= GEOMETRY_GUARD:
+            return f"user {k} within guard distance of surface {i} at step {t}"
+        if abs(dy[i]) <= GEOMETRY_GUARD:
+            return (
                 f"user {k} on the array axis of surface {i} at step {t}; "
                 "the angle derivative is undefined there"
             )
-        out[0, i] = -abs(delta[1]) / dist**2
-        out[1, i] = delta[0] * np.sign(delta[1]) / dist**2
-        out[:, R + i] = -(alpha_mag / 2.0) * dist ** (-alpha_mag / 2.0 - 2.0) * delta
-    return out
+    return None
 
 
-def _measurement_cell(
-    config: ScenarioConfig, trajectory: Trajectory, t: int, k: int
+def _degenerate(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """(S, K) mask of the cells with a link inside the guard or on an axis."""
+    bad = (dist <= GEOMETRY_GUARD) | (np.abs(delta[..., 1]) <= GEOMETRY_GUARD)
+    return bad.any(axis=-1)
+
+
+def _position_jacobian(delta: np.ndarray, dist: np.ndarray, path_loss_exponent: float):
+    """T_u of every cell: (..., 2, 2R) from (..., R, 2) offsets."""
+    alpha_mag = abs(path_loss_exponent)
+    dx, dy = delta[..., 0], delta[..., 1]
+    sq = dist**2
+    angle = np.stack([-np.abs(dy) / sq, dx * np.sign(dy) / sq], axis=-2)
+    scale = -(alpha_mag / 2.0) * dist ** (-alpha_mag / 2.0 - 2.0)
+    return np.concatenate([angle, scale[..., None, :] * delta.mT], -1)
+
+
+def position_jacobian(config: ScenarioConfig, trajectory: Trajectory) -> np.ndarray:
+    """Derivatives of the stacked channel parameters w.r.t. position.
+
+    Returns (T, K, 2, 2R): per (step, user), row 0 differentiates by x and
+    row 1 by y; columns follow the [angles(R), gains(R)] stacking of the
+    channel module. The angle part needs the user off each surface's array
+    axis, where arccos is not differentiable; such geometries raise
+    DegenerateGeometry for the first such (step, user, surface).
+    """
+    delta, dist = _link_offsets(config, trajectory.positions)
+    bad = _degenerate(delta, dist)
+    if np.any(bad):
+        t, k = np.argwhere(bad)[0]
+        raise DegenerateGeometry(_link_fault(t, k, dist[t, k], delta[t, k, :, 1]))
+    return _position_jacobian(delta, dist, config.path_loss_exponent)
+
+
+def _raise_first_fault(
+    config: ScenarioConfig, trajectory: Trajectory, steps: range
+) -> None:
+    """Raise what evaluating the cells one by one raises at the first bad one.
+
+    Per (step, user) in order: the user's distance guard, the BS-surface
+    geometry, the served-pair guard of the step's phases, then the T_u
+    link checks.
+    """
+    for t in steps:
+        for k in range(config.num_users):
+            geometry_params(
+                config.ris_positions, trajectory.position(t, k), config.path_loss_exponent
+            )
+            config.bs_ris_geometry()
+            resolve_phases(config, trajectory, t)
+            delta, dist = _link_offsets(config, trajectory.position(t, k))
+            fault = _link_fault(t, k, dist, delta[:, 1])
+            if fault is not None:
+                raise DegenerateGeometry(fault)
+
+
+def _measurement_blocks(
+    config: ScenarioConfig, trajectory: Trajectory, steps: range
 ) -> np.ndarray:
-    """One (t, k) cell: T_u Lambda_eta T_u^T in position coordinates."""
-    jac = channel_jacobian(config, trajectory, t, k)
-    info = symmetrize(
-        (2.0 * config.transmit_power / jac.effective_noise_variance)
-        * np.real(jac.matrix.conj().T @ jac.matrix)
-    )
-    t_u = position_jacobian(config, trajectory, t, k)
-    return symmetrize(t_u @ info @ t_u.T)
+    """(S, K, 2, 2) position-domain measurement blocks of the cells at ``steps``.
+
+    Per cell: Lambda_eta = (2 P / sigma_eff^2) Re(J_h^H J_h) over the 2R
+    channel parameters, mapped to position as T_u Lambda_eta T_u^T. Column
+    a of J_h is c_a b_a with b_a a BS row, so Re(J_h^H J_h) is
+    Re(conj(c_a) c_b G_ab) with G the Gram matrix of the stacked BS rows,
+    which sums the N_b axis once per call.
+    """
+    delta, dist = _link_offsets(config, trajectory.positions[steps.start : steps.stop])
+    if np.any(_degenerate(delta, dist)):
+        _raise_first_fault(config, trajectory, steps)
+    coeffs, rows, noise = jacobian_factors(config, steps, delta, dist)
+    stacked = np.concatenate([rows, rows])
+    gram = stacked.conj() @ stacked.T
+    info = np.real(coeffs.conj()[..., :, None] * coeffs[..., None, :] * gram)
+    info = symmetrize((2.0 * config.transmit_power / noise)[..., None, None] * info)
+    t_u = _position_jacobian(delta, dist, config.path_loss_exponent)
+    return symmetrize(t_u @ info @ t_u.mT)
 
 
 def measurement_blocks_at(
     config: ScenarioConfig, trajectory: Trajectory, t: int
 ) -> np.ndarray:
     """(K, 2, 2) position-domain measurement blocks of one step."""
-    return np.stack(
-        [
-            _measurement_cell(config, trajectory, t, k)
-            for k in range(config.num_users)
-        ]
-    )
+    return _measurement_blocks(config, trajectory, range(t, t + 1))[0]
 
 
 def measurement_fim(config: ScenarioConfig, trajectory: Trajectory) -> np.ndarray:
-    """(T, K, 2, 2) position-domain measurement blocks, one per (step, user).
-
-    Per pair: Lambda_eta = (2 P / sigma_eff^2) Re(J_h^H J_h) over the 2R
-    channel parameters, mapped to position as T_u Lambda_eta T_u^T.
-    """
+    """(T, K, 2, 2) position-domain measurement blocks, one per (step, user)."""
     T, K = config.num_steps, config.num_users
     if trajectory.num_steps != T or trajectory.num_users != K:
         raise DimensionMismatch(
             f"trajectory is {trajectory.num_steps}x{trajectory.num_users}, "
             f"scenario wants {T}x{K}"
         )
-    return np.stack([measurement_blocks_at(config, trajectory, t) for t in range(T)])
+    return _measurement_blocks(config, trajectory, range(T))
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from .blocks import (
     symmetrize,
 )
 from .errors import DimensionMismatch, SingularState
-from .fim import measurement_blocks_at, prior_fim
+from .fim import measurement_blocks_at, measurement_fim, prior_fim
 from .scenario import (
     ScenarioConfig,
     Trajectory,
@@ -385,13 +385,14 @@ def run_recursion(
         prepared[(False, 1.0)] = frozen
     else:
         pfim = prior_fim(prior_model(config, include_anchor=False), trajectory_ensemble)
+        lambda_d = measurement_fim(config, trajectory)
 
     def prepare(t: int, scale: float) -> StepInputs:
         if constant:
             lam, spatial = frozen.lambda_d, frozen.spatial_slice
             gamma = frozen.gamma if t else None
         else:
-            lam = measurement_blocks_at(config, trajectory, t)
+            lam = lambda_d[t]
             spatial = pfim.spatial_slices[t]
             gamma = pfim.temporal[t - 1] if t else None
         return step_inputs(t, scale * lam, spatial, gamma)

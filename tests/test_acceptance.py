@@ -210,7 +210,7 @@ def test_criterion_04_jacobians_match_finite_differences():
                 out[i], out[R + i] = geo.angle, geo.gain
             return out
 
-        analytic = position_jacobian(config, traj, 1, k)
+        analytic = position_jacobian(config, traj)[1, k]
         fd = central_difference(params_at, base, 1e-4)
         worst_pos = max(worst_pos, rel_frobenius(analytic, fd.T))
 

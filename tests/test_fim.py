@@ -1,11 +1,16 @@
 """Fisher information assembly against Monte Carlo and brute-force oracles."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_scenario, rel_frobenius, shipped_scenario
+from loctrack import channel
 from loctrack.blocks import block_index, block_slice, chain_matrix, symmetrize
 from loctrack.channel import channel_jacobian, geometry_params
 from loctrack.errors import DegenerateGeometry, DimensionMismatch
@@ -13,12 +18,16 @@ from loctrack.fim import (
     assemble_efim,
     bcrb,
     marginal_efim,
+    measurement_blocks_at,
     measurement_fim,
     position_jacobian,
     prior_fim,
 )
 from loctrack.scenario import (
     PRIOR_L1,
+    AlignedPhases,
+    RandomPhases,
+    Trajectory,
     prior_model,
     sample_trajectory_ensemble,
     static_trajectory,
@@ -47,7 +56,7 @@ def test_position_jacobian_matches_finite_difference(rng):
                 out[i], out[R + i] = geo.angle, geo.gain
             return out
 
-        analytic = position_jacobian(config, traj, 1, k)
+        analytic = position_jacobian(config, traj)[1, k]
         fd = np.zeros((2, 2 * R))
         for axis in range(2):
             step = np.zeros(2)
@@ -64,10 +73,9 @@ def test_position_jacobian_rejects_axis_alignment():
     # put user 0 at the same height as surface 0: the arrival angle hits
     # the end of its range and loses its derivative
     pos[0, 0] = config.ris_positions[0] + np.array([7.0, 0.0])
-    from loctrack.scenario import Trajectory
 
     with pytest.raises(DegenerateGeometry):
-        position_jacobian(config, Trajectory(pos), 0, 0)
+        position_jacobian(config, Trajectory(pos))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +113,7 @@ def test_measurement_fim_matches_score_covariance(rng):
         + 1j * rng.standard_normal((config.n_bs_antennas, n_draws))
     )
     scores = (2.0 * math.sqrt(power) / sigma) * np.real(jac.matrix.conj().T @ noise)
-    scores = position_jacobian(config, traj, t, k) @ scores
+    scores = position_jacobian(config, traj)[t, k] @ scores
     cov = scores @ scores.T / n_draws
     assert rel_frobenius(cov, lambda_d[t, k]) < 0.05
 
@@ -116,10 +124,92 @@ def test_measurement_blocks_are_jacobian_sandwich():
     lambda_d = measurement_fim(config, traj)
     for t in range(config.num_steps):
         for k in range(config.num_users):
-            t_u = position_jacobian(config, traj, t, k)
+            t_u = position_jacobian(config, traj)[t, k]
             want = t_u @ channel_info(config, traj, t, k) @ t_u.T
             assert np.allclose(lambda_d[t, k], want, rtol=1e-12, atol=1e-15)
             assert np.allclose(lambda_d[t, k], lambda_d[t, k].T)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    phase_style=st.sampled_from(["aligned", "random", "explicit"]),
+    num_ris=st.integers(1, 4),
+    num_users=st.integers(1, 3),
+)
+def test_measurement_kernel_matches_per_cell_sandwich(
+    seed, phase_style, num_ris, num_users
+):
+    """Every kernel block is the per-cell T_u Lambda_eta T_u^T with the N_b
+    axis summed explicitly; one step of the kernel is the same bits as the
+    whole-trajectory call, and neither evaluates a channel Jacobian."""
+    config, traj = random_scenario(
+        np.random.default_rng(seed),
+        num_users=num_users,
+        num_ris=num_ris,
+        phase_style=phase_style,
+    )
+    with mock.patch.object(
+        channel, "channel_jacobian", wraps=channel.channel_jacobian
+    ) as counted:
+        lambda_d = measurement_fim(config, traj)
+        per_step = [
+            measurement_blocks_at(config, traj, t) for t in range(config.num_steps)
+        ]
+    assert counted.call_count == 0
+    assert lambda_d.shape == (config.num_steps, config.num_users, 2, 2)
+    t_u = position_jacobian(config, traj)
+    for t in range(config.num_steps):
+        assert np.array_equal(per_step[t], lambda_d[t])
+        for k in range(config.num_users):
+            want = t_u[t, k] @ channel_info(config, traj, t, k) @ t_u[t, k].T
+            assert np.allclose(lambda_d[t, k], want, rtol=1e-12, atol=1e-15)
+
+
+GUARD_MESSAGE = "surface-user distance 5.000e-04 m below guard 0.001 m"
+
+
+def _on_surface_0_then_1(pos, ris):
+    pos[1, 0] = ris[0] + [5e-4, 0.0]
+    pos[2, 1] = ris[1]
+
+
+def _axis_of_2_then_near_1(pos, ris):
+    pos[1, 0] = ris[2] + [5.0, 0.0]
+    pos[1, 1] = ris[1] + [5e-4, 0.0]
+
+
+@pytest.mark.parametrize(
+    "place, profile, message",
+    [
+        (_on_surface_0_then_1, AlignedPhases(), GUARD_MESSAGE),
+        (_on_surface_0_then_1, RandomPhases(seed=3), GUARD_MESSAGE),
+        (_axis_of_2_then_near_1, AlignedPhases(), GUARD_MESSAGE),
+        (
+            _axis_of_2_then_near_1,
+            RandomPhases(seed=3),
+            "user 0 on the array axis of surface 2 at step 1; "
+            "the angle derivative is undefined there",
+        ),
+    ],
+    ids=["guard-aligned", "guard-random", "served-guard-aligned", "axis-random"],
+)
+def test_measurement_fim_raises_first_cell_fault(place, profile, message):
+    """Cell by cell: the user's guard, the aligned served-pair guard, then
+    the array axis. The message reaches the manifest's failure list."""
+    config = dataclasses.replace(
+        shipped_scenario(num_steps=3), ris_phase_profiles=profile
+    )
+    pos = static_trajectory(config).positions.copy()
+    place(pos, config.ris_positions)
+    traj = Trajectory(pos)
+    for evaluate in (
+        lambda: measurement_fim(config, traj),
+        lambda: measurement_blocks_at(config, traj, 1),
+    ):
+        with pytest.raises(DegenerateGeometry) as caught:
+            evaluate()
+        assert str(caught.value) == message
 
 
 def test_measurement_fim_trajectory_shape_guard():
