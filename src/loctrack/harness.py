@@ -5,6 +5,13 @@ table plus a manifest.  Runs are independent work items keyed by
 ``base_seed + run_index``, executed in order on one worker thread;
 aggregation is an ordered reduce over run indices. Reruns with the same
 spec and seed are byte-identical.
+
+With the ``l1-norm`` prior a run also reads an ensemble sampled from its
+seed. An ``snr-db`` sweep draws each seed's ensemble once and shares it,
+read-only, across the sweep values: an SNR shift changes only the noise
+variance, which the sampler never reads. Prior sweeps change the density
+sampled and ``num-ris`` sweeps the surfaces its separation check reads, so
+they draw once per run.
 """
 
 from __future__ import annotations
@@ -285,13 +292,23 @@ def _apply_sweep(config: ScenarioConfig, parameter: str, value: float) -> Scenar
     return config.with_num_ris(int(value))
 
 
-def _draw(config: ScenarioConfig, seed: int):
+def _draw(config: ScenarioConfig, seed: int, ensembles: dict | None = None):
     """Generate one random-walk track; for the deviation prior also draw
-    the ensemble the prior Hessian Monte Carlo will consume."""
+    the ensemble the prior Hessian Monte Carlo will consume.
+
+    ``ensembles`` maps a seed to the read-only ensemble already drawn for
+    it; a seed not in it is drawn and stored. A draw that raises is not
+    stored, so a later run with that seed draws again and fails the same
+    way. Without ``ensembles`` every call draws.
+    """
     trajectory = random_walk_trajectory(config, seed)
-    if config.prior_kind == PRIOR_L1:
-        return trajectory, sample_trajectory_ensemble(config, _L1_ENSEMBLE, seed)
-    return trajectory, None
+    if config.prior_kind != PRIOR_L1:
+        return trajectory, None
+    ensembles = {} if ensembles is None else ensembles
+    if seed not in ensembles:
+        ensembles[seed] = sample_trajectory_ensemble(config, _L1_ENSEMBLE, seed)
+        ensembles[seed].flags.writeable = False
+    return trajectory, ensembles[seed]
 
 
 def _eoc_pipeline(config: ScenarioConfig, trajectory: Trajectory, ensemble):
@@ -301,8 +318,8 @@ def _eoc_pipeline(config: ScenarioConfig, trajectory: Trajectory, ensemble):
     return eoc_report(efim, split_d_a(efim, pfim))
 
 
-def _run_eoc_point(config: ScenarioConfig, seed: int):
-    trajectory, ensemble = _draw(config, seed)
+def _run_eoc_point(config: ScenarioConfig, seed: int, ensembles: dict | None):
+    trajectory, ensemble = _draw(config, seed, ensembles)
     report = _eoc_pipeline(config, trajectory, ensemble)
     return [
         (0, 0, "eoc-mean", report.mean_eoc),
@@ -325,8 +342,8 @@ def _run_num_ris_point(config: ScenarioConfig, seed: int):
 
 
 def _run_recursion_point(config: ScenarioConfig, seed: int, spec: ExperimentSpec,
-                         with_theory: bool):
-    trajectory, ensemble = _draw(config, seed)
+                         with_theory: bool, ensembles: dict | None = None):
+    trajectory, ensemble = _draw(config, seed, ensembles)
     constant = spec.constant_from_step
     constant0 = None if constant is None else constant - 1
     states = run_recursion(
@@ -363,13 +380,15 @@ def _run_trajectory_point(config: ScenarioConfig, seed: int):
     return out
 
 
-def _run_one(spec: ExperimentSpec, config: ScenarioConfig, seed: int):
-    if spec.kind in (KIND_EOC_VS_SNR,):
-        return _run_eoc_point(config, seed)
+def _run_one(spec: ExperimentSpec, config: ScenarioConfig, seed: int,
+             ensembles: dict | None):
+    if spec.kind == KIND_EOC_VS_SNR:
+        return _run_eoc_point(config, seed, ensembles)
     if spec.kind == KIND_EOC_VS_NUM_RIS:
         return _run_num_ris_point(config, seed)
     if spec.kind == KIND_EP_CONVERGENCE:
-        return _run_recursion_point(config, seed, spec, with_theory=True)
+        return _run_recursion_point(config, seed, spec, with_theory=True,
+                                    ensembles=ensembles)
     if spec.kind in (KIND_ASYMPTOTIC_SPATIAL, KIND_ASYMPTOTIC_TEMPORAL):
         return _run_recursion_point(config, seed, spec, with_theory=False)
     return _run_trajectory_point(config, seed)
@@ -478,11 +497,16 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         for value in values
         for run_idx in range(spec.num_monte_carlo)
     ]
+    # An SNR shift changes only the noise variance, which the l1 sampler
+    # never reads, so each seed's ensemble is drawn once and shared by every
+    # sweep value. A prior sweep changes the density sampled and a num-ris
+    # sweep the surfaces the separation check reads: those draw per run.
+    ensembles = {} if spec.sweep_parameter == SWEEP_SNR_DB else None
 
     def work(job):
         value, seed = job
         try:
-            return ("ok", job, _run_one(spec, configs[value], seed))
+            return ("ok", job, _run_one(spec, configs[value], seed, ensembles))
         except (LocTrackError, np.linalg.LinAlgError) as exc:
             return ("fail", job, f"{type(exc).__name__}: {exc}")
 

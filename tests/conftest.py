@@ -197,6 +197,19 @@ def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` so each call appends to the returned list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 @pytest.fixture
 def rng():
     """Fresh deterministic generator per test."""

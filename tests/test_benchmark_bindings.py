@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import config_dict, shipped_scenario
+from conftest import config_dict, count_calls, shipped_scenario
 from loctrack import coupling, harness, recursive, scenario
 from loctrack.fim import assemble_efim, measurement_fim, prior_fim
 from loctrack.scenario import prior_model, static_trajectory
@@ -60,19 +60,6 @@ def test_split_and_report_fields_exist():
     report = coupling.eoc_report(efim, split)
     for field in ("eoc", "bcrb", "mean_eoc", "mean_bcrb"):
         assert hasattr(report, field), field
-
-
-def count_calls(monkeypatch, module, name) -> list:
-    """Wrap ``module.name`` so each call appends to the returned list."""
-    calls = []
-    inner = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(name)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
 
 
 @pytest.mark.parametrize("constant_from_step", [None, 1])

@@ -101,7 +101,7 @@ def _run_recursion_spec(tmp_path, monkeypatch, **extra):
     path.write_text(json.dumps(payload))
     started = []
 
-    def no_run(spec, config, seed):
+    def no_run(spec, config, seed, ensembles):
         started.append(seed)
         return []
 

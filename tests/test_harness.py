@@ -11,8 +11,15 @@ import pytest
 
 import loctrack.harness as harness
 import loctrack.recursive as recursive
-from conftest import config_dict
-from loctrack.errors import CampaignAborted, SchemaMismatch, SingularEfim
+from conftest import config_dict, count_calls
+from loctrack.coupling import eoc_report, split_d_a
+from loctrack.errors import (
+    CampaignAborted,
+    DegenerateGeometry,
+    SchemaMismatch,
+    SingularEfim,
+)
+from loctrack.fim import assemble_efim, measurement_fim, prior_fim
 from loctrack.harness import (
     ExperimentSpec,
     ResultTable,
@@ -22,7 +29,12 @@ from loctrack.harness import (
     trend_warnings,
     write_outputs,
 )
-from loctrack.scenario import scenario_from_json
+from loctrack.scenario import (
+    prior_model,
+    random_walk_trajectory,
+    sample_trajectory_ensemble,
+    scenario_from_json,
+)
 
 
 @pytest.fixture()
@@ -142,10 +154,10 @@ def test_failures_recorded_below_abort_threshold(
     real = harness._run_one
     bad_seed = spec.base_seed + 4
 
-    def flaky(inner_spec, config, seed):
+    def flaky(inner_spec, config, seed, ensembles):
         if seed == bad_seed:
             raise SingularEfim("synthetic run failure")
-        return real(inner_spec, config, seed)
+        return real(inner_spec, config, seed, ensembles)
 
     monkeypatch.setattr(harness, "_run_one", flaky)
     table = run_experiment(spec)
@@ -169,7 +181,7 @@ def test_reduce_matches_per_group_mean_and_stderr(
     single = run_experiment(make_spec(scenario_file, tmp_path, num_monte_carlo=1))
     assert all(row.n == 1 and row.stderr == 0.0 for row in single.rows)
 
-    def synthetic(inner_spec, config, seed):
+    def synthetic(inner_spec, config, seed, ensembles):
         job = next(jobs)
         assert job[1] == seed
         if job == bad:
@@ -193,7 +205,7 @@ def test_reduce_matches_per_group_mean_and_stderr(
             assert row.stderr == float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     assert next(rows, None) is None
 
-    def reordered(inner_spec, config, seed):
+    def reordered(inner_spec, config, seed, ensembles):
         order = keys if seed % 2 else keys[::-1]
         return [(t, k, m, 1.0) for t, k, m in order]
 
@@ -211,15 +223,15 @@ def test_abort_at_ten_percent_failures(scenario_file, tmp_path, monkeypatch):
         num_monte_carlo=10,
     )
 
-    def always_fail(inner_spec, config, seed):
+    def always_fail(inner_spec, config, seed, ensembles):
         raise SingularEfim("synthetic hard failure")
 
     real = harness._run_one
 
-    def one_in_ten(inner_spec, config, seed):
+    def one_in_ten(inner_spec, config, seed, ensembles):
         if seed == spec.base_seed:
             raise SingularEfim("synthetic hard failure")
-        return real(inner_spec, config, seed)
+        return real(inner_spec, config, seed, ensembles)
 
     monkeypatch.setattr(harness, "_run_one", one_in_ten)
     with pytest.raises(CampaignAborted):
@@ -235,12 +247,142 @@ def test_programming_error_escapes_run_experiment(
     """Only expected numerical failures count as failed runs."""
     spec = make_spec(scenario_file, tmp_path, sweep_values=(0.0,), num_monte_carlo=20)
 
-    def broken(inner_spec, config, seed):
+    def broken(inner_spec, config, seed, ensembles):
         raise TypeError("synthetic programming error")
 
     monkeypatch.setattr(harness, "_run_one", broken)
     with pytest.raises(TypeError, match="synthetic programming error"):
         run_experiment(spec)
+
+
+# The toy with the distance prior, as the l1-prior benchmark workload runs
+# it. A short burn-in keeps these campaigns fast; the reuse rules do not
+# depend on the chain length.
+L1_TOY = {"prior_kind": "l1-norm", "spatial_precision": 2.0}
+QUICK_BURN_IN = 20
+
+
+@pytest.fixture()
+def l1_scenario_file(tmp_path):
+    path = tmp_path / "l1.json"
+    path.write_text(json.dumps(config_dict(**L1_TOY)))
+    return str(path)
+
+
+@pytest.fixture()
+def quick_sampler(monkeypatch):
+    """The campaign's sampler at ``QUICK_BURN_IN``; returns its call list."""
+
+    def quick(config, count, seed):
+        return sample_trajectory_ensemble(config, count, seed, burn_in=QUICK_BURN_IN)
+
+    monkeypatch.setattr(harness, "sample_trajectory_ensemble", quick)
+    return count_calls(monkeypatch, harness, "sample_trajectory_ensemble")
+
+
+def test_snr_sweep_draws_each_seeds_l1_ensemble_once(
+    l1_scenario_file, tmp_path, quick_sampler
+):
+    """An SNR sweep reuses each seed's ensemble and gives, bit for bit, the
+    rows of runs that each draw their own; a prior sweep draws per run."""
+    spec = make_spec(
+        l1_scenario_file, tmp_path, sweep_values=(0.0, 10.0, 20.0), num_monte_carlo=2
+    )
+    table = run_experiment(spec)
+    assert len(quick_sampler) == spec.num_monte_carlo
+    assert table.manifest["failures"] == []
+
+    base = scenario_from_json(config_dict(**L1_TOY))
+    rows = iter(table.rows)
+    for value in spec.sweep_values:
+        config = base.with_snr_offset_db(value)
+        runs = []
+        for seed in range(spec.base_seed, spec.base_seed + spec.num_monte_carlo):
+            ensemble = sample_trajectory_ensemble(
+                config, harness._L1_ENSEMBLE, seed, burn_in=QUICK_BURN_IN
+            )
+            pfim = prior_fim(prior_model(config, include_anchor=True), ensemble)
+            efim = assemble_efim(
+                measurement_fim(config, random_walk_trajectory(config, seed)), pfim
+            )
+            report = eoc_report(efim, split_d_a(efim, pfim))
+            runs.append({"bcrb-mean": report.mean_bcrb, "eoc-mean": report.mean_eoc})
+        for metric in ("bcrb-mean", "eoc-mean"):
+            vals = [run[metric] for run in runs]
+            row = next(rows)
+            assert (row.sweep_value, row.metric_name) == (value, metric)
+            assert row.mean == float(np.mean(vals))
+            assert row.stderr == float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+    assert next(rows, None) is None
+
+    del quick_sampler[:]
+    run_experiment(make_spec(
+        l1_scenario_file, tmp_path, kind="EP_CONVERGENCE",
+        sweep_values=(0.0, 10.0, 20.0), num_monte_carlo=2,
+    ))
+    assert len(quick_sampler) == 2
+    del quick_sampler[:]
+    run_experiment(make_spec(
+        l1_scenario_file, tmp_path, sweep_parameter="sigma-s-inv2",
+        sweep_values=(1.0, 2.0, 4.0), num_monte_carlo=2,
+    ))
+    assert len(quick_sampler) == 6
+
+
+def test_failed_l1_draw_fails_every_sweep_value(
+    l1_scenario_file, tmp_path, monkeypatch
+):
+    """A draw that raises is not kept: the seed's run at each sweep value
+    draws again and records the same failure."""
+    spec = make_spec(
+        l1_scenario_file, tmp_path, sweep_values=(0.0, 10.0, 20.0), num_monte_carlo=11
+    )
+    bad_seed = spec.base_seed + 4
+    calls = []
+
+    def flaky(config, count, seed):
+        calls.append(seed)
+        if seed == bad_seed:
+            raise DegenerateGeometry("synthetic coinciding users")
+        return sample_trajectory_ensemble(config, count, seed, burn_in=QUICK_BURN_IN)
+
+    monkeypatch.setattr(harness, "sample_trajectory_ensemble", flaky)
+    table = run_experiment(spec)
+    assert table.manifest["failures"] == [
+        {"error": "DegenerateGeometry: synthetic coinciding users",
+         "seed": bad_seed, "sweep-value": value}
+        for value in spec.sweep_values
+    ]
+    assert calls.count(bad_seed) == len(spec.sweep_values)
+    assert len(calls) == spec.num_monte_carlo - 1 + len(spec.sweep_values)
+    assert all(row.n == spec.num_monte_carlo - 1 for row in table.rows)
+
+
+def test_l1_ensemble_ignores_the_noise_level(quick_sampler):
+    """The sampler reads nothing an SNR shift changes, and the stored
+    read-only ensemble still feeds the prior and the recursion."""
+    config = scenario_from_json(config_dict(**L1_TOY))
+    want = sample_trajectory_ensemble(config, 8, 3, burn_in=QUICK_BURN_IN).tobytes()
+    for offset in (-10.0, 15.0, 70.0):
+        shifted = config.with_snr_offset_db(offset)
+        assert shifted.noise_variance != config.noise_variance
+        got = sample_trajectory_ensemble(shifted, 8, 3, burn_in=QUICK_BURN_IN)
+        assert got.tobytes() == want
+
+    ensembles = {}
+    trajectory, stored = harness._draw(config, 3, ensembles)
+    assert list(ensembles) == [3] and ensembles[3] is stored
+    assert not stored.flags.writeable
+    assert harness._draw(config.with_snr_offset_db(10.0), 3, ensembles)[1] is stored
+    assert len(quick_sampler) == 1
+    prior = prior_model(config, include_anchor=True)
+    assert np.array_equal(
+        prior_fim(prior, stored).spatial_slices,
+        prior_fim(prior, stored.copy()).spatial_slices,
+    )
+    shared = recursive.run_recursion(config, trajectory, trajectory_ensemble=stored)
+    own = recursive.run_recursion(config, trajectory, trajectory_ensemble=stored.copy())
+    assert [s.bcrb_mean for s in shared] == [s.bcrb_mean for s in own]
 
 
 def test_trend_warnings_fire_and_stay_silent(scenario_file, tmp_path):

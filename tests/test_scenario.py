@@ -357,7 +357,7 @@ def test_joint_precision_matches_quadratic_form(rng):
 # sampling
 
 
-def test_gaussian_ensemble_deterministic():
+def test_l1_ensemble_deterministic():
     """The l1 sampler replays its draws from the seed."""
     config = shipped_scenario(num_steps=2, prior_kind=PRIOR_L1)
     a = sample_trajectory_ensemble(config, 16, seed=5, burn_in=20)
