@@ -25,6 +25,11 @@ both sides and their relative trace gaps. The spatial limits take the
 finite side from the closed-form fixed point ``recursive.stationary_point``,
 which raises NotSpd when the stand-in leaves M or T outside its SPD test.
 The temporal slope is read over a fixed ``HORIZON`` of additive steps.
+
+Per-user marginals ([J^{-1}]_kk)^{-1} and the efficiency take the routes of
+``coupling.eoc_report``: ``blocks.inverse_diag_blocks`` and
+``coupling.marginal_eoc``. The temporal Neumann cross-check uses
+``coupling.solve_nominal`` and the coupling series budget.
 """
 
 from __future__ import annotations
@@ -34,8 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .blocks import diag_blocks, neumann_diag_block
-from .coupling import coupling_spectral_radius
+from .blocks import diag_blocks, inverse_diag_blocks, neumann_diag_block
+from .coupling import (
+    SERIES_MAX_TERMS,
+    SERIES_TOL,
+    coupling_spectral_radius,
+    marginal_eoc,
+    solve_nominal,
+)
 from .recursive import StepInputs, _temporal_carry, constant_inputs, stationary_point
 from .scenario import ScenarioConfig, Trajectory
 
@@ -85,14 +96,9 @@ class AsymptoticReport:
     finite_step_gap: float | None = None
 
 
-def _per_user_blocks(full: np.ndarray, n_users: int) -> np.ndarray:
+def _per_user_blocks(full: np.ndarray) -> np.ndarray:
     """Per-user marginal information ([J^{-1}]_kk)^{-1} for each user."""
-    inverse = npl.inv(full)
-    out = np.zeros((n_users, 2, 2))
-    for k in range(n_users):
-        sl = slice(2 * k, 2 * k + 2)
-        out[k] = npl.inv(inverse[sl, sl])
-    return out
+    return npl.inv(inverse_diag_blocks(full))
 
 
 def _trace_gaps(empirical: np.ndarray, predicted: np.ndarray) -> np.ndarray:
@@ -106,17 +112,12 @@ def _stationary_eoc(inputs: StepInputs, j_state: np.ndarray) -> float:
 
     E_k = D_k^{-1} ([J^{-1}]_kk)^{-1} with D_k the own-information block
     (measurement + spatial diagonal + transition precision); the scalar is
-    the mean over users of tr(E_k) / 2. The couplings enter through the
-    marginal; a raw slice trace would miss the spatial part entirely
-    because its diagonal blocks are zero.
+    the mean over users of tr(E_k) / 2, read by ``coupling.marginal_eoc``
+    as for the assembled EFIM. The couplings enter through the marginal; a
+    raw slice trace would miss the spatial part entirely because its
+    diagonal blocks are zero.
     """
-    nominal = inputs.nominal
-    K = nominal.shape[0]
-    marg = _per_user_blocks(j_state, K)
-    traces = [
-        float(np.trace(npl.solve(nominal[k], marg[k]))) for k in range(K)
-    ]
-    return float(np.mean(traces)) / 2.0
+    return float(np.mean(marginal_eoc(inverse_diag_blocks(j_state), inputs.nominal)))
 
 
 def limit_spatial_zero(
@@ -136,7 +137,7 @@ def limit_spatial_zero(
         config.with_spatial_precision(ASYMPTOTIC_SMALL), trajectory
     )
     j_star = stationary_point(finite.m_full, finite.gamma_full).j_star
-    empirical = _per_user_blocks(j_star, K)
+    empirical = _per_user_blocks(j_star)
 
     return AsymptoticReport(
         regime=REGIME_SPATIAL_ZERO,
@@ -168,15 +169,10 @@ def limit_spatial_inf(
         config.with_spatial_precision(ASYMPTOTIC_LARGE), trajectory
     )
     j_star = stationary_point(finite.m_full, finite.gamma_full).j_star
-    empirical = _per_user_blocks(j_star, K)
+    empirical = _per_user_blocks(j_star)
 
-    first_step = _per_user_blocks(finite.m_full, K)
-    first_gap = float(
-        np.max(
-            np.abs(np.trace(first_step, axis1=1, axis2=2) - np.trace(summed_m))
-            / np.trace(summed_m)
-        )
-    )
+    first_step = _per_user_blocks(finite.m_full)
+    first_gap = float(np.max(_trace_gaps(first_step, summed_m[None])))
 
     return AsymptoticReport(
         regime=REGIME_SPATIAL_INF,
@@ -205,62 +201,39 @@ def limit_temporal_inf(
     steps, the regime's transient window.
     """
     inputs = constant_inputs(config, trajectory)
-    K = config.num_users
     m_slice = inputs.m_full
-
-    predicted = _per_user_blocks(m_slice, K)
+    predicted = _per_user_blocks(m_slice)
 
     # Neumann cross-check: C_k from the spatial-slice walk. Only meaningful
     # when the walk contracts fast enough that the truncated series actually
     # resums; a spectral radius near one (weak measurements against strong
     # coupling) would leave the truncation nowhere near its limit.
     diag = inputs.lambda_d + diag_blocks(inputs.spatial_slice)
-    x = np.zeros_like(m_slice)
-    for j in range(K):
-        sj = slice(2 * j, 2 * j + 2)
-        x[sj, :] = npl.solve(diag[j], inputs.off[sj, :])
-    series_gap: float | None
+    series_gap = None
     if coupling_spectral_radius(diag, inputs.off) < 0.99:
-        series_gap = 0.0
-        for k in range(K):
-            total, _, _ = neumann_diag_block(x, k, 10_000, 1e-10)
-            via_series = diag[k] @ npl.inv(np.eye(2) + total)
-            gap = np.linalg.norm(via_series - predicted[k]) / np.linalg.norm(
-                predicted[k]
-            )
-            series_gap = max(series_gap, float(gap))
-    else:
-        series_gap = None
+        walk = solve_nominal(diag, inputs.off)
+        totals = np.stack(
+            [
+                neumann_diag_block(walk, k, SERIES_MAX_TERMS, SERIES_TOL)[0]
+                for k in range(config.num_users)
+            ]
+        )
+        error = npl.norm(diag @ npl.inv(np.eye(2) + totals) - predicted, axis=(1, 2))
+        series_gap = float(np.max(error / npl.norm(predicted, axis=(1, 2))))
 
     # limiting additive recursion: slope by difference quotient
     half = HORIZON // 2
     j_half = half * m_slice
     j_full = HORIZON * m_slice
-    slope = (_per_user_blocks(j_full, K) - _per_user_blocks(j_half, K)) / (
-        HORIZON - half
-    )
+    slope = (_per_user_blocks(j_full) - _per_user_blocks(j_half)) / (HORIZON - half)
 
     # finite-parameter transient: two steps at the stand-in precision
     finite = constant_inputs(
         config.with_temporal_precision(ASYMPTOTIC_LARGE), trajectory
     )
-    t_full = finite.gamma_full
-    j1 = finite.m_full
-    j2 = finite.m_full + t_full - _temporal_carry(j1, t_full)
-    finite_two = _per_user_blocks(j2, K)
-    limit_two = 2.0 * predicted
-    finite_gap = float(
-        np.max(
-            np.abs(
-                np.trace(finite_two, axis1=1, axis2=2)
-                - np.trace(limit_two, axis1=1, axis2=2)
-            )
-            / np.trace(limit_two, axis1=1, axis2=2)
-        )
-    )
-
-    # regime-representative efficiency at the first carried step
-    eoc = _stationary_eoc(finite, j2)
+    m_full, gamma = finite.m_full, finite.gamma_full
+    j2 = m_full + gamma - _temporal_carry(m_full, gamma)
+    finite_gap = float(np.max(_trace_gaps(_per_user_blocks(j2), 2.0 * predicted)))
 
     return AsymptoticReport(
         regime=REGIME_TEMPORAL_INF,
@@ -268,7 +241,7 @@ def limit_temporal_inf(
         predicted=predicted,
         empirical=slope,
         relative_gaps=_trace_gaps(slope, predicted),
-        eoc=eoc,
+        eoc=_stationary_eoc(finite, j2),  # at the first carried step
         series_vs_direct=series_gap,
         finite_step_gap=finite_gap,
     )

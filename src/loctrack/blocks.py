@@ -12,8 +12,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DimensionMismatch, NotSpd
+from .errors import DimensionMismatch, NotSpd, SingularEfim
 
 # Relative eigenvalue threshold below which an information matrix is treated
 # as indefinite rather than merely ill-conditioned.
@@ -142,6 +143,19 @@ def diag_blocks(mat: np.ndarray) -> np.ndarray:
     """(2K, 2K) matrix -> (K, 2, 2) stack of its diagonal blocks."""
     K = mat.shape[0] // 2
     return np.stack([mat[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] for k in range(K)])
+
+
+def inverse_diag_blocks(mat: np.ndarray) -> np.ndarray:
+    """(2n, 2n) information matrix -> (n, 2, 2) diagonal blocks of its inverse.
+
+    One Cholesky factorisation and one solve against the identity; raises
+    SingularEfim when ``mat`` is not positive definite.
+    """
+    try:
+        chol = cho_factor(mat, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularEfim("EFIM is not positive definite") from exc
+    return diag_blocks(cho_solve(chol, np.eye(mat.shape[0])))
 
 
 def off_part(mat: np.ndarray) -> np.ndarray:

@@ -23,10 +23,13 @@ Three quantities per state follow:
   absorption) and F_to_B (absorption first), with F + F_to_B = I and
   F_to_B = E.
 
-``eoc_report`` takes Delta and E from the diagonal blocks of one dense
-inverse of J. The walk itself (``build_ptpm``, ``hitting_probabilities``,
+``eoc_report`` and ``delta_direct`` read Delta off the diagonal blocks
+of J^{-1}, which ``blocks.inverse_diag_blocks`` returns from one Cholesky
+factorisation, and ``marginal_eoc`` turns those blocks into the half-trace
+of E. The walk itself (``build_ptpm``, ``hitting_probabilities``,
 ``delta_series``) is the random-walk reading of the same numbers and the
-reference the identities are checked against.
+reference the identities are checked against; every left-normalisation
+by D in it is one batched 2x2 solve, ``solve_nominal``.
 """
 
 from __future__ import annotations
@@ -34,27 +37,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-
 import numpy.linalg as npl
 
 from .blocks import (
     BlockMatrix,
     block_diag,
     block_index,
-    block_slice,
     diag_blocks,
+    inverse_diag_blocks,
     neumann_diag_block,
     off_part,
     spd_sqrt_and_inv_sqrt,
 )
-from .errors import (
-    DimensionMismatch,
-    SeriesDiverged,
-    SingularBlock,
-    SingularEfim,
-    SingularInner,
-)
+from .errors import DimensionMismatch, SeriesDiverged, SingularBlock, SingularInner
 from .fim import PriorFim
 
 __all__ = [
@@ -143,24 +138,21 @@ class Ptpm:
         return float(np.max(np.abs(resid)))
 
 
-def _solve_nominal(split: DASplit, t: int, k: int, rhs: np.ndarray) -> np.ndarray:
+def solve_nominal(nominal_blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """D^{-1} rhs for block-diagonal D: one batched 2x2 solve per block row.
+
+    ``nominal_blocks`` holds D's diagonal blocks in state order, with any
+    leading shape ((T, K) on the (step, user) grid); ``rhs`` stacks one
+    two-row block per state. Raises SingularBlock naming the first
+    singular block by its leading index, (t, k) on the grid.
+    """
+    blocks = nominal_blocks.reshape(-1, 2, 2)
     try:
-        return npl.solve(split.nominal_blocks[t, k], rhs)
+        solved = npl.solve(blocks, rhs.reshape(blocks.shape[0], 2, -1))
     except npl.LinAlgError as exc:
-        raise SingularBlock(
-            f"nominal information block ({t}, {k}) is singular"
-        ) from exc
-
-
-def _transient(split: DASplit, coupling: np.ndarray) -> np.ndarray:
-    """The walk operator Q = D^{-1} A, solved block row by block row."""
-    T, K = split.n_steps, split.n_users
-    transient = np.zeros_like(coupling)
-    for t in range(T):
-        for k in range(K):
-            rows = block_slice(block_index(t, k, K))
-            transient[rows, :] = _solve_nominal(split, t, k, coupling[rows, :])
-    return transient
+        index = tuple(int(i) for i in np.argwhere(npl.det(nominal_blocks) == 0)[0])
+        raise SingularBlock(f"nominal information block {index} is singular") from exc
+    return solved.reshape(rhs.shape)
 
 
 def build_ptpm(split: DASplit, lambda_d: np.ndarray) -> Ptpm:
@@ -171,19 +163,13 @@ def build_ptpm(split: DASplit, lambda_d: np.ndarray) -> Ptpm:
     precision times I. Both tie the state to something outside the
     (step, user) grid, which is exactly what absorption means for the walk.
     """
-    T, K = split.n_steps, split.n_users
     external = np.array(lambda_d, dtype=float)
     external[0] += split.anchor_precision * np.eye(2)
-    absorption = np.zeros((2 * T * K, 2))
-    for t in range(T):
-        for k in range(K):
-            rows = block_slice(block_index(t, k, K))
-            absorption[rows, :] = _solve_nominal(split, t, k, external[t, k])
     return Ptpm(
-        transient=_transient(split, split.coupling()),
-        absorption=absorption,
-        n_steps=T,
-        n_users=K,
+        transient=solve_nominal(split.nominal_blocks, split.coupling()),
+        absorption=solve_nominal(split.nominal_blocks, external.reshape(-1, 2)),
+        n_steps=split.n_steps,
+        n_users=split.n_users,
     )
 
 
@@ -238,7 +224,7 @@ def delta_series(split: DASplit, t: int, k: int) -> SeriesResult:
         )
     g = block_index(t, k, split.n_users)
     total, terms, converged = neumann_diag_block(
-        _transient(split, coupling), g, SERIES_MAX_TERMS, SERIES_TOL
+        solve_nominal(split.nominal_blocks, coupling), g, SERIES_MAX_TERMS, SERIES_TOL
     )
     return SeriesResult(
         value=total, terms_used=terms, converged=converged, spectral_radius=radius
@@ -246,24 +232,16 @@ def delta_series(split: DASplit, t: int, k: int) -> SeriesResult:
 
 
 def delta_direct(split: DASplit, t: int, k: int) -> np.ndarray:
-    """Coupling excess from the full inverse: [J^{-1}]_gg D_g - I.
+    """Coupling excess from the inverse: [J^{-1}]_gg D_g - I.
 
-    J is the EFIM the split was read off (``split.efim``). Returns the raw
-    matrix; it is generally not symmetric (D and the inverse block need not
-    commute), and symmetrising it would break the exact identity
+    J is the EFIM the split was read off (``split.efim``); its diagonal
+    blocks come from ``inverse_diag_blocks``, which raises SingularEfim
+    when J is not positive definite. Returns the raw matrix; it is
+    generally not symmetric (D and the inverse block need not commute),
+    and symmetrising it would break the exact identity
     D (I + Delta)^{-1} = marginal EFIM that consumers rely on.
     """
-    efim = split.efim
-    g = block_index(t, k, efim.n_users)
-    rows = block_slice(g)
-    try:
-        chol = cho_factor(efim.data, lower=True)
-    except npl.LinAlgError as exc:
-        raise SingularEfim("EFIM is not positive definite") from exc
-    rhs = np.zeros((efim.side, 2))
-    rhs[rows, :] = np.eye(2)
-    inv_cols = cho_solve(chol, rhs)
-    inv_block = inv_cols[rows, :]
+    inv_block = inverse_diag_blocks(split.efim.data)[block_index(t, k, split.n_users)]
     return inv_block @ split.nominal_blocks[t, k] - np.eye(2)
 
 
@@ -329,35 +307,32 @@ class EocReport:
     total_bcrb: float
 
 
+def marginal_eoc(inverse_blocks: np.ndarray, nominal_blocks: np.ndarray) -> np.ndarray:
+    """Half-trace of the efficiency matrix (I + Delta)^{-1}, per state.
+
+    Delta = [J^{-1}]_gg D_g - I from the diagonal blocks of J^{-1} and the
+    nominal blocks D_g, both (..., 2, 2); returns the leading shape. The
+    efficiency equals D_g^{-1} ([J^{-1}]_gg)^{-1}, the marginal information
+    as a share of the nominal.
+    """
+    delta = inverse_blocks @ nominal_blocks - np.eye(2)
+    return 0.5 * np.trace(npl.inv(np.eye(2) + delta), axis1=-2, axis2=-1)
+
+
 def eoc_report(efim: BlockMatrix, split: DASplit) -> EocReport:
-    """Efficiency and bounds from one dense inverse.
+    """Efficiency and bounds from the diagonal blocks of J^{-1}.
 
     The efficiency matrix (I + Delta)^{-1} equals the walk's absorb-first
     probability F_to_B (``hitting_probabilities``), so the walk is not
     solved here.
     """
-    T, K = efim.n_steps, efim.n_users
-    try:
-        chol = cho_factor(efim.data, lower=True)
-    except npl.LinAlgError as exc:
-        raise SingularEfim("EFIM is not positive definite") from exc
-    inverse = cho_solve(chol, np.eye(efim.side))
-
-    eoc = np.zeros((T, K))
-    per_bcrb = np.zeros((T, K))
-    for t in range(T):
-        for k in range(K):
-            rows = block_slice(block_index(t, k, K))
-            inv_block = inverse[rows, rows]
-            delta = inv_block @ split.nominal_blocks[t, k] - np.eye(2)
-            eff = npl.inv(np.eye(2) + delta)
-            eoc[t, k] = 0.5 * float(np.trace(eff))
-            per_bcrb[t, k] = float(np.trace(inv_block))
-
+    inverse_blocks = inverse_diag_blocks(efim.data).reshape(split.nominal_blocks.shape)
+    eoc = marginal_eoc(inverse_blocks, split.nominal_blocks)
+    per_bcrb = np.trace(inverse_blocks, axis1=2, axis2=3)
     return EocReport(
         eoc=eoc,
         bcrb=per_bcrb,
         mean_eoc=float(np.mean(eoc)),
         mean_bcrb=float(np.mean(per_bcrb)),
-        total_bcrb=float(np.trace(inverse)),
+        total_bcrb=float(np.sum(per_bcrb)),
     )

@@ -11,7 +11,8 @@ seed. An ``snr-db`` sweep draws each seed's ensemble once and shares it,
 read-only, across the sweep values: an SNR shift changes only the noise
 variance, which the sampler never reads. Prior sweeps change the density
 sampled and ``num-ris`` sweeps the surfaces its separation check reads, so
-they draw once per run.
+they draw once per run. ``TRAJECTORY`` runs write positions only and draw
+no ensemble.
 """
 
 from __future__ import annotations
@@ -371,7 +372,8 @@ def _run_recursion_point(config: ScenarioConfig, seed: int, spec: ExperimentSpec
 
 
 def _run_trajectory_point(config: ScenarioConfig, seed: int):
-    trajectory, _ = _draw(config, seed)
+    # Positions only: no prior reads the track here, so no ensemble is drawn.
+    trajectory = random_walk_trajectory(config, seed)
     out = []
     for t in range(config.num_steps):
         for k in range(config.num_users):

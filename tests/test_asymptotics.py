@@ -1,6 +1,7 @@
 """Extreme-correlation limits against the finite-parameter recursion."""
 
 import numpy as np
+import numpy.linalg as npl
 import pytest
 
 from conftest import random_scenario, shipped_scenario
@@ -61,7 +62,7 @@ def test_spatial_limits_read_the_closed_form_fixed_point(limit, offset_db):
     )
     j_star = stationary_point(finite.m_full, finite.gamma_full).j_star
     assert np.array_equal(
-        report.empirical, _per_user_blocks(j_star, config.num_users)
+        report.empirical, _per_user_blocks(j_star)
     )
 
 
@@ -101,3 +102,43 @@ def test_temporal_series_gate():
     gap = limit_temporal_inf(*boosted_scenario(offset_db=0.0)).series_vs_direct
     assert gap is not None
     assert gap < 1e-8
+
+
+def _oracle_eoc(nominal, j_state):
+    """mean_k tr(D_k^{-1} ([J^{-1}]_kk)^{-1}) / 2 from one LU inverse of J."""
+    inverse = npl.inv(j_state)
+    efficiencies = []
+    for k in range(nominal.shape[0]):
+        marginal = npl.inv(inverse[2 * k : 2 * k + 2, 2 * k : 2 * k + 2])
+        efficiencies.append(0.5 * np.trace(npl.solve(nominal[k], marginal)))
+    return float(np.mean(efficiencies))
+
+
+def _criterion_8_scenario(offset_db):
+    config = shipped_scenario("paper_baseline", num_steps=4).with_snr_offset_db(offset_db)
+    return config, static_trajectory(config)
+
+
+@pytest.mark.parametrize(
+    "limit, offset_db, precision",
+    [
+        (limit_spatial_zero, 70.0, "spatial"),
+        (limit_spatial_inf, 30.0, "spatial"),
+        (limit_temporal_inf, 0.0, "temporal"),
+    ],
+    ids=["spatial-zero", "spatial-inf", "temporal-inf"],
+)
+def test_limit_eoc_matches_marginal_oracle(limit, offset_db, precision):
+    """Each limit's eoc is the mean marginal efficiency of the finite state:
+    the spatial fixed point, or the temporal limit's two-step EFIM."""
+    config, traj = _criterion_8_scenario(offset_db)
+    report = limit(config, traj)
+    if precision == "spatial":
+        finite = constant_inputs(config.with_spatial_precision(report.finite_value), traj)
+        j_state = stationary_point(finite.m_full, finite.gamma_full).j_star
+    else:
+        finite = constant_inputs(config.with_temporal_precision(report.finite_value), traj)
+        m_full, gamma = finite.m_full, finite.gamma_full
+        j_state = m_full + gamma - gamma @ npl.solve(m_full + gamma, gamma)
+    want = _oracle_eoc(finite.nominal, j_state)
+    assert report.eoc == pytest.approx(want, rel=1e-9)

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_scenario, rel_frobenius, shipped_scenario
-from loctrack.blocks import BlockMatrix, block_diag, block_index, block_slice
+from loctrack.blocks import (
+    BlockMatrix,
+    block_diag,
+    block_index,
+    block_slice,
+    inverse_diag_blocks,
+)
 from loctrack.coupling import (
     DASplit,
     build_ptpm,
@@ -18,7 +24,7 @@ from loctrack.coupling import (
     hitting_probabilities,
     split_d_a,
 )
-from loctrack.errors import SeriesDiverged
+from loctrack.errors import SeriesDiverged, SingularBlock, SingularEfim
 from loctrack.fim import assemble_efim, marginal_efim, measurement_fim, prior_fim
 from loctrack.scenario import prior_model, static_trajectory
 
@@ -230,6 +236,9 @@ def test_eoc_report_cross_field_identities(rng):
             assert report.eoc[t, k] == pytest.approx(
                 0.5 * float(np.trace(absorb_first)), rel=1e-8
             )
+            # the batched efficiency keeps the per-state arithmetic exactly
+            eff = np.linalg.inv(np.eye(2) + delta_direct(split, t, k))
+            assert report.eoc[t, k] == 0.5 * float(np.trace(eff))
             # per-state bound comes from the full inverse
             want_bcrb = float(np.trace(inv[block_slice(g), block_slice(g)]))
             assert report.bcrb[t, k] == pytest.approx(want_bcrb, rel=1e-10)
@@ -237,6 +246,45 @@ def test_eoc_report_cross_field_identities(rng):
     assert report.mean_eoc == pytest.approx(float(report.eoc.mean()), rel=1e-12)
     assert report.mean_bcrb == pytest.approx(float(report.bcrb.mean()), rel=1e-12)
     assert report.total_bcrb == pytest.approx(float(np.trace(inv)), rel=1e-10)
+
+
+def test_inverse_diag_blocks_match_the_dense_inverse(rng):
+    for _ in range(5):
+        config, traj = random_scenario(rng)
+        _, _, efim, _ = build_all(config, traj)
+        got = inverse_diag_blocks(efim.data)
+        inv = np.linalg.inv(efim.data)
+        assert got.shape == (config.num_steps * config.num_users, 2, 2)
+        for g, block in enumerate(got):
+            assert rel_frobenius(block, inv[block_slice(g), block_slice(g)]) < 1e-12
+
+
+def test_indefinite_efim_raises_singular_efim(rng):
+    """Every reader of J^{-1}'s diagonal blocks refuses an indefinite J."""
+    config, traj = random_scenario(rng, num_users=2, num_steps=3)
+    _, pfim, efim, _ = build_all(config, traj)
+    shift = np.linalg.eigvalsh(efim.data)[0] + 1.0
+    bad = BlockMatrix(efim.data - shift * np.eye(efim.side), efim.n_steps, efim.n_users)
+    assert np.linalg.eigvalsh(bad.data)[-1] > 0.0 > np.linalg.eigvalsh(bad.data)[0]
+    split = split_d_a(bad, pfim)
+    with pytest.raises(SingularEfim):
+        inverse_diag_blocks(bad.data)
+    with pytest.raises(SingularEfim):
+        eoc_report(bad, split)
+    with pytest.raises(SingularEfim):
+        delta_direct(split, 1, 0)
+
+
+def test_build_ptpm_names_the_singular_nominal_block(rng):
+    config, traj = random_scenario(rng, num_users=2, num_steps=3)
+    lambda_d, _, _, split = build_all(config, traj)
+    nominal = split.nominal_blocks.copy()
+    nominal[2, 1] = [[1.0, 2.0], [2.0, 4.0]]
+    broken = DASplit(
+        nominal_blocks=nominal, efim=split.efim, anchor_precision=split.anchor_precision
+    )
+    with pytest.raises(SingularBlock, match=r"block \(2, 1\) is singular"):
+        build_ptpm(broken, lambda_d)
 
 
 def test_efficiency_shrinks_when_coupling_strengthens():

@@ -385,6 +385,30 @@ def test_l1_ensemble_ignores_the_noise_level(quick_sampler):
     assert [s.bcrb_mean for s in shared] == [s.bcrb_mean for s in own]
 
 
+def test_l1_trajectory_campaign_draws_no_ensemble(l1_scenario_file, tmp_path, monkeypatch):
+    """A TRAJECTORY run writes positions only: one walk per job, no sampler
+    call, and every row is the mean of the seeds' walk positions."""
+    spec = make_spec(
+        l1_scenario_file, tmp_path, kind="TRAJECTORY", sweep_parameter=None,
+        sweep_values=(), num_monte_carlo=3,
+    )
+    samples = count_calls(monkeypatch, harness, "sample_trajectory_ensemble")
+    walks = count_calls(monkeypatch, harness, "random_walk_trajectory")
+    table = run_experiment(spec)
+    assert samples == []
+    assert len(walks) == spec.num_monte_carlo
+    assert table.manifest["failures"] == []
+
+    config = scenario_from_json(config_dict(**L1_TOY))
+    seeds = range(spec.base_seed, spec.base_seed + spec.num_monte_carlo)
+    positions = np.stack([random_walk_trajectory(config, seed).positions for seed in seeds])
+    assert len(table.rows) == 2 * config.num_steps * config.num_users
+    for row in table.rows:
+        vals = positions[:, row.t - 1, row.k - 1, "xy".index(row.metric_name)]
+        assert row.mean == float(np.mean(vals))
+        assert row.stderr == float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+
+
 def test_trend_warnings_fire_and_stay_silent(scenario_file, tmp_path):
     spec = make_spec(scenario_file, tmp_path)
 
