@@ -9,8 +9,9 @@ ties user positions together. Two prior kinds are supported:
   sampled for it.
 * ``l1-norm``: spatial potential proportional to the inter-user distance.
   Its prior information is an expectation over the prior, taken over an
-  ensemble drawn with a Metropolis-within-Gibbs sweep, vectorised across
-  chains.
+  ensemble drawn with Metropolis-within-Gibbs sweeps that update each
+  colour class of sites (sites sharing no prior term) in one step,
+  vectorised across the class and the chains.
 
 Tracks are drawn with the generative random walk
 (``random_walk_trajectory``), not from the joint prior: the spatial
@@ -587,10 +588,15 @@ def sample_trajectory_ensemble(
 ) -> np.ndarray:
     """Draw ``count`` independent l1-norm prior trajectories, (count, T, K, 2).
 
-    Independent Metropolis-within-Gibbs chains, vectorised across the
-    ensemble, each burned in for ``burn_in`` sweeps. Only the l1-norm prior
-    is sampled (its prior information is an ensemble expectation); any
-    other kind raises SamplingUnsupported.
+    Independent Metropolis-within-Gibbs chains, each burned in for
+    ``burn_in`` sweeps. A sweep visits the colour classes of the (t, k)
+    sites (``_colour_classes``): sites in one class share no prior term, so
+    they are conditionally independent and every site of a class, in every
+    chain, takes one Metropolis step together. The chains draw from a
+    stream spawned off ``seed``, so they share no normals with
+    ``random_walk_trajectory(config, seed)``. Only the l1-norm prior is
+    sampled (its prior information is an ensemble expectation); any other
+    kind raises SamplingUnsupported.
     """
     if count < 1:
         raise DimensionMismatch(f"ensemble size must be >= 1, got {count}")
@@ -606,63 +612,132 @@ def sample_trajectory_ensemble(
     return draws
 
 
-def _log_prior_terms_l1(
-    config: ScenarioConfig, gammas: np.ndarray, pos: np.ndarray, t: int, k: int
-) -> np.ndarray:
-    """Log-density terms touching site (t, k) for each chain.
+def _colour_classes(num_steps: int, num_users: int, spatial_edges) -> list:
+    """Greedy colouring of the sites s = t*K + k, visited in (t, k) order.
 
-    ``pos`` has shape (n_chains, T, K, 2) and ``gammas`` holds the
-    (T-1, K, 2, 2) transition precisions. Includes the step-0 anchor, the
-    temporal links to steps t-1 and t+1, and every spatial edge at step t
-    incident to user k.
+    Two sites interact when they share a prior term: user k's temporal link
+    between steps t and t+1, or a spatial edge of step t. Each class is an
+    array of sites no two of which interact. A site has at most K + 1
+    neighbours, so there are at most K + 2 classes.
     """
-    n = pos.shape[0]
-    out = np.zeros(n)
-    here = pos[:, t, k, :]
-    if t == 0:
-        diff = here - config.user_initial_positions[k]
-        out -= 0.5 * config.anchor_precision * np.sum(diff * diff, axis=1)
-    if t > 0:
-        gamma = gammas[t - 1, k]
-        diff = here - pos[:, t - 1, k, :]
-        out -= 0.5 * np.einsum("ni,ij,nj->n", diff, gamma, diff)
-    if t < config.num_steps - 1:
-        gamma = gammas[t, k]
-        diff = pos[:, t + 1, k, :] - here
-        out -= 0.5 * np.einsum("ni,ij,nj->n", diff, gamma, diff)
-    for (i, j), c in zip(config.spatial_edges[t], config.spatial_precision[t]):
-        if k == i or k == j:
-            other = j if k == i else i
-            diff = here - pos[:, t, other, :]
-            out -= 0.5 * c * np.linalg.norm(diff, axis=1)
-    return out
+    K = num_users
+    neighbours = [set() for _ in range(num_steps * K)]
+    for s in range(K, num_steps * K):
+        neighbours[s].add(s - K)
+    for t, step_edges in enumerate(spatial_edges):
+        for i, j in step_edges:
+            if i != j:
+                neighbours[t * K + i].add(t * K + j)
+                neighbours[t * K + j].add(t * K + i)
+    colour = []
+    for s, near in enumerate(neighbours):
+        used = {colour[n] for n in near if n < s}
+        colour.append(next(c for c in range(len(used) + 1) if c not in used))
+    colour = np.asarray(colour)
+    return [np.flatnonzero(colour == c) for c in range(colour.max() + 1)]
+
+
+def _class_tables(config: ScenarioConfig) -> tuple:
+    """The sites in slot order, and one tuple of gather tables per class.
+
+    The sampler stores the sites class by class: slot n holds site
+    ``order[n]``, with ``order`` the colour classes concatenated, so a
+    class is a slice of slots. With the state x as (2TK, count) rows, row
+    2n + d holding coordinate d of slot n, the quadratic part of the
+    log-density (anchor and transition precisions) is -x^T Q x / 2 + b^T x.
+    Row r of Q x is ``sum(coef[r] * x[rows[r]])``: the site's own 2x2
+    block and the -Gamma blocks to the same user at t-1 and t+1 (zero
+    where there is no link); ``lin`` is b and ``half_own`` half the own
+    block. ``others`` lists the slot at the far end of each spatial edge of
+    a site and ``half_weights`` half its precision, padded with the slot
+    itself at weight 0.
+    """
+    T, K = config.num_steps, config.num_users
+    classes = _colour_classes(T, K, config.spatial_edges)
+    order = np.concatenate(classes)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    t, k = np.divmod(order, K)
+    links = np.zeros((T + 1, K, 2, 2))
+    links[1:T] = prior_model(config).transition_precisions
+    before, after = links[t, k], links[t + 1, k]
+    anchor = np.where(t == 0, config.anchor_precision, 0.0)
+    own = before + after + anchor[:, None, None] * np.eye(2)
+    coef = np.stack([own, -before, -after], axis=2).reshape(-1, 6)
+    ends = slot[np.stack(
+        [order, np.where(t > 0, order - K, order), np.where(t < T - 1, order + K, order)],
+        axis=1,
+    )]
+    rows = np.repeat(2 * ends[:, :, None] + np.arange(2), 2, axis=0).reshape(-1, 6)
+    lin = (anchor[:, None] * config.user_initial_positions[k]).reshape(-1, 1)
+
+    edges = [[] for _ in order]
+    for s, (step_edges, precisions) in enumerate(
+        zip(config.spatial_edges, config.spatial_precision)
+    ):
+        for (i, j), c in zip(step_edges, precisions):
+            if i != j:
+                a, b = slot[s * K + i], slot[s * K + j]
+                edges[a].append((b, c))
+                edges[b].append((a, c))
+    others = np.repeat(np.arange(order.size)[:, None], max(map(len, edges)), axis=1)
+    half_weights = np.zeros(others.shape)
+    for n, site_edges in enumerate(edges):
+        for e, (other, c) in enumerate(site_edges):
+            others[n, e], half_weights[n, e] = other, 0.5 * c
+
+    bounds = np.cumsum([0] + [members.size for members in classes])
+    return order, [
+        (slice(a, b), rows[2 * a:2 * b], coef[2 * a:2 * b], lin[2 * a:2 * b],
+         0.5 * own[a:b], others[a:b], half_weights[a:b])
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _log_ratio(sites: np.ndarray, move: np.ndarray, table: tuple) -> np.ndarray:
+    """Log-density change of moving each site of one class, (n, count).
+
+    ``sites`` is the (TK, 2, count) state in slot order and ``move`` the
+    (n, 2, count) proposal for the class's slots. The quadratic part
+    changes by move . (b - Q x - Q_ss move / 2); each spatial edge by half
+    its precision times the change in distance.
+    """
+    span, rows, coef, lin, half_own, others, half_weights = table
+    here = sites[span]
+    state = sites.reshape(-1, sites.shape[-1])
+    grad = (lin - np.einsum("rj,rjc->rc", coef, state[rows])).reshape(here.shape)
+    quadratic = np.einsum(
+        "ndc,ndc->nc", move, grad - np.einsum("nde,nec->ndc", half_own, move)
+    )
+    gap = here[:, None] - sites[others]
+    moved = gap + move[:, None]
+    stretch = np.sqrt(np.einsum("neic,neic->nec", moved, moved)) - np.sqrt(
+        np.einsum("neic,neic->nec", gap, gap)
+    )
+    return quadratic - np.einsum("ne,nec->nc", half_weights, stretch)
 
 
 def _sample_l1_mcmc(
     config: ScenarioConfig, count: int, seed: int, burn_in: int
 ) -> np.ndarray:
     T, K = config.num_steps, config.num_users
-    rng = np.random.default_rng(seed)
-    gammas = prior_model(config).transition_precisions
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
     eigs = np.linalg.eigvalsh(config.temporal_covariance).ravel()
     step = 0.5 * math.sqrt(min([config.first_step_anchor_variance, *eigs]))
 
-    pos = np.broadcast_to(
-        config.user_initial_positions[None, None, :, :], (count, T, K, 2)
-    ).copy()
-    pos += step * rng.standard_normal(pos.shape)
-
+    order, tables = _class_tables(config)
+    sites = np.repeat(config.user_initial_positions[order % K][:, :, None], count, axis=2)
+    sites += step * rng.standard_normal(sites.shape)
     for _ in range(burn_in):
-        for t in range(T):
-            for k in range(K):
-                current = _log_prior_terms_l1(config, gammas, pos, t, k)
-                move = step * rng.standard_normal((count, 2))
-                pos[:, t, k, :] += move
-                proposed = _log_prior_terms_l1(config, gammas, pos, t, k)
-                reject = np.log(rng.uniform(size=count)) >= proposed - current
-                pos[reject, t, k, :] -= move[reject]
-    return pos
+        moves = step * rng.standard_normal(sites.shape)
+        log_uniforms = np.log(rng.uniform(size=(T * K, count)))
+        for table in tables:
+            span = table[0]
+            here, move = sites[span], moves[span]
+            here += move * (log_uniforms[span] < _log_ratio(sites, move, table))[:, None]
+    draws = sites[np.argsort(order)].reshape(T, K, 2, count)
+    return np.ascontiguousarray(draws.transpose(3, 0, 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 
 from loctrack.scenario import (
+    DEFAULT_BURN_IN,
     PRIOR_L2,
     AlignedPhases,
     ExplicitPhases,
     RandomPhases,
     ScenarioConfig,
+    prior_model,
     random_walk_trajectory,
     scenario_from_json,
     validate,
@@ -184,6 +186,72 @@ def iterate_fixed_point(
         if moved < tol:
             return j
     raise AssertionError(f"fixed-point iteration did not settle in {max_steps} steps")
+
+
+def _log_prior_terms_l1(
+    config: ScenarioConfig, gammas: np.ndarray, pos: np.ndarray, t: int, k: int
+) -> np.ndarray:
+    """Log-density terms touching site (t, k) for each chain.
+
+    ``pos`` has shape (n_chains, T, K, 2) and ``gammas`` holds the
+    (T-1, K, 2, 2) transition precisions. Includes the step-0 anchor, the
+    temporal links to steps t-1 and t+1, and every spatial edge at step t
+    incident to user k.
+    """
+    n = pos.shape[0]
+    out = np.zeros(n)
+    here = pos[:, t, k, :]
+    if t == 0:
+        diff = here - config.user_initial_positions[k]
+        out -= 0.5 * config.anchor_precision * np.sum(diff * diff, axis=1)
+    if t > 0:
+        gamma = gammas[t - 1, k]
+        diff = here - pos[:, t - 1, k, :]
+        out -= 0.5 * np.einsum("ni,ij,nj->n", diff, gamma, diff)
+    if t < config.num_steps - 1:
+        gamma = gammas[t, k]
+        diff = pos[:, t + 1, k, :] - here
+        out -= 0.5 * np.einsum("ni,ij,nj->n", diff, gamma, diff)
+    for (i, j), c in zip(config.spatial_edges[t], config.spatial_precision[t]):
+        if k == i or k == j:
+            other = j if k == i else i
+            diff = here - pos[:, t, other, :]
+            out -= 0.5 * c * np.linalg.norm(diff, axis=1)
+    return out
+
+
+def site_by_site_l1_ensemble(
+    config: ScenarioConfig, count: int, seed: int, burn_in: int = DEFAULT_BURN_IN
+) -> np.ndarray:
+    """Oracle l1-norm sampler: one Metropolis step per (t, k) site in turn.
+
+    Metropolis-within-Gibbs in its plainest form, vectorised only across
+    chains, with the step size rule of ``sample_trajectory_ensemble``. It
+    draws the chains' jitter and moves from ``default_rng(seed)``. The
+    colour-class sampler must match its distribution, not its bytes.
+    """
+    T, K = config.num_steps, config.num_users
+    rng = np.random.default_rng(seed)
+    gammas = prior_model(config).transition_precisions
+
+    eigs = np.linalg.eigvalsh(config.temporal_covariance).ravel()
+    step = 0.5 * math.sqrt(min([config.first_step_anchor_variance, *eigs]))
+
+    pos = np.broadcast_to(
+        config.user_initial_positions[None, None, :, :], (count, T, K, 2)
+    ).copy()
+    pos += step * rng.standard_normal(pos.shape)
+
+    for _ in range(burn_in):
+        for t in range(T):
+            for k in range(K):
+                current = _log_prior_terms_l1(config, gammas, pos, t, k)
+                move = step * rng.standard_normal((count, 2))
+                pos[:, t, k, :] += move
+                proposed = _log_prior_terms_l1(config, gammas, pos, t, k)
+                reject = np.log(rng.uniform(size=count)) >= proposed - current
+                pos[reject, t, k, :] -= move[reject]
+    return pos
 
 
 def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Extreme-correlation limits against the finite-parameter recursion."""
 
+import mpmath
 import numpy as np
-import numpy.linalg as npl
 import pytest
 
 from conftest import random_scenario, shipped_scenario
@@ -104,14 +104,24 @@ def test_temporal_series_gate():
     assert gap < 1e-8
 
 
+# J at the temporal stand-in has condition number about 5.6e8, so a float
+# oracle loses as many digits as the route it checks; 50 digits do not.
+ORACLE_DIGITS = 50
+
+
 def _oracle_eoc(nominal, j_state):
-    """mean_k tr(D_k^{-1} ([J^{-1}]_kk)^{-1}) / 2 from one LU inverse of J."""
-    inverse = npl.inv(j_state)
+    """mean_k tr(D_k^{-1} ([J^{-1}]_kk)^{-1}) / 2, at ``ORACLE_DIGITS`` digits.
+
+    ``j_state`` is a nested list of floats or an mpmath matrix; call it inside
+    ``mpmath.workdps(ORACLE_DIGITS)``.
+    """
+    inverse = mpmath.matrix(j_state) ** -1
     efficiencies = []
     for k in range(nominal.shape[0]):
-        marginal = npl.inv(inverse[2 * k : 2 * k + 2, 2 * k : 2 * k + 2])
-        efficiencies.append(0.5 * np.trace(npl.solve(nominal[k], marginal)))
-    return float(np.mean(efficiencies))
+        marginal = inverse[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] ** -1
+        product = mpmath.matrix(nominal[k].tolist()) ** -1 * marginal
+        efficiencies.append((product[0, 0] + product[1, 1]) / 2)
+    return float(mpmath.fsum(efficiencies) / len(efficiencies))
 
 
 def _criterion_8_scenario(offset_db):
@@ -133,12 +143,14 @@ def test_limit_eoc_matches_marginal_oracle(limit, offset_db, precision):
     the spatial fixed point, or the temporal limit's two-step EFIM."""
     config, traj = _criterion_8_scenario(offset_db)
     report = limit(config, traj)
-    if precision == "spatial":
-        finite = constant_inputs(config.with_spatial_precision(report.finite_value), traj)
-        j_state = stationary_point(finite.m_full, finite.gamma_full).j_star
-    else:
-        finite = constant_inputs(config.with_temporal_precision(report.finite_value), traj)
-        m_full, gamma = finite.m_full, finite.gamma_full
-        j_state = m_full + gamma - gamma @ npl.solve(m_full + gamma, gamma)
-    want = _oracle_eoc(finite.nominal, j_state)
+    with mpmath.workdps(ORACLE_DIGITS):
+        if precision == "spatial":
+            finite = constant_inputs(config.with_spatial_precision(report.finite_value), traj)
+            j_state = stationary_point(finite.m_full, finite.gamma_full).j_star.tolist()
+        else:
+            finite = constant_inputs(config.with_temporal_precision(report.finite_value), traj)
+            m_full = mpmath.matrix(finite.m_full.tolist())
+            gamma = mpmath.matrix(finite.gamma_full.tolist())
+            j_state = m_full + gamma - gamma * (m_full + gamma) ** -1 * gamma
+        want = _oracle_eoc(finite.nominal, j_state)
     assert report.eoc == pytest.approx(want, rel=1e-9)

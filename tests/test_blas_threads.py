@@ -5,9 +5,10 @@ run the same small campaigns and measurement kernels, one after the
 other, so no more than two compute threads run at once. Every file they
 write must match byte for byte: ``table.csv`` and ``manifest.json`` of a
 toy EoC-vs-SNR campaign, a toy EoC-vs-surface-count campaign (aligned and
-random phases), a short error-propagation campaign, and the raw bytes of
+random phases), a short error-propagation campaign, the raw bytes of
 ``measurement_fim`` on ``paper_baseline.json`` under aligned and random
-phases.
+phases, and the raw bytes of one l1-norm toy ensemble (100 chains, the
+default burn-in).
 
 A campaign the size of the ``eoc-coupled`` benchmark workload (T=40,
 K=3) is left out on purpose: its dense 240 x 240 Cholesky runs threaded
@@ -29,7 +30,13 @@ from pathlib import Path
 
 from loctrack.fim import measurement_fim
 from loctrack.harness import ExperimentSpec, run_experiment, write_outputs
-from loctrack.scenario import RandomPhases, load_scenario, random_walk_trajectory
+from loctrack.scenario import (
+    PRIOR_L1,
+    RandomPhases,
+    load_scenario,
+    random_walk_trajectory,
+    sample_trajectory_ensemble,
+)
 
 configs, out = Path(sys.argv[1]), Path(sys.argv[2])
 campaigns = {
@@ -61,6 +68,11 @@ for mode, cfg in (
     (out / f"measurement-fim-{mode}.bin").write_bytes(
         measurement_fim(cfg, trajectory).tobytes()
     )
+
+l1 = dataclasses.replace(load_scenario(str(configs / "toy.json")), prior_kind=PRIOR_L1)
+(out / "l1-ensemble.bin").write_bytes(
+    sample_trajectory_ensemble(l1.with_spatial_precision(2.0), 100, 7).tobytes()
+)
 """
 
 
@@ -89,7 +101,7 @@ def run_child(threads: int, out: Path) -> dict:
 def test_outputs_identical_at_one_and_two_blas_threads(tmp_path):
     one = run_child(1, tmp_path / "one")
     two = run_child(2, tmp_path / "two")
-    assert len(one) == 8, sorted(one)
+    assert len(one) == 9, sorted(one)
     assert sorted(one) == sorted(two)
     differing = [name for name in one if one[name] != two[name]]
     assert not differing, f"outputs differ between 1 and 2 BLAS threads: {differing}"

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CONFIGS, random_scenario, shipped_scenario
+from conftest import CONFIGS, random_scenario, shipped_scenario, site_by_site_l1_ensemble
 from loctrack.blocks import chain_matrix
 from loctrack.errors import (
     DegenerateGeometry,
@@ -17,6 +19,7 @@ from loctrack.errors import (
 )
 from loctrack.fim import prior_fim
 from loctrack.scenario import (
+    DEFAULT_BURN_IN,
     PRIOR_L1,
     PRIOR_L2,
     AlignedPhases,
@@ -32,6 +35,7 @@ from loctrack.scenario import (
     static_trajectory,
     validate,
 )
+from loctrack.scenario import _class_tables, _colour_classes, _log_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +388,146 @@ def test_l1_ensemble_is_finite_and_anchored():
     assert float(np.abs(spread).mean()) < 4.0 * math.sqrt(
         config.first_step_anchor_variance
     )
+
+
+def test_sampler_stream_is_not_the_walks():
+    """The chains' initial jitter shares no normals with the seed's walk."""
+    config = shipped_scenario(prior_kind=PRIOR_L1).with_spatial_precision(2.0)
+    seed, K = 7, config.num_users
+    walk = np.random.default_rng(seed).standard_normal(2 * K)
+    anchor_sd = math.sqrt(config.first_step_anchor_variance)
+    first = random_walk_trajectory(config, seed).positions[0]
+    assert np.allclose(first, config.user_initial_positions + anchor_sd * walk.reshape(K, 2))
+
+    draws = sample_trajectory_ensemble(config, 16, seed, burn_in=0)
+    step = 0.5 * math.sqrt(0.1)  # half the toy's smallest transition deviation
+    jitter = (draws - config.user_initial_positions) / step
+    # chain 0 at step 0, and the first 2K values of the chain-minor state
+    for normals in (jitter[0, 0].ravel(), np.moveaxis(jitter, 0, -1).ravel()[: 2 * K]):
+        scale = float(normals @ walk) / float(walk @ walk)
+        assert not np.allclose(normals, scale * walk, rtol=1e-6, atol=1e-6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_colour_classes_are_independent_sets(data):
+    """Every site in one class; no two sites of a class share a prior term."""
+    T = data.draw(st.integers(1, 6), label="T")
+    K = data.draw(st.integers(1, 5), label="K")
+    pair = st.tuples(st.integers(0, K - 1), st.integers(0, K - 1)).filter(
+        lambda edge: edge[0] != edge[1]
+    )
+    step_edges = st.lists(pair, max_size=K * (K - 1)) if K > 1 else st.just([])
+    edges = data.draw(st.lists(step_edges, min_size=T, max_size=T), label="edges")
+
+    classes = _colour_classes(T, K, edges)
+    sites = np.concatenate(classes)
+    assert np.array_equal(np.sort(sites), np.arange(T * K))
+    colour = np.empty(T * K, dtype=int)
+    for c, members in enumerate(classes):
+        colour[members] = c
+    shared = [(s, s + K) for s in range((T - 1) * K)] + [
+        (t * K + i, t * K + j) for t, pairs in enumerate(edges) for i, j in pairs
+    ]
+    assert all(colour[a] != colour[b] for a, b in shared)
+    assert len(classes) <= K + 2
+
+
+@pytest.mark.parametrize("name, want", [("toy", 2), ("paper_baseline", 4)])
+def test_colour_class_count_on_shipped_scenarios(name, want):
+    config = shipped_scenario(name)
+    classes = _colour_classes(config.num_steps, config.num_users, config.spatial_edges)
+    assert len(classes) == want
+
+
+def _l1_log_density(config, positions):
+    """Unnormalised l1-norm prior log-density of (n, T, K, 2) positions."""
+    anchor = positions[:, 0] - config.user_initial_positions
+    links = np.diff(positions, axis=1)
+    gammas = prior_model(config).transition_precisions
+    out = -0.5 * config.anchor_precision * np.sum(anchor * anchor, axis=(1, 2))
+    out -= 0.5 * np.einsum("ntki,tkij,ntkj->n", links, gammas, links)
+    for t, (edges, precisions) in enumerate(
+        zip(config.spatial_edges, config.spatial_precision)
+    ):
+        for (i, j), c in zip(edges, precisions):
+            gap = positions[:, t, i] - positions[:, t, j]
+            out -= 0.5 * c * np.linalg.norm(gap, axis=1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        shipped_scenario(prior_kind=PRIOR_L1).with_spatial_precision(2.0),
+        shipped_scenario("paper_baseline", num_steps=4, prior_kind=PRIOR_L1),
+    ],
+    ids=["toy", "paper-baseline-T4"],
+)
+def test_class_log_ratio_is_the_joint_log_density_change(config):
+    """Each site's log-ratio is its own move's change in the prior
+    log-density, and a class's sites moved together change it by the sum:
+    they share no prior term."""
+    T, K, count = config.num_steps, config.num_users, 5
+    rng = np.random.default_rng(3)
+    positions = config.user_initial_positions + rng.standard_normal((count, T, K, 2))
+    order, tables = _class_tables(config)
+    sites = np.ascontiguousarray(positions.reshape(count, T * K, 2)[:, order].transpose(1, 2, 0))
+
+    def density(slots):
+        flat = np.empty_like(slots)
+        flat[order] = slots
+        return _l1_log_density(config, flat.transpose(2, 0, 1).reshape(count, T, K, 2))
+
+    base = density(sites)
+    for table in tables:
+        span = table[0]
+        move = 0.3 * rng.standard_normal(sites[span].shape)
+        got = _log_ratio(sites, move, table)
+        for n, slot in enumerate(range(span.start, span.stop)):
+            one = sites.copy()
+            one[slot] += move[n]
+            np.testing.assert_allclose(got[n], density(one) - base, rtol=1e-9, atol=1e-9)
+        every = sites.copy()
+        every[span] += move
+        np.testing.assert_allclose(got.sum(axis=0), density(every) - base, rtol=1e-9, atol=1e-9)
+
+
+def test_l1_sampler_is_gaussian_at_zero_spatial_precision():
+    """Without the distance term the prior is the Gaussian walk: each step's
+    mean is the initial position and its variance the anchor variance plus
+    the transition variances before it."""
+    config = shipped_scenario(prior_kind=PRIOR_L1).with_spatial_precision(0.0)
+    draws = sample_trajectory_ensemble(config, 4000, 11, burn_in=DEFAULT_BURN_IN)
+    n = draws.shape[0]
+    moves = np.diagonal(config.temporal_covariance, axis1=-2, axis2=-1)
+    want_var = config.first_step_anchor_variance + np.concatenate(
+        [np.zeros((1,) + moves.shape[1:]), np.cumsum(moves, axis=0)]
+    )
+    mean_z = (draws.mean(axis=0) - config.user_initial_positions) / np.sqrt(want_var / n)
+    var_z = (draws.var(axis=0, ddof=1) - want_var) / (want_var * math.sqrt(2.0 / (n - 1)))
+    assert np.max(np.abs(mean_z)) < 5.0
+    assert np.max(np.abs(var_z)) < 5.0
+
+
+def _edge_terms(draws, i, j):
+    """Per-sample (I - e e^T)/d of the edge (i, j) at every step, (n, T, 2, 2)."""
+    diff = draws[:, :, i] - draws[:, :, j]
+    dist = np.linalg.norm(diff, axis=-1)
+    e = diff / dist[..., None]
+    return (np.eye(2) - e[..., :, None] * e[..., None, :]) / dist[..., None, None]
+
+
+def test_l1_edge_blocks_match_the_site_by_site_oracle():
+    """The colour-class sampler and the site-by-site oracle give the same
+    ensemble-averaged edge blocks within a few Monte-Carlo standard errors."""
+    config = shipped_scenario(prior_kind=PRIOR_L1).with_spatial_precision(2.0)
+    count = 4000
+    got = _edge_terms(sample_trajectory_ensemble(config, count, 21), 0, 1)
+    want = _edge_terms(site_by_site_l1_ensemble(config, count, 22), 0, 1)
+    stderr = np.sqrt((got.var(axis=0, ddof=1) + want.var(axis=0, ddof=1)) / count)
+    z = (got.mean(axis=0) - want.mean(axis=0)) / stderr
+    assert np.max(np.abs(z)) < 4.0, z
 
 
 def test_random_walk_trajectory_statistics():
