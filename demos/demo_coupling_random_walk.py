@@ -91,10 +91,11 @@ print("=" * 70)
 print("COUPLING EXCESS: SERIES VS DIRECT")
 print("=" * 70)
 worst = 0.0
+deltas = delta_direct(split)
 for t in range(T):
     for k in range(K):
         series = delta_series(split, t, k)
-        direct = delta_direct(split, t, k)
+        direct = deltas[t, k]
         err = np.linalg.norm(series.value - direct) / max(
             np.linalg.norm(direct), 1e-300
         )
@@ -115,8 +116,9 @@ print()
 print("=" * 70)
 print("EFFICIENCY OF COUPLING")
 print("=" * 70)
-# the report reads EoC off the dense inverse; the walk's absorb-first
-# probability above is the same number seen as a random walk
+# the report reads EoC off the chain pass (blocks.selected_inverse); the
+# walk's absorb-first probability above is the same number seen as a
+# random walk
 report = eoc_report(efim, split)
 for t in range(T):
     for k in range(K):

@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from loctrack.blocks import chain_matrix
+from loctrack.blocks import ChainEfim
 from loctrack.fim import prior_fim
 from loctrack.scenario import (
     load_scenario,
@@ -53,10 +53,10 @@ report = validate(config)
 print(f"validation: {'ok' if report.ok else report.violations}")
 
 # The joint prior precision: per-step spatial slices (the first-step anchor
-# folded into step 0) chained by the transition precisions. It is SPD once
-# the anchor is present.
+# folded into step 0) chained by the transition precisions, read through
+# the dense view of the chain form. It is SPD once the anchor is present.
 pf = prior_fim(prior_model(config))
-J_prior = chain_matrix(pf.spatial_slices, pf.temporal)
+J_prior = ChainEfim(pf.spatial_slices, pf.temporal).data
 print(f"joint prior precision side: {J_prior.shape[0]} "
       f"(= 2 x T x K), symmetric: {np.array_equal(J_prior, J_prior.T)}, "
       f"smallest eigenvalue: {np.linalg.eigvalsh(J_prior)[0]:.3e}")

@@ -26,8 +26,8 @@ finite side from the closed-form fixed point ``recursive.stationary_point``,
 which raises NotSpd when the stand-in leaves M or T outside its SPD test.
 The temporal slope is read over a fixed ``HORIZON`` of additive steps.
 
-Per-user marginals ([J^{-1}]_kk)^{-1} and the efficiency take the routes of
-``coupling.eoc_report``: ``blocks.inverse_diag_blocks`` and
+Per-user marginals ([J^{-1}]_kk)^{-1} come from the dense oracle
+``blocks.inverse_diag_blocks`` and the efficiency from
 ``coupling.marginal_eoc``. The temporal Neumann cross-check uses
 ``coupling.solve_nominal`` and the coupling series budget.
 """

@@ -1,18 +1,25 @@
-"""Dense block-structured matrices over the (step, user) grid.
+"""Block-structured matrices over the (step, user) grid.
 
 All joint information matrices in this package are square with side 2*T*K,
 organised in 2x2 position blocks. Block (t, k) with 0-based t in [0, T) and
 k in [0, K) occupies rows/cols [2*g, 2*g+2) where g = t*K + k: step-major,
 user-minor, matching the stacking order of the state vector.
+
+A track's joint information is a time chain, block tridiagonal in steps:
+``ChainEfim`` keeps its per-step slices and temporal links, and
+``selected_inverse`` reads the diagonal blocks of its inverse in O(T);
+``ChainEfim.data`` and ``inverse_diag_blocks`` are the dense oracles.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import DimensionMismatch, NotSpd, SingularEfim
 
@@ -44,14 +51,14 @@ def symmetrize(mat: np.ndarray, warn_label: str | None = None) -> np.ndarray:
         Square matrix, or a stack of them, nominally symmetric up to
         floating-point noise.
     warn_label : str, optional
-        If given, emit a warning naming this (single-matrix) quantity when
-        the relative asymmetry exceeds the documented threshold.
+        If given, emit a warning naming this quantity when the relative
+        asymmetry of the whole stack exceeds the documented threshold.
     """
     sym = 0.5 * (mat + mat.mT)
     if warn_label is not None:
         scale = np.linalg.norm(mat)
         if scale > 0.0:
-            asym = np.linalg.norm(mat - mat.T) / scale
+            asym = np.linalg.norm(mat - mat.mT) / scale
             if asym > ASYMMETRY_WARN:
                 warnings.warn(
                     f"{warn_label}: relative asymmetry {asym:.3e} exceeds "
@@ -97,52 +104,21 @@ def spd_sqrt_and_inv_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return root, inv_root
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
-    """Square matrix over the (step, user) grid of 2x2 position blocks.
-
-    Attributes
-    ----------
-    data : ndarray
-        Dense (2*T*K, 2*T*K) array. Marked read-only on construction.
-    n_steps, n_users : int
-        Grid dimensions T and K.
-    """
-
-    data: np.ndarray
-    n_steps: int
-    n_users: int
-
-    def __post_init__(self) -> None:
-        side = 2 * self.n_steps * self.n_users
-        arr = np.asarray(self.data, dtype=float)
-        if arr.shape != (side, side):
-            raise DimensionMismatch(
-                f"block matrix must be {side}x{side} for T={self.n_steps}, "
-                f"K={self.n_users}; got {arr.shape}"
-            )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def side(self) -> int:
-        return 2 * self.n_steps * self.n_users
-
-
 def block_diag(blocks: np.ndarray) -> np.ndarray:
-    """(K, 2, 2) stack -> (2K, 2K) block diagonal."""
-    K = blocks.shape[0]
-    out = np.zeros((2 * K, 2 * K))
+    """(..., K, 2, 2) stack -> (..., 2K, 2K) block diagonal."""
+    K = blocks.shape[-3]
+    out = np.zeros(blocks.shape[:-3] + (2 * K, 2 * K))
     for k in range(K):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[k]
+        out[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[..., k, :, :]
     return out
 
 
 def diag_blocks(mat: np.ndarray) -> np.ndarray:
-    """(2K, 2K) matrix -> (K, 2, 2) stack of its diagonal blocks."""
-    K = mat.shape[0] // 2
-    return np.stack([mat[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] for k in range(K)])
+    """(..., 2K, 2K) matrix -> (..., K, 2, 2) stack of its diagonal blocks."""
+    K = mat.shape[-1] // 2
+    return np.stack(
+        [mat[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] for k in range(K)], axis=-3
+    )
 
 
 def inverse_diag_blocks(mat: np.ndarray) -> np.ndarray:
@@ -202,20 +178,79 @@ def add_edge_blocks(mat: np.ndarray, pairs, weights) -> np.ndarray:
     return mat
 
 
-def chain_matrix(slices: np.ndarray, temporal: np.ndarray) -> np.ndarray:
-    """Dense (2TK, 2TK) time-chain information matrix over the (step, user) grid.
+@dataclass(frozen=True)
+class ChainEfim:
+    """Information matrix J of a time chain, kept in chain form.
 
-    ``slices`` (T, 2K, 2K) go on the block diagonal, one per step;
-    ``temporal`` (T-1, K, 2, 2) holds the link weights, entry (t, k) stamped
-    as an edge between states (t, k) and (t+1, k). The links are summed in
-    their own matrix and added to the slices once.
+    ``slices`` (T, 2K, 2K) holds one slice per step and ``links``
+    (T-1, K, 2, 2) the temporal weights, entry (t, k) an edge between
+    states (t, k) and (t+1, k); both are read-only copies. J's diagonal
+    blocks A_t (``own``) are the slices plus every link into and out of
+    step t; its off-diagonal blocks are -Gamma_t, the block diagonal of
+    ``links[t]``. ``data`` is the dense (2TK, 2TK) view, built on first
+    read and cached; only the dense oracles read it.
     """
-    slices = np.asarray(slices, dtype=float)
-    T, K = slices.shape[0], slices.shape[1] // 2
-    mat = np.zeros((2 * T * K, 2 * T * K))
-    for t in range(T):
-        mat[2 * t * K : 2 * (t + 1) * K, 2 * t * K : 2 * (t + 1) * K] = slices[t]
-    pairs = [(g, g + K) for g in range(K * (T - 1))]
-    weights = np.asarray(temporal, dtype=float).reshape(-1, 2, 2)
-    mat += add_edge_blocks(np.zeros_like(mat), pairs, weights)
-    return mat
+
+    slices: np.ndarray
+    links: np.ndarray
+    n_steps: int = field(init=False)
+    n_users: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        slices, links = np.array(self.slices, dtype=float), np.array(self.links, dtype=float)
+        T, K = len(slices), slices.shape[-1] // 2
+        if slices.shape != (T, 2 * K, 2 * K) or links.shape != (T - 1, K, 2, 2):
+            raise DimensionMismatch(
+                f"chain slices {slices.shape} and links {links.shape} are not (T, 2K, 2K), (T-1, K, 2, 2)"
+            )
+        slices.flags.writeable = links.flags.writeable = False
+        for name, value in (("slices", slices), ("links", links), ("n_steps", T), ("n_users", K)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def side(self) -> int:
+        return 2 * self.n_steps * self.n_users
+
+    @cached_property
+    def own(self) -> np.ndarray:
+        """(T, 2K, 2K) diagonal blocks A_t of J."""
+        pad = np.zeros((1,) + self.links.shape[1:])
+        into, out = np.concatenate([pad, self.links]), np.concatenate([self.links, pad])
+        return self.slices + block_diag(into + out)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The dense (2TK, 2TK) J, read-only."""
+        T, side, steps = self.n_steps, 2 * self.n_users, np.arange(self.n_steps)
+        dense = np.zeros((T, side, T, side))
+        dense[steps, :, steps, :] = self.own
+        links = -block_diag(self.links)
+        dense[steps[:-1], :, steps[1:], :] = links
+        dense[steps[1:], :, steps[:-1], :] = links
+        dense = dense.reshape(self.side, self.side)
+        dense.flags.writeable = False
+        return dense
+
+
+def selected_inverse(efim: ChainEfim) -> np.ndarray:
+    """(T, 2K, 2K) diagonal blocks Sigma_t of J^{-1}, without forming J.
+
+    Forward: S_0 = A_0 and S_t = A_t - Gamma_{t-1} S_{t-1}^{-1} Gamma_{t-1},
+    one Cholesky per step; a failed pivot raises SingularEfim. Backward
+    (Rauch, Tung & Striebel 1965): Sigma_{T-1} = S_{T-1}^{-1} and
+    Sigma_t = S_t^{-1} + L_t Sigma_{t+1} L_t^T with L_t = S_t^{-1} Gamma_t,
+    Takahashi's selected inversion (Takahashi, Fagan & Chin 1973).
+    """
+    gamma = block_diag(np.asarray_chkfinite(efim.links))
+    sigma = np.empty_like(efim.own)  # S_t^{-1}, then Sigma_t from the last step back
+    for t, own in enumerate(np.asarray_chkfinite(efim.own)):
+        schur = own - gamma[t - 1] @ sigma[t - 1] @ gamma[t - 1] if t else own
+        chol, info = dpotrf(schur, lower=1)
+        if info:
+            raise SingularEfim(f"EFIM is not positive definite: pivot of step {t} failed")
+        inv_chol = dtrtri(chol, lower=1)[0]
+        sigma[t] = inv_chol.T @ inv_chol
+    gain = sigma[:-1] @ gamma
+    for t in range(efim.n_steps - 2, -1, -1):
+        sigma[t] += gain[t] @ sigma[t + 1] @ gain[t].T
+    return sigma

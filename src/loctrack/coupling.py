@@ -23,10 +23,11 @@ Three quantities per state follow:
   absorption) and F_to_B (absorption first), with F + F_to_B = I and
   F_to_B = E.
 
-``eoc_report`` and ``delta_direct`` read Delta off the diagonal blocks
-of J^{-1}, which ``blocks.inverse_diag_blocks`` returns from one Cholesky
-factorisation, and ``marginal_eoc`` turns those blocks into the half-trace
-of E. The walk itself (``build_ptpm``, ``hitting_probabilities``,
+``eoc_report`` reads Delta off the diagonal blocks of J^{-1}, which
+``blocks.selected_inverse`` returns from the EFIM's chain form without
+forming the dense J, and ``marginal_eoc`` turns them into the half-trace
+of E; ``delta_direct`` reads them off J's dense view and is the oracle.
+The walk itself (``build_ptpm``, ``hitting_probabilities``,
 ``delta_series``) is the random-walk reading of the same numbers and the
 reference the identities are checked against; every left-normalisation
 by D in it is one batched 2x2 solve, ``solve_nominal``.
@@ -40,13 +41,14 @@ import numpy as np
 import numpy.linalg as npl
 
 from .blocks import (
-    BlockMatrix,
+    ChainEfim,
     block_diag,
     block_index,
     diag_blocks,
     inverse_diag_blocks,
     neumann_diag_block,
     off_part,
+    selected_inverse,
     spd_sqrt_and_inv_sqrt,
 )
 from .errors import DimensionMismatch, SeriesDiverged, SingularBlock, SingularInner
@@ -77,15 +79,15 @@ class DASplit:
 
     ``nominal_blocks`` holds the (T, K, 2, 2) diagonal D and ``efim`` the
     split matrix J itself (not a copy). The coupling A = D - J, with zero
-    diagonal blocks and +precision couplings off them, is built only by
-    the random-walk readings that need it (``coupling``).
+    diagonal blocks and +precision couplings off them, is built from the
+    dense view only by the random-walk readings that need it (``coupling``).
     ``anchor_precision`` is the step-0 anchor (0.0 when left out), prior
     information that the walk absorbs like a measurement, so that
     absorption rows balance.
     """
 
     nominal_blocks: np.ndarray
-    efim: BlockMatrix
+    efim: ChainEfim
     anchor_precision: float
 
     @property
@@ -101,7 +103,7 @@ class DASplit:
         return off_part(self.efim.data)
 
 
-def split_d_a(efim: BlockMatrix, pfim: PriorFim) -> DASplit:
+def split_d_a(efim: ChainEfim, pfim: PriorFim) -> DASplit:
     """Split the EFIM into nominal diagonal and coupling off-diagonal parts.
 
     A is hollow by definition, so D is read off the EFIM's own diagonal
@@ -111,7 +113,7 @@ def split_d_a(efim: BlockMatrix, pfim: PriorFim) -> DASplit:
     if (pfim.n_steps, pfim.n_users) != (T, K):
         raise DimensionMismatch("EFIM and prior grids disagree")
     return DASplit(
-        nominal_blocks=diag_blocks(efim.data).reshape(T, K, 2, 2),
+        nominal_blocks=diag_blocks(efim.own),
         efim=efim,
         anchor_precision=pfim.anchor_precision,
     )
@@ -231,18 +233,18 @@ def delta_series(split: DASplit, t: int, k: int) -> SeriesResult:
     )
 
 
-def delta_direct(split: DASplit, t: int, k: int) -> np.ndarray:
-    """Coupling excess from the inverse: [J^{-1}]_gg D_g - I.
+def delta_direct(split: DASplit) -> np.ndarray:
+    """(T, K, 2, 2) coupling excess of every state: [J^{-1}]_gg D_g - I.
 
-    J is the EFIM the split was read off (``split.efim``); its diagonal
-    blocks come from ``inverse_diag_blocks``, which raises SingularEfim
-    when J is not positive definite. Returns the raw matrix; it is
-    generally not symmetric (D and the inverse block need not commute),
-    and symmetrising it would break the exact identity
-    D (I + Delta)^{-1} = marginal EFIM that consumers rely on.
+    J is the dense view of the EFIM the split was read off, factorised once
+    by ``inverse_diag_blocks``, which raises SingularEfim when J is not
+    positive definite. The raw matrices are generally not symmetric (D and
+    the inverse block need not commute), and symmetrising them would break
+    the exact identity D (I + Delta)^{-1} = marginal EFIM that consumers
+    rely on.
     """
-    inv_block = inverse_diag_blocks(split.efim.data)[block_index(t, k, split.n_users)]
-    return inv_block @ split.nominal_blocks[t, k] - np.eye(2)
+    inv_blocks = inverse_diag_blocks(split.efim.data).reshape(split.nominal_blocks.shape)
+    return inv_blocks @ split.nominal_blocks - np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -319,14 +321,15 @@ def marginal_eoc(inverse_blocks: np.ndarray, nominal_blocks: np.ndarray) -> np.n
     return 0.5 * np.trace(npl.inv(np.eye(2) + delta), axis1=-2, axis2=-1)
 
 
-def eoc_report(efim: BlockMatrix, split: DASplit) -> EocReport:
-    """Efficiency and bounds from the diagonal blocks of J^{-1}.
+def eoc_report(efim: ChainEfim, split: DASplit) -> EocReport:
+    """Efficiency and bounds from the diagonal blocks of J^{-1}, read by
+    the chain pass ``blocks.selected_inverse``.
 
     The efficiency matrix (I + Delta)^{-1} equals the walk's absorb-first
     probability F_to_B (``hitting_probabilities``), so the walk is not
     solved here.
     """
-    inverse_blocks = inverse_diag_blocks(efim.data).reshape(split.nominal_blocks.shape)
+    inverse_blocks = diag_blocks(selected_inverse(efim))
     eoc = marginal_eoc(inverse_blocks, split.nominal_blocks)
     per_bcrb = np.trace(inverse_blocks, axis1=2, axis2=3)
     return EocReport(

@@ -18,13 +18,15 @@ factors of ``channel.jacobian_factors``, one Gram matrix of the BS rows
 (the N_b axis summed once per call) and the (T, K, 2, 2R) T_u of
 ``position_jacobian``. ``measurement_blocks_at`` is that kernel at one
 step, the recursion's per-step input. ``prior_fim`` returns the two prior
-parts, read from a
-``scenario.PriorModel`` alone. ``assemble_efim`` lays the per-step slices
-(spatial slice plus measurement blocks) and the temporal links out with
-``blocks.chain_matrix`` and wraps the sum in a ``BlockMatrix`` once.
+parts, read from a ``scenario.PriorModel`` alone. ``assemble_efim``
+returns the EFIM in chain form, a ``blocks.ChainEfim``: the per-step
+slices (spatial slice plus measurement blocks) and the temporal links.
 
 The Bayesian CRB is the trace of the inverse of the assembled matrix; the
-per-user bound is the trace of the matching 2x2 diagonal block.
+per-user bound is the trace of the matching 2x2 diagonal block. The
+campaigns read both through ``blocks.selected_inverse``
+(``coupling.eoc_report``); ``bcrb`` and ``marginal_efim`` read the dense
+view ``ChainEfim.data`` and are the oracles they are checked against.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .blocks import (
-    BlockMatrix,
+    ChainEfim,
     block_diag,
     block_index,
     block_slice,
-    chain_matrix,
+    inverse_diag_blocks,
     symmetrize,
 )
 from .channel import geometry_params, jacobian_factors, resolve_phases
@@ -225,65 +226,54 @@ def prior_fim(prior: PriorModel, trajectory_ensemble=None) -> PriorFim:
     )
 
 
-def assemble_efim(lambda_d: np.ndarray, pfim: PriorFim) -> BlockMatrix:
-    """Sum of the (T, K, 2, 2) measurement blocks and the prior information."""
+def assemble_efim(lambda_d: np.ndarray, pfim: PriorFim) -> ChainEfim:
+    """Sum of the (T, K, 2, 2) measurement blocks and the prior information,
+    in chain form: each step's slice gains its measurement blocks."""
     T, K = lambda_d.shape[:2]
     if (T, K) != (pfim.n_steps, pfim.n_users):
         raise DimensionMismatch(
             f"measurement grid {T}x{K} does not match "
             f"prior grid {pfim.n_steps}x{pfim.n_users}"
         )
-    slices = pfim.spatial_slices + np.stack([block_diag(blocks) for blocks in lambda_d])
-    total = chain_matrix(slices, pfim.temporal)
-    return BlockMatrix(symmetrize(total, "assembled EFIM"), T, K)
+    slices = symmetrize(pfim.spatial_slices + block_diag(lambda_d), "assembled EFIM")
+    return ChainEfim(slices, symmetrize(pfim.temporal, "temporal links"))
 
 
 @dataclass(frozen=True)
 class BcrbResult:
     """Trace bound on the joint posterior covariance.
 
-    ``total`` is the trace of the full inverse; ``per_user`` the (T, K)
-    array of per-position traces, which sum to the total.
+    ``total`` is the trace of the full inverse, the sum of ``per_user``,
+    the (T, K) array of per-position traces.
     """
 
     total: float
     per_user: np.ndarray
 
 
-def bcrb(efim: BlockMatrix) -> BcrbResult:
-    """Bayesian CRB from an assembled information matrix."""
-    try:
-        chol = cho_factor(efim.data, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularEfim("assembled EFIM is not positive definite") from exc
-    inverse = cho_solve(chol, np.eye(efim.side))
-    T, K = efim.n_steps, efim.n_users
-    per_user = np.zeros((T, K))
-    for t in range(T):
-        for k in range(K):
-            g = block_index(t, k, K)
-            per_user[t, k] = np.trace(inverse[block_slice(g), block_slice(g)])
-    return BcrbResult(total=float(np.trace(inverse)), per_user=per_user)
+def bcrb(efim: ChainEfim) -> BcrbResult:
+    """Bayesian CRB from the dense view of an assembled information matrix,
+    by ``blocks.inverse_diag_blocks``; raises SingularEfim if J is not
+    positive definite."""
+    blocks = inverse_diag_blocks(efim.data)
+    per_user = np.trace(blocks, axis1=1, axis2=2).reshape(efim.n_steps, efim.n_users)
+    return BcrbResult(total=float(np.sum(per_user)), per_user=per_user)
 
 
-def marginal_efim(efim: BlockMatrix, t: int, k: int) -> np.ndarray:
+def marginal_efim(efim: ChainEfim, t: int, k: int) -> np.ndarray:
     """Equivalent 2x2 information of one (step, user) after marginalisation.
 
     Direct Schur complement: J_gg - J_gr J_rr^{-1} J_rg with g the target
     block and r everything else. This is the reference route the coupling
     identities are checked against.
     """
-    g = block_index(t, k, efim.n_users)
-    idx = np.arange(efim.side)
-    own = idx[block_slice(g)]
-    rest = np.setdiff1d(idx, own)
-    j_gg = efim.data[np.ix_(own, own)]
-    j_gr = efim.data[np.ix_(own, rest)]
-    j_rr = efim.data[np.ix_(rest, rest)]
+    own = block_slice(block_index(t, k, efim.n_users))
+    j_gr = np.delete(efim.data[own], own, axis=1)
+    j_rr = np.delete(np.delete(efim.data, own, axis=0), own, axis=1)
     try:
         solved = np.linalg.solve(j_rr, j_gr.T)
     except np.linalg.LinAlgError as exc:
         raise SingularEfim(
             f"cannot marginalise block ({t}, {k}): complement is singular"
         ) from exc
-    return symmetrize(j_gg - j_gr @ solved)
+    return symmetrize(efim.data[own, own] - j_gr @ solved)

@@ -5,15 +5,11 @@ run the same small campaigns and measurement kernels, one after the
 other, so no more than two compute threads run at once. Every file they
 write must match byte for byte: ``table.csv`` and ``manifest.json`` of a
 toy EoC-vs-SNR campaign, a toy EoC-vs-surface-count campaign (aligned and
-random phases), a short error-propagation campaign, the raw bytes of
-``measurement_fim`` on ``paper_baseline.json`` under aligned and random
-phases, and the raw bytes of one l1-norm toy ensemble (100 chains, the
-default burn-in).
-
-A campaign the size of the ``eoc-coupled`` benchmark workload (T=40,
-K=3) is left out on purpose: its dense 240 x 240 Cholesky runs threaded
-BLAS kernels whose summation order follows the thread count, so its
-table differs in the last bits between 1 and 2 threads.
+random phases), an EoC-vs-SNR campaign the size of the ``eoc-coupled``
+benchmark workload (``paper_baseline.json``, T=40, K=3), a short
+error-propagation campaign, the raw bytes of ``measurement_fim`` on
+``paper_baseline.json`` under aligned and random phases, and the raw
+bytes of one l1-norm toy ensemble (100 chains, the default burn-in).
 """
 
 import os
@@ -40,13 +36,14 @@ from loctrack.scenario import (
 
 configs, out = Path(sys.argv[1]), Path(sys.argv[2])
 campaigns = {
-    "eoc-vs-snr": ("EOC_VS_SNR", "snr-db", (-10.0, 10.0, 30.0), 2),
-    "eoc-vs-num-ris": ("EOC_VS_NUM_RIS", "num-ris", (1.0, 2.0, 4.0), 2),
-    "ep-convergence": ("EP_CONVERGENCE", "sigma-t-inv2", (1.0, 10.0), None),
+    "eoc-vs-snr": ("toy.json", "EOC_VS_SNR", "snr-db", (-10.0, 10.0, 30.0), 2),
+    "eoc-vs-num-ris": ("toy.json", "EOC_VS_NUM_RIS", "num-ris", (1.0, 2.0, 4.0), 2),
+    "eoc-coupled": ("paper_baseline.json", "EOC_VS_SNR", "snr-db", (20.0, 50.0, 80.0), 2),
+    "ep-convergence": ("toy.json", "EP_CONVERGENCE", "sigma-t-inv2", (1.0, 10.0), None),
 }
-for name, (kind, parameter, values, constant) in campaigns.items():
+for name, (scenario, kind, parameter, values, constant) in campaigns.items():
     spec = ExperimentSpec(
-        scenario_path=str(configs / "toy.json"),
+        scenario_path=str(configs / scenario),
         kind=kind,
         sweep_parameter=parameter,
         sweep_values=values,
@@ -101,7 +98,7 @@ def run_child(threads: int, out: Path) -> dict:
 def test_outputs_identical_at_one_and_two_blas_threads(tmp_path):
     one = run_child(1, tmp_path / "one")
     two = run_child(2, tmp_path / "two")
-    assert len(one) == 9, sorted(one)
+    assert len(one) == 11, sorted(one)
     assert sorted(one) == sorted(two)
     differing = [name for name in one if one[name] != two[name]]
     assert not differing, f"outputs differ between 1 and 2 BLAS threads: {differing}"

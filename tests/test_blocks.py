@@ -1,22 +1,24 @@
-"""Block-matrix utilities against direct linear-algebra oracles."""
+"""Block-matrix utilities and the chain pass against direct linear-algebra oracles."""
 
 import numpy as np
 import pytest
 
 from loctrack.blocks import (
-    BlockMatrix,
+    ChainEfim,
     add_edge_blocks,
     block_diag,
     block_index,
     block_slice,
-    chain_matrix,
+    diag_blocks,
+    inverse_diag_blocks,
     is_spd,
     neumann_diag_block,
     require_spd,
+    selected_inverse,
     spd_sqrt_and_inv_sqrt,
     symmetrize,
 )
-from loctrack.errors import DimensionMismatch, NotSpd
+from loctrack.errors import DimensionMismatch, NotSpd, SingularEfim
 
 
 def random_spd(rng, n, condition=1e3):
@@ -81,7 +83,7 @@ def test_block_index_layout_matches_manual_embedding(rng):
     T, K = 3, 2
     blocks = rng.standard_normal((T, K, 2, 2))
     slices = np.stack([block_diag(blocks[t]) for t in range(T)])
-    mat = chain_matrix(slices, np.zeros((T - 1, K, 2, 2)))
+    mat = ChainEfim(slices, np.zeros((T - 1, K, 2, 2))).data
     manual = np.zeros((2 * T * K, 2 * T * K))
     for t in range(T):
         for k in range(K):
@@ -110,11 +112,12 @@ def test_add_edge_blocks_stamps_four_blocks(rng):
 
 
 def test_chain_matrix_links_each_user_to_its_next_step(rng):
-    """x^T C x = sum_t x_t^T S_t x_t + sum_{t,k} d^T Gamma_{t,k} d, d = x_{t+1,k} - x_{t,k}."""
+    """The dense view C of a chain has x^T C x = sum_t x_t^T S_t x_t
+    + sum_{t,k} d^T Gamma_{t,k} d, d = x_{t+1,k} - x_{t,k}."""
     T, K = 3, 2
     slices = rng.standard_normal((T, 2 * K, 2 * K))
     temporal = rng.standard_normal((T - 1, K, 2, 2))
-    mat = chain_matrix(slices, temporal)
+    mat = ChainEfim(slices, temporal).data
     for _ in range(5):
         x = rng.standard_normal((T, K, 2))
         want = sum(x[t].ravel() @ slices[t] @ x[t].ravel() for t in range(T))
@@ -125,15 +128,70 @@ def test_chain_matrix_links_each_user_to_its_next_step(rng):
         assert x.ravel() @ mat @ x.ravel() == pytest.approx(want, rel=1e-12)
 
 
-def test_block_matrix_rejects_wrong_side():
+def test_chain_efim_rejects_mismatched_shapes():
     with pytest.raises(DimensionMismatch):
-        BlockMatrix(np.zeros((5, 5)), 1, 2)
+        ChainEfim(np.zeros((1, 5, 5)), np.zeros((0, 2, 2, 2)))
+    with pytest.raises(DimensionMismatch):
+        ChainEfim(np.zeros((3, 4, 4)), np.zeros((3, 2, 2, 2)))
+    with pytest.raises(DimensionMismatch):
+        ChainEfim(np.zeros((3, 4, 4)), np.zeros((2, 1, 2, 2)))
 
 
-def test_block_matrix_data_is_read_only(rng):
-    bm = BlockMatrix(block_diag(rng.standard_normal((2, 2, 2))), 2, 1)
-    with pytest.raises(ValueError):
-        bm.data[0, 0] = 1.0
+def test_chain_efim_arrays_are_read_only(rng):
+    slices = rng.standard_normal((2, 2, 2))
+    chain = ChainEfim(slices, rng.standard_normal((1, 1, 2, 2)))
+    slices[0, 0, 0] = 7.0
+    assert chain.slices[0, 0, 0] != 7.0
+    for arr in (chain.slices, chain.links, chain.data):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def random_chain(rng, T, K, link_scale=1.0):
+    """SPD chain: random SPD slices plus SPD links of the given size."""
+    slices = np.stack([random_spd(rng, 2 * K, condition=1e2) for _ in range(T)])
+    links = np.array(
+        [[link_scale * random_spd(rng, 2, condition=10.0) for _ in range(K)] for _ in range(T - 1)]
+    ).reshape(T - 1, K, 2, 2)
+    return ChainEfim(slices, links)
+
+
+def test_chain_own_blocks_are_the_dense_diagonal(rng):
+    chain = random_chain(rng, 4, 3)
+    side = 2 * chain.n_users
+    for t in range(chain.n_steps):
+        rows = slice(t * side, (t + 1) * side)
+        assert np.array_equal(chain.own[t], chain.data[rows, rows])
+
+
+@pytest.mark.parametrize(("T", "K"), [(1, 1), (1, 3), (2, 2), (7, 3), (40, 2)])
+@pytest.mark.parametrize("link_scale", [1e-3, 1.0, 1e3])
+def test_selected_inverse_matches_the_dense_inverse(rng, T, K, link_scale):
+    """Sigma_t of the chain pass equals J^{-1}'s diagonal slices, and its
+    2x2 diagonal blocks the dense Cholesky route's."""
+    chain = random_chain(rng, T, K, link_scale)
+    sigma = selected_inverse(chain)
+    inverse = np.linalg.inv(chain.data)
+    side = 2 * K
+    for t in range(T):
+        rows = slice(t * side, (t + 1) * side)
+        want = inverse[rows, rows]
+        assert np.linalg.norm(sigma[t] - want) <= 1e-12 * np.linalg.norm(want)
+    dense = inverse_diag_blocks(chain.data).reshape(T, K, 2, 2)
+    gap = np.linalg.norm(diag_blocks(sigma) - dense, axis=(2, 3))
+    assert np.all(gap <= 1e-12 * np.linalg.norm(dense, axis=(2, 3)))
+
+
+@pytest.mark.parametrize("step", [0, 3, 5])
+def test_selected_inverse_raises_at_the_failed_pivot(rng, step):
+    """An indefinite J fails the forward Cholesky at the first step whose
+    Schur complement is not positive definite."""
+    chain = random_chain(rng, 6, 2)
+    slices = np.array(chain.slices)
+    slices[step] -= (np.linalg.eigvalsh(chain.data)[-1] + 1.0) * np.eye(4)
+    bad = ChainEfim(slices, chain.links)
+    with pytest.raises(SingularEfim, match=f"pivot of step {step} failed"):
+        selected_inverse(bad)
 
 
 def test_neumann_sum_survives_zero_odd_terms():

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import random_scenario, rel_frobenius, shipped_scenario
 from loctrack.blocks import (
-    BlockMatrix,
+    ChainEfim,
     block_diag,
     block_index,
     block_slice,
+    diag_blocks,
     inverse_diag_blocks,
+    selected_inverse,
 )
 from loctrack.coupling import (
     DASplit,
@@ -62,13 +64,13 @@ def test_split_reads_nominal_blocks_off_the_efim(seed):
     config, traj = random_scenario(np.random.default_rng(seed))
     _, _, efim, split = build_all(config, traj)
     coupling = split.coupling()
+    deltas = delta_direct(split)
     for t in range(config.num_steps):
         for k in range(config.num_users):
             rows = block_slice(block_index(t, k, config.num_users))
             assert np.array_equal(coupling[rows, rows], np.zeros((2, 2)))
             assert np.array_equal(split.nominal_blocks[t, k], efim.data[rows, rows])
-            delta = delta_direct(split, t, k)
-            lhs = split.nominal_blocks[t, k] @ np.linalg.inv(np.eye(2) + delta)
+            lhs = split.nominal_blocks[t, k] @ np.linalg.inv(np.eye(2) + deltas[t, k])
             assert rel_frobenius(lhs, marginal_efim(efim, t, k)) <= 1e-8
 
 
@@ -86,6 +88,23 @@ def test_split_allocates_no_dense_matrix():
         tracemalloc.stop()
     assert split.efim is efim
     assert peak < efim.data.nbytes // 4
+
+
+def test_campaign_route_builds_no_dense_view():
+    """assemble_efim, split_d_a and eoc_report leave J's dense view unbuilt
+    and stay far below one (2TK x 2TK) array at T=1000."""
+    config = shipped_scenario("paper_baseline_long")
+    lambda_d = measurement_fim(config, static_trajectory(config))
+    pfim = prior_fim(prior_model(config, include_anchor=True))
+    tracemalloc.start()
+    try:
+        efim = assemble_efim(lambda_d, pfim)
+        eoc_report(efim, split_d_a(efim, pfim))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "data" not in vars(efim)
+    assert peak < 8 * efim.side**2 // 100
 
 
 def test_absorb_extra_holds_only_step0_anchor():
@@ -139,14 +158,15 @@ def test_delta_direct_definition(rng):
     _, _, efim, split = build_all(config, traj)
     inv = np.linalg.inv(efim.data)
     K = config.num_users
+    deltas = delta_direct(split)
+    assert deltas.shape == (config.num_steps, K, 2, 2)
     for t in range(config.num_steps):
         for k in range(K):
             g = block_index(t, k, K)
             want = inv[block_slice(g), block_slice(g)] @ split.nominal_blocks[
                 t, k
             ] - np.eye(2)
-            got = delta_direct(split, t, k)
-            assert rel_frobenius(got, want) < 1e-10
+            assert rel_frobenius(deltas[t, k], want) < 1e-10
 
 
 def test_marginal_identity_through_delta(rng):
@@ -154,11 +174,11 @@ def test_marginal_identity_through_delta(rng):
     for _ in range(5):
         config, traj = random_scenario(rng)
         _, _, efim, split = build_all(config, traj)
+        deltas = delta_direct(split)
         for t in range(config.num_steps):
             for k in range(config.num_users):
-                delta = delta_direct(split, t, k)
                 lhs = split.nominal_blocks[t, k] @ np.linalg.inv(
-                    np.eye(2) + delta
+                    np.eye(2) + deltas[t, k]
                 )
                 assert rel_frobenius(lhs, marginal_efim(efim, t, k)) < 1e-10
 
@@ -166,14 +186,14 @@ def test_marginal_identity_through_delta(rng):
 def test_delta_series_matches_direct(rng):
     config, traj = random_scenario(rng)
     _, _, efim, split = build_all(config, traj)
+    deltas = delta_direct(split)
     for t in range(config.num_steps):
         for k in range(config.num_users):
             series = delta_series(split, t, k)
             assert series.converged
             assert series.spectral_radius < 1.0
             assert series.terms_used >= 1
-            direct = delta_direct(split, t, k)
-            assert rel_frobenius(series.value, direct) < 1e-7
+            assert rel_frobenius(series.value, deltas[t, k]) < 1e-7
 
 
 def test_series_radius_is_the_dense_walk_radius(rng):
@@ -195,7 +215,10 @@ def test_delta_series_raises_on_expanding_walk():
     coupling[2:4, 0:2] = 3.0 * np.eye(2)
     split = DASplit(
         nominal_blocks=nominal,
-        efim=BlockMatrix(block_diag(nominal.reshape(T * K, 2, 2)) - coupling, T, K),
+        efim=ChainEfim(
+            (block_diag(nominal.reshape(T * K, 2, 2)) - coupling)[None],
+            np.zeros((T - 1, K, 2, 2)),
+        ),
         anchor_precision=0.0,
     )
     with pytest.raises(SeriesDiverged):
@@ -209,13 +232,13 @@ def test_hitting_probabilities_partition_and_efficiency(seed):
     config, traj = random_scenario(np.random.default_rng(seed))
     lambda_d, _, efim, split = build_all(config, traj)
     ptpm = build_ptpm(split, lambda_d)
+    deltas = delta_direct(split)
     for t in range(config.num_steps):
         for k in range(config.num_users):
             hp = hitting_probabilities(ptpm, t, k)
             total = hp.return_before_absorb + hp.absorb_first
             assert np.max(np.abs(total - np.eye(2))) < 1e-10
-            delta = delta_direct(split, t, k)
-            want = np.linalg.inv(np.eye(2) + delta)
+            want = np.linalg.inv(np.eye(2) + deltas[t, k])
             assert rel_frobenius(hp.absorb_first, want) < 1e-8
 
 
@@ -226,6 +249,8 @@ def test_eoc_report_cross_field_identities(rng):
     report = eoc_report(efim, split)
     T, K = config.num_steps, config.num_users
     inv = np.linalg.inv(efim.data)
+    chain_blocks = diag_blocks(selected_inverse(efim))
+    dense_deltas = delta_direct(split)
 
     assert report.eoc.shape == (T, K)
     for t in range(T):
@@ -236,9 +261,16 @@ def test_eoc_report_cross_field_identities(rng):
             assert report.eoc[t, k] == pytest.approx(
                 0.5 * float(np.trace(absorb_first)), rel=1e-8
             )
-            # the batched efficiency keeps the per-state arithmetic exactly
-            eff = np.linalg.inv(np.eye(2) + delta_direct(split, t, k))
+            # the batched efficiency keeps the per-state arithmetic exactly,
+            # on the chain route's own inverse blocks
+            delta = chain_blocks[t, k] @ split.nominal_blocks[t, k] - np.eye(2)
+            eff = np.linalg.inv(np.eye(2) + delta)
             assert report.eoc[t, k] == 0.5 * float(np.trace(eff))
+            # and agrees with the dense oracle's
+            dense_eff = np.linalg.inv(np.eye(2) + dense_deltas[t, k])
+            assert report.eoc[t, k] == pytest.approx(
+                0.5 * float(np.trace(dense_eff)), rel=1e-12, abs=0.0
+            )
             # per-state bound comes from the full inverse
             want_bcrb = float(np.trace(inv[block_slice(g), block_slice(g)]))
             assert report.bcrb[t, k] == pytest.approx(want_bcrb, rel=1e-10)
@@ -259,20 +291,33 @@ def test_inverse_diag_blocks_match_the_dense_inverse(rng):
             assert rel_frobenius(block, inv[block_slice(g), block_slice(g)]) < 1e-12
 
 
+def test_chain_pass_matches_the_dense_route_on_random_scenarios(rng):
+    """The chain pass's 2x2 blocks equal the dense Cholesky route's."""
+    for _ in range(5):
+        config, traj = random_scenario(rng)
+        _, _, efim, _ = build_all(config, traj)
+        chain = diag_blocks(selected_inverse(efim)).reshape(-1, 2, 2)
+        for got, want in zip(chain, inverse_diag_blocks(efim.data)):
+            assert rel_frobenius(got, want) < 1e-12
+
+
 def test_indefinite_efim_raises_singular_efim(rng):
     """Every reader of J^{-1}'s diagonal blocks refuses an indefinite J."""
     config, traj = random_scenario(rng, num_users=2, num_steps=3)
     _, pfim, efim, _ = build_all(config, traj)
     shift = np.linalg.eigvalsh(efim.data)[0] + 1.0
-    bad = BlockMatrix(efim.data - shift * np.eye(efim.side), efim.n_steps, efim.n_users)
+    bad = ChainEfim(efim.slices - shift * np.eye(2 * efim.n_users), efim.links)
+    assert rel_frobenius(bad.data, efim.data - shift * np.eye(efim.side)) < 1e-14
     assert np.linalg.eigvalsh(bad.data)[-1] > 0.0 > np.linalg.eigvalsh(bad.data)[0]
     split = split_d_a(bad, pfim)
     with pytest.raises(SingularEfim):
         inverse_diag_blocks(bad.data)
     with pytest.raises(SingularEfim):
+        selected_inverse(bad)
+    with pytest.raises(SingularEfim):
         eoc_report(bad, split)
     with pytest.raises(SingularEfim):
-        delta_direct(split, 1, 0)
+        delta_direct(split)
 
 
 def test_build_ptpm_names_the_singular_nominal_block(rng):

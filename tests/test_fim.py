@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_scenario, rel_frobenius, shipped_scenario
 from loctrack import channel
-from loctrack.blocks import block_index, block_slice, chain_matrix, symmetrize
+from loctrack.blocks import ChainEfim, block_index, block_slice, symmetrize
 from loctrack.channel import channel_jacobian, geometry_params
 from loctrack.errors import DegenerateGeometry, DimensionMismatch
 from loctrack.fim import (
@@ -252,7 +252,7 @@ def test_prior_anchor_folds_into_first_slice():
 def test_temporal_prior_is_block_tridiagonal_chain(rng):
     config, _ = random_scenario(rng, num_steps=4, num_users=2)
     pfim = prior_fim(prior_model(config))
-    full = chain_matrix(np.zeros_like(pfim.spatial_slices), pfim.temporal)
+    full = ChainEfim(np.zeros_like(pfim.spatial_slices), pfim.temporal).data
     T, K = config.num_steps, config.num_users
     # rows of the temporal chain sum to zero, exactly
     for t in range(T):

@@ -4,9 +4,9 @@ on its two routes.
 Every ``.py`` file under ``src/loctrack``, ``tests`` and ``demos`` is
 parsed with ``ast``. A name bound by an import (outside ``__future__``)
 must be read somewhere in the file as a plain name, or be listed in the
-file's ``__all__``. In ``src/loctrack`` only ``blocks.py`` (the diagonal
-blocks of an inverse, which the campaigns read) and ``fim.py`` (the dense
-``bcrb`` oracle) may reach scipy's ``cho_factor``/``cho_solve``.
+file's ``__all__``. In ``src/loctrack`` only ``blocks.py`` (the dense
+``inverse_diag_blocks``, which the dense oracles read) and ``fim.py`` may
+reach scipy's ``cho_factor``/``cho_solve``.
 """
 
 import ast

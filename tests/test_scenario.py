@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIGS, random_scenario, shipped_scenario, site_by_site_l1_ensemble
-from loctrack.blocks import chain_matrix
+from loctrack.blocks import ChainEfim
 from loctrack.errors import (
     DegenerateGeometry,
     DimensionMismatch,
@@ -328,7 +328,7 @@ def test_joint_precision_matches_quadratic_form(rng):
     deviations."""
     config = shipped_scenario(num_steps=3, num_users=2)
     pf = prior_fim(prior_model(config))
-    precision = chain_matrix(pf.spatial_slices, pf.temporal)
+    precision = ChainEfim(pf.spatial_slices, pf.temporal).data
     anchor = 1.0 / config.first_step_anchor_variance
 
     def energy(pos):
