@@ -187,8 +187,7 @@ class ChainEfim:
     states (t, k) and (t+1, k); both are read-only copies. J's diagonal
     blocks A_t (``own``) are the slices plus every link into and out of
     step t; its off-diagonal blocks are -Gamma_t, the block diagonal of
-    ``links[t]``. ``data`` is the dense (2TK, 2TK) view, built on first
-    read and cached; only the dense oracles read it.
+    ``links[t]``. ``data``, the dense (2TK, 2TK) J, is built on first read.
     """
 
     slices: np.ndarray
@@ -237,9 +236,8 @@ def selected_inverse(efim: ChainEfim) -> np.ndarray:
 
     Forward: S_0 = A_0 and S_t = A_t - Gamma_{t-1} S_{t-1}^{-1} Gamma_{t-1},
     one Cholesky per step; a failed pivot raises SingularEfim. Backward
-    (Rauch, Tung & Striebel 1965): Sigma_{T-1} = S_{T-1}^{-1} and
-    Sigma_t = S_t^{-1} + L_t Sigma_{t+1} L_t^T with L_t = S_t^{-1} Gamma_t,
-    Takahashi's selected inversion (Takahashi, Fagan & Chin 1973).
+    (Rauch, Tung & Striebel 1965; Takahashi, Fagan & Chin 1973):
+    Sigma_t = S_t^{-1} + L_t Sigma_{t+1} L_t^T, L_t = S_t^{-1} Gamma_t.
     """
     gamma = block_diag(np.asarray_chkfinite(efim.links))
     sigma = np.empty_like(efim.own)  # S_t^{-1}, then Sigma_t from the last step back
