@@ -43,7 +43,7 @@ from .blocks import (
     inverse_diag_blocks,
     symmetrize,
 )
-from .channel import geometry_params, jacobian_factors, resolve_phases
+from .channel import jacobian_factors
 from .errors import DegenerateGeometry, DimensionMismatch, SingularEfim
 from .scenario import (
     GEOMETRY_GUARD,
@@ -66,33 +66,31 @@ __all__ = [
 ]
 
 
-def _link_offsets(config: ScenarioConfig, positions: np.ndarray):
+def _link_offsets(config: ScenarioConfig, positions: np.ndarray, first_step: int):
     """(S, K, R, 2) user-minus-surface offsets of (S, K, 2) positions, and
-    their (S, K, R) lengths."""
-    delta = positions[..., None, :] - config.ris_positions
-    return delta, np.sqrt(np.vecdot(delta, delta))
+    their (S, K, R) lengths.
 
-
-def _link_fault(t: int, k: int, dist: np.ndarray, dy: np.ndarray) -> str | None:
-    """Why T_u of cell (t, k) is undefined, surface by surface; None if it is not.
-
-    ``dist`` and ``dy`` hold the cell's (R,) link lengths and y offsets.
+    T_u needs every link outside the guard distance and off the surface's
+    array axis, where arccos is not differentiable. The first (step, user,
+    surface) that breaks either raises DegenerateGeometry; its step is
+    counted from ``first_step``.
     """
-    for i in range(len(dist)):
-        if dist[i] <= GEOMETRY_GUARD:
-            return f"user {k} within guard distance of surface {i} at step {t}"
-        if abs(dy[i]) <= GEOMETRY_GUARD:
-            return (
-                f"user {k} on the array axis of surface {i} at step {t}; "
-                "the angle derivative is undefined there"
+    delta = positions[..., None, :] - config.ris_positions
+    dist = np.sqrt(np.vecdot(delta, delta))
+    near = dist <= GEOMETRY_GUARD
+    bad = near | (np.abs(delta[..., 1]) <= GEOMETRY_GUARD)
+    if np.any(bad):
+        s, k, i = np.argwhere(bad)[0]
+        t = first_step + s
+        if near[s, k, i]:
+            raise DegenerateGeometry(
+                f"user {k} within guard distance of surface {i} at step {t}"
             )
-    return None
-
-
-def _degenerate(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """(S, K) mask of the cells with a link inside the guard or on an axis."""
-    bad = (dist <= GEOMETRY_GUARD) | (np.abs(delta[..., 1]) <= GEOMETRY_GUARD)
-    return bad.any(axis=-1)
+        raise DegenerateGeometry(
+            f"user {k} on the array axis of surface {i} at step {t}; "
+            "the angle derivative is undefined there"
+        )
+    return delta, dist
 
 
 def _position_jacobian(delta: np.ndarray, dist: np.ndarray, path_loss_exponent: float):
@@ -111,37 +109,11 @@ def position_jacobian(config: ScenarioConfig, trajectory: Trajectory) -> np.ndar
     Returns (T, K, 2, 2R): per (step, user), row 0 differentiates by x and
     row 1 by y; columns follow the [angles(R), gains(R)] stacking of the
     channel module. The angle part needs the user off each surface's array
-    axis, where arccos is not differentiable; such geometries raise
-    DegenerateGeometry for the first such (step, user, surface).
+    axis and outside the guard distance; ``_link_offsets`` raises
+    DegenerateGeometry for the first (step, user, surface) that is not.
     """
-    delta, dist = _link_offsets(config, trajectory.positions)
-    bad = _degenerate(delta, dist)
-    if np.any(bad):
-        t, k = np.argwhere(bad)[0]
-        raise DegenerateGeometry(_link_fault(t, k, dist[t, k], delta[t, k, :, 1]))
+    delta, dist = _link_offsets(config, trajectory.positions, 0)
     return _position_jacobian(delta, dist, config.path_loss_exponent)
-
-
-def _raise_first_fault(
-    config: ScenarioConfig, trajectory: Trajectory, steps: range
-) -> None:
-    """Raise what evaluating the cells one by one raises at the first bad one.
-
-    Per (step, user) in order: the user's distance guard, the BS-surface
-    geometry, the served-pair guard of the step's phases, then the T_u
-    link checks.
-    """
-    for t in steps:
-        for k in range(config.num_users):
-            geometry_params(
-                config.ris_positions, trajectory.position(t, k), config.path_loss_exponent
-            )
-            config.bs_ris_geometry()
-            resolve_phases(config, trajectory, t)
-            delta, dist = _link_offsets(config, trajectory.position(t, k))
-            fault = _link_fault(t, k, dist, delta[:, 1])
-            if fault is not None:
-                raise DegenerateGeometry(fault)
 
 
 def _measurement_blocks(
@@ -155,9 +127,9 @@ def _measurement_blocks(
     Re(conj(c_a) c_b G_ab) with G the Gram matrix of the stacked BS rows,
     which sums the N_b axis once per call.
     """
-    delta, dist = _link_offsets(config, trajectory.positions[steps.start : steps.stop])
-    if np.any(_degenerate(delta, dist)):
-        _raise_first_fault(config, trajectory, steps)
+    delta, dist = _link_offsets(
+        config, trajectory.positions[steps.start : steps.stop], steps.start
+    )
     coeffs, rows, noise = jacobian_factors(config, steps, delta, dist)
     stacked = np.concatenate([rows, rows])
     gram = stacked.conj() @ stacked.T

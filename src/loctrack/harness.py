@@ -169,10 +169,10 @@ def experiment_from_json(payload: dict, base_dir: str = ".") -> ExperimentSpec:
         raise SchemaMismatch("sweep.parameter and sweep.values go together")
     if parameter is not None and parameter not in _SWEEPABLE[kind]:
         raise SchemaMismatch(f"kind {kind} cannot sweep {parameter!r}")
-    if values != sorted(values):
-        raise SchemaMismatch("sweep values must be sorted ascending")
     for value in values:
         check(SWEEP_VALUE[parameter], f"{parameter} sweep value {_fmt(value)}", value)
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise SchemaMismatch("sweep values must be strictly ascending")
     # os.path.join keeps an absolute path as it is.
     return ExperimentSpec(
         scenario_path=os.path.join(base_dir, v["scenario"]),
@@ -343,7 +343,7 @@ def _run_num_ris_point(config: ScenarioConfig, seed: int):
 
 
 def _run_recursion_point(config: ScenarioConfig, seed: int, spec: ExperimentSpec,
-                         with_theory: bool, ensembles: dict | None = None):
+                         ensembles: dict | None = None):
     trajectory, ensemble = _draw(config, seed, ensembles)
     constant = spec.constant_from_step
     constant0 = None if constant is None else constant - 1
@@ -359,7 +359,7 @@ def _run_recursion_point(config: ScenarioConfig, seed: int, spec: ExperimentSpec
     for t_idx, state in enumerate(states):
         out.append((t_idx + 1, 0, "bcrb-mean", state.bcrb_mean))
         out.append((t_idx + 1, 0, "eoc-mean", state.eoc_mean))
-    if with_theory and constant0 is not None:
+    if spec.kind == KIND_EP_CONVERGENCE and constant0 is not None:
         # Undisturbed steps after the first stepped on the frozen inputs.
         frozen = [s.inputs for s in states[1:] if s.t + 1 not in spec.disturbance_steps]
         inputs = frozen[0] if frozen else constant_inputs(
@@ -388,11 +388,8 @@ def _run_one(spec: ExperimentSpec, config: ScenarioConfig, seed: int,
         return _run_eoc_point(config, seed, ensembles)
     if spec.kind == KIND_EOC_VS_NUM_RIS:
         return _run_num_ris_point(config, seed)
-    if spec.kind == KIND_EP_CONVERGENCE:
-        return _run_recursion_point(config, seed, spec, with_theory=True,
-                                    ensembles=ensembles)
-    if spec.kind in (KIND_ASYMPTOTIC_SPATIAL, KIND_ASYMPTOTIC_TEMPORAL):
-        return _run_recursion_point(config, seed, spec, with_theory=False)
+    if spec.kind in _RECURSION_KINDS:
+        return _run_recursion_point(config, seed, spec, ensembles)
     return _run_trajectory_point(config, seed)
 
 
@@ -408,25 +405,22 @@ def _uniform_temporal_precision(config: ScenarioConfig):
     if cov.shape[0] == 0:
         return None
     first = cov[0, 0, 0, 0]
-    if np.allclose(cov, first * np.broadcast_to(np.eye(2), cov.shape)):
+    if np.array_equal(cov, first * np.broadcast_to(np.eye(2), cov.shape)):
         return float(1.0 / first)
     return None
 
 
-def trend_warnings(spec: ExperimentSpec, aggregated: dict) -> list:
-    """Post-campaign monotonicity screens.  Warnings, not failures: a run
-    that breaks an expected trend still produces a valid table."""
-
-    def series(metric):
-        points = []
-        for value in spec.sweep_values:
-            stats = aggregated.get((value, 0, 0, metric))
-            if stats is not None:
-                points.append((value, stats[0]))
-        return points
+def trend_warnings(spec: ExperimentSpec, rows) -> list:
+    """Post-campaign monotonicity screens over the aggregate rows, in
+    sweep order.  Warnings, not failures: a run that breaks an expected
+    trend still produces a valid table."""
 
     def check(metric, direction):
-        points = series(metric)
+        points = [
+            (row.sweep_value, row.mean)
+            for row in rows
+            if row.t == 0 and row.k == 0 and row.metric_name == metric
+        ]
         sign = 1.0 if direction == "nondecreasing" else -1.0
         for (v0, m0), (v1, m1) in zip(points, points[1:]):
             if sign * (m1 - m0) < -TREND_MARGIN:
@@ -493,10 +487,9 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     with open(spec.scenario_path, "rb") as fh:
         scenario_bytes = fh.read()
     base_config, configs = campaign_configs(spec)
-    values = spec.sweep_values if spec.sweep_parameter else (0.0,)
     jobs = [
         (value, spec.base_seed + run_idx)
-        for value in values
+        for value in configs
         for run_idx in range(spec.num_monte_carlo)
     ]
     # An SNR shift changes only the noise variance, which the l1 sampler
@@ -550,7 +543,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 
     # Reduce along the last axis of a C-contiguous array: each row then sums
     # in the same order as np.mean/np.std of its own list, bit for bit.
-    aggregated = {}
+    rows = []
     for value, (keys, runs) in samples.items():
         data = np.ascontiguousarray(np.array(runs).T)
         n = data.shape[1]
@@ -559,29 +552,10 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             stderrs = np.std(data, axis=1, ddof=1) / math.sqrt(n)
         else:
             stderrs = np.zeros(len(keys))
-        for (t, k, metric), mean, stderr in zip(keys, means, stderrs):
-            aggregated[(value, t, k, metric)] = (float(mean), float(stderr), n)
-
-    rows = []
-    for value in values:
-        keys = sorted(
-            (key for key in aggregated if key[0] == value),
-            key=lambda key: (key[1], key[2], key[3]),
-        )
-        for _, t, k, metric in keys:
-            mean, stderr, n = aggregated[(value, t, k, metric)]
-            rows.append(
-                ResultRow(
-                    experiment=spec.kind,
-                    sweep_value=float(value),
-                    t=t,
-                    k=k,
-                    metric_name=metric,
-                    mean=mean,
-                    stderr=stderr,
-                    n=n,
-                )
-            )
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            t, k, metric = keys[i]
+            rows.append(ResultRow(spec.kind, float(value), t, k, metric,
+                                  float(means[i]), float(stderrs[i]), n))
 
     manifest = {
         "base-seed": spec.base_seed,
@@ -597,7 +571,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         "snr-db-offset": spec.snr_db_offset,
         "sweep-parameter": spec.sweep_parameter,
         "sweep-values": [float(v) for v in spec.sweep_values],
-        "trend-warnings": trend_warnings(spec, aggregated),
+        "trend-warnings": trend_warnings(spec, rows),
     }
     return ResultTable(rows=tuple(rows), manifest=manifest)
 
@@ -612,27 +586,6 @@ def write_outputs(table: ResultTable, output_dir: str):
         fh.write(json.dumps(table.manifest, sort_keys=True, indent=2))
         fh.write("\n")
     return table_path, manifest_path
-
-
-def _rows_by(table: ResultTable, metric: str):
-    return [row for row in table.rows if row.metric_name == metric]
-
-
-def _per_step(table: ResultTable, value: float, metric: str) -> dict:
-    """Step label -> mean of ``metric`` at one sweep value (steps >= 1)."""
-    return {
-        row.t: row.mean
-        for row in _rows_by(table, metric)
-        if row.sweep_value == value and row.t > 0
-    }
-
-
-def _aggregate_value(table: ResultTable, value: float, metric: str) -> float:
-    for row in table.rows:
-        if row.sweep_value == value and row.t == 0 and row.k == 0 \
-                and row.metric_name == metric:
-            return row.mean
-    raise SchemaMismatch(f"table has no {metric!r} at sweep value {value}")
 
 
 def _require_kind(table: ResultTable, figure: str) -> None:
@@ -664,17 +617,35 @@ def emit_figure_data(table: ResultTable, figure: str, output_dir: str):
     _require_kind(table, figure)
     os.makedirs(output_dir, exist_ok=True)
     path = os.path.join(output_dir, f"{figure}.csv")
-    sweep_values = sorted({row.sweep_value for row in table.rows})
+    means = {
+        (row.sweep_value, row.t, row.k, row.metric_name): row.mean for row in table.rows
+    }
+    if len(means) != len(table.rows):
+        raise SchemaMismatch("table repeats a (sweep value, t, k, metric) row")
 
+    def mean(value: float, metric: str, t: int = 0, k: int = 0) -> float:
+        try:
+            return means[(value, t, k, metric)]
+        except KeyError:
+            raise SchemaMismatch(
+                f"table has no {metric!r} at sweep value {_fmt(value)}, "
+                f"step {t}, user {k}"
+            ) from None
+
+    def steps(value: float) -> list:
+        return sorted({t for v, t, _, _ in means if v == value and t > 0})
+
+    sweep_values = sorted({key[0] for key in means})
     lines = []
     if figure == "fig3":
         lines.append("t,k,x,y")
-        xs = {(row.t, row.k): row.mean for row in _rows_by(table, "x")}
-        ys = {(row.t, row.k): row.mean for row in _rows_by(table, "y")}
-        if not xs or set(xs) != set(ys):
+        cells = sorted({key[:3] for key in means if key[3] in ("x", "y")})
+        if not cells:
             raise SchemaMismatch("trajectory table missing coordinate rows")
-        for t, k in sorted(xs):
-            lines.append(f"{t},{k},{_fmt(xs[(t, k)])},{_fmt(ys[(t, k)])}")
+        for value, t, k in cells:
+            lines.append(
+                f"{t},{k},{_fmt(mean(value, 'x', t, k))},{_fmt(mean(value, 'y', t, k))}"
+            )
     elif figure in ("fig4", "fig5"):
         if table.manifest.get("sweep-parameter") != SWEEP_SNR_DB:
             raise SchemaMismatch(f"{figure} needs an {SWEEP_SNR_DB} sweep")
@@ -686,8 +657,8 @@ def emit_figure_data(table: ResultTable, figure: str, output_dir: str):
             )
         lines.append(f"snr_db,{const_key.replace('-', '_')},eoc_mean,bcrb_mean")
         for value in sweep_values:
-            eoc = _aggregate_value(table, value, "eoc-mean")
-            bcrb = _aggregate_value(table, value, "bcrb-mean")
+            eoc = mean(value, "eoc-mean")
+            bcrb = mean(value, "bcrb-mean")
             lines.append(
                 f"{_fmt(value)},{_fmt(constant)},{_fmt(eoc)},{_fmt(bcrb)}"
             )
@@ -695,8 +666,8 @@ def emit_figure_data(table: ResultTable, figure: str, output_dir: str):
         lines.append("num_ris,beam_mode,eoc_mean,bcrb_mean")
         for value in sweep_values:
             for mode in ("aligned", "random"):
-                eoc = _aggregate_value(table, value, f"eoc-mean-{mode}")
-                bcrb = _aggregate_value(table, value, f"bcrb-mean-{mode}")
+                eoc = mean(value, f"eoc-mean-{mode}")
+                bcrb = mean(value, f"bcrb-mean-{mode}")
                 lines.append(
                     f"{int(round(value))},{mode},{_fmt(eoc)},{_fmt(bcrb)}"
                 )
@@ -705,24 +676,21 @@ def emit_figure_data(table: ResultTable, figure: str, output_dir: str):
             raise SchemaMismatch(f"fig8 needs a {SWEEP_SIGMA_T} sweep")
         lines.append("t,sigma_t_inv2,bcrb_mean,eoc_mean,theory_bcrb_star")
         for value in sweep_values:
-            theory = _aggregate_value(table, value, "theory-bcrb-star")
-            bcrbs = _per_step(table, value, "bcrb-mean")
-            eocs = _per_step(table, value, "eoc-mean")
-            for t in sorted(bcrbs):
+            theory = mean(value, "theory-bcrb-star")
+            for t in steps(value):
                 lines.append(
-                    f"{t},{_fmt(value)},{_fmt(bcrbs[t])},{_fmt(eocs[t])},"
-                    f"{_fmt(theory)}"
+                    f"{t},{_fmt(value)},{_fmt(mean(value, 'bcrb-mean', t))},"
+                    f"{_fmt(mean(value, 'eoc-mean', t))},{_fmt(theory)}"
                 )
     else:  # fig9 / fig10
         axis = "spatial" if figure == "fig9" else "temporal"
         lines.append("t,regime,bcrb_mean,eoc_mean")
         for value in sweep_values:
             label = _regime_label(value, axis)
-            bcrbs = _per_step(table, value, "bcrb-mean")
-            eocs = _per_step(table, value, "eoc-mean")
-            for t in sorted(bcrbs):
+            for t in steps(value):
                 lines.append(
-                    f"{t},{label},{_fmt(bcrbs[t])},{_fmt(eocs[t])}"
+                    f"{t},{label},{_fmt(mean(value, 'bcrb-mean', t))},"
+                    f"{_fmt(mean(value, 'eoc-mean', t))}"
                 )
 
     with open(path, "w", encoding="utf-8") as fh:

@@ -109,6 +109,21 @@ def _run_recursion_spec(tmp_path, monkeypatch, **extra):
     return cli.main(["run", str(path)]), len(started)
 
 
+@pytest.mark.parametrize(
+    "values", [[10.0, 1.0], [10.0, 10.0]], ids=["unsorted", "repeated"]
+)
+def test_run_rejects_sweep_values_not_strictly_ascending(
+    scenario_file, tmp_path, monkeypatch, capsys, values
+):
+    """A repeated value would run every seed twice and write each row twice
+    with a doubled sample count."""
+    rc, started = _run_recursion_spec(
+        tmp_path, monkeypatch, sweep={"parameter": "sigma-t-inv2", "values": values}
+    )
+    assert (rc, started) == (2, 0)
+    assert "sweep values must be strictly ascending" in capsys.readouterr().err
+
+
 def test_run_rejects_disturbance_step_outside_scenario(
     scenario_file, tmp_path, monkeypatch, capsys
 ):
@@ -383,6 +398,33 @@ def test_emit_rejects_malformed_table_or_manifest(
     (tmp_path / "manifest.json").write_text(manifest)
     assert cli.main(["emit", str(table_path), "--figure", "fig4"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", ["eoc-mean", "bcrb-mean"])
+def test_emit_rejects_table_missing_a_step_row(scenario_file, tmp_path, capsys, metric):
+    """fig8 (and fig9/fig10, which share the per-step code) name the
+    missing metric, sweep value and step instead of crashing or dropping
+    the step."""
+    spec = tmp_path / "fig8.json"
+    spec.write_text(json.dumps({
+        "scenario": "scene.json",
+        "kind": "EP_CONVERGENCE",
+        "sweep": {"parameter": "sigma-t-inv2", "values": [1.0, 10.0]},
+        "num-monte-carlo": 2,
+        "base-seed": 3,
+        "output-dir": "campaign",
+    }))
+    assert cli.main(["run", str(spec)]) == 0
+    table_path = tmp_path / "campaign" / "table.csv"
+    lines = table_path.read_text().splitlines(keepends=True)
+    doomed = f"EP_CONVERGENCE,10.0,2,0,{metric},"
+    kept = [line for line in lines if not line.startswith(doomed)]
+    assert len(kept) == len(lines) - 1
+    table_path.write_text("".join(kept))
+    capsys.readouterr()
+    assert cli.main(["emit", str(table_path), "--figure", "fig8"]) == 2
+    err = capsys.readouterr().err
+    assert f"table has no '{metric}' at sweep value 10.0, step 2" in err
 
 
 def test_emit_unknown_figure_rejected_by_parser(tmp_path):

@@ -166,9 +166,6 @@ def test_measurement_kernel_matches_per_cell_sandwich(
             assert np.allclose(lambda_d[t, k], want, rtol=1e-12, atol=1e-15)
 
 
-GUARD_MESSAGE = "surface-user distance 5.000e-04 m below guard 0.001 m"
-
-
 def _on_surface_0_then_1(pos, ris):
     pos[1, 0] = ris[0] + [5e-4, 0.0]
     pos[2, 1] = ris[1]
@@ -179,24 +176,45 @@ def _axis_of_2_then_near_1(pos, ris):
     pos[1, 1] = ris[1] + [5e-4, 0.0]
 
 
-@pytest.mark.parametrize(
-    "place, profile, message",
-    [
-        (_on_surface_0_then_1, AlignedPhases(), GUARD_MESSAGE),
-        (_on_surface_0_then_1, RandomPhases(seed=3), GUARD_MESSAGE),
-        (_axis_of_2_then_near_1, AlignedPhases(), GUARD_MESSAGE),
-        (
-            _axis_of_2_then_near_1,
-            RandomPhases(seed=3),
-            "user 0 on the array axis of surface 2 at step 1; "
-            "the angle derivative is undefined there",
-        ),
-    ],
-    ids=["guard-aligned", "guard-random", "served-guard-aligned", "axis-random"],
+def _near_1_at_step_2(pos, ris):
+    pos[2, 1] = ris[1] + [5e-4, 0.0]
+
+
+GUARD_MESSAGE = "user 0 within guard distance of surface 0 at step 1"
+AXIS_MESSAGE = (
+    "user 0 on the array axis of surface 2 at step 1; "
+    "the angle derivative is undefined there"
 )
-def test_measurement_fim_raises_first_cell_fault(place, profile, message):
-    """Cell by cell: the user's guard, the aligned served-pair guard, then
-    the array axis. The message reaches the manifest's failure list."""
+LATER_MESSAGE = "user 1 within guard distance of surface 1 at step 2"
+
+
+@pytest.mark.parametrize(
+    "place, profile, step, message",
+    [
+        (_on_surface_0_then_1, AlignedPhases(), 1, GUARD_MESSAGE),
+        (_on_surface_0_then_1, RandomPhases(seed=3), 1, GUARD_MESSAGE),
+        (_axis_of_2_then_near_1, AlignedPhases(), 1, AXIS_MESSAGE),
+        (_axis_of_2_then_near_1, RandomPhases(seed=3), 1, AXIS_MESSAGE),
+        (_near_1_at_step_2, AlignedPhases(), 2, LATER_MESSAGE),
+        (_near_1_at_step_2, RandomPhases(seed=3), 2, LATER_MESSAGE),
+    ],
+    ids=[
+        "guard-aligned",
+        "guard-random",
+        "served-guard-aligned",
+        "axis-random",
+        "later-step-aligned",
+        "later-step-random",
+    ],
+)
+def test_measurement_fim_raises_first_cell_fault(place, profile, step, message):
+    """One rule for every phase profile and every route: the first (step,
+    user, surface) whose link is inside the guard or on the surface's array
+    axis, the guard read first. A served user inside the guard at a later
+    cell does not come first under the aligned policy. ``position_jacobian``,
+    ``measurement_fim`` and ``measurement_blocks_at`` at the faulty step
+    raise the same message, its step counted from step 0; the message
+    reaches the manifest's failure list."""
     config = dataclasses.replace(
         shipped_scenario(num_steps=3), ris_phase_profiles=profile
     )
@@ -204,8 +222,9 @@ def test_measurement_fim_raises_first_cell_fault(place, profile, message):
     place(pos, config.ris_positions)
     traj = Trajectory(pos)
     for evaluate in (
+        lambda: position_jacobian(config, traj),
         lambda: measurement_fim(config, traj),
-        lambda: measurement_blocks_at(config, traj, 1),
+        lambda: measurement_blocks_at(config, traj, step),
     ):
         with pytest.raises(DegenerateGeometry) as caught:
             evaluate()

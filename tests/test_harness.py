@@ -1,5 +1,6 @@
 """Campaign driver: spec validation, determinism, bookkeeping, figure files."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ from loctrack.errors import (
 from loctrack.fim import assemble_efim, measurement_fim, prior_fim
 from loctrack.harness import (
     ExperimentSpec,
+    ResultRow,
     ResultTable,
     emit_figure_data,
     experiment_from_json,
@@ -139,6 +141,20 @@ def test_manifest_contents(scenario_file, tmp_path):
     assert manifest["sigma-t-inv2"] == 10.0
     # every row carries the pooled sample count
     assert all(row.n == 3 for row in table.rows)
+
+
+@pytest.mark.parametrize("first, second", [(1e-9, 5e-9), (0.1, 0.1 * (1 + 5e-6))])
+def test_manifest_temporal_precision_is_uniform_only_when_exact(first, second):
+    """``sigma-t-inv2`` is reported only when every transition covariance is
+    the same multiple of I, compared exactly as ``sigma-s-inv2`` is: two
+    users whose covariances differ by any amount give None."""
+    config = scenario_from_json(config_dict(num_steps=3))
+    cov = np.broadcast_to(first * np.eye(2), config.temporal_covariance.shape).copy()
+    uniform = dataclasses.replace(config, temporal_covariance=cov)
+    assert harness._uniform_temporal_precision(uniform) == 1.0 / first
+    cov[:, 1] = second * np.eye(2)
+    mixed = dataclasses.replace(config, temporal_covariance=cov)
+    assert harness._uniform_temporal_precision(mixed) is None
 
 
 def test_failures_recorded_below_abort_threshold(
@@ -413,12 +429,12 @@ def test_trend_warnings_fire_and_stay_silent(scenario_file, tmp_path):
     spec = make_spec(scenario_file, tmp_path)
 
     def agg(eoc_pair, bcrb_pair):
-        return {
-            (0.0, 0, 0, "eoc-mean"): (eoc_pair[0], 0.0, 1),
-            (10.0, 0, 0, "eoc-mean"): (eoc_pair[1], 0.0, 1),
-            (0.0, 0, 0, "bcrb-mean"): (bcrb_pair[0], 0.0, 1),
-            (10.0, 0, 0, "bcrb-mean"): (bcrb_pair[1], 0.0, 1),
-        }
+        """Aggregate rows at sweep values 0 and 10, in table order."""
+        return [
+            ResultRow("EOC_VS_SNR", value, 0, 0, metric, pair[i], 0.0, 1)
+            for i, value in enumerate((0.0, 10.0))
+            for metric, pair in (("bcrb-mean", bcrb_pair), ("eoc-mean", eoc_pair))
+        ]
 
     clean = trend_warnings(spec, agg((0.4, 0.5), (2.0, 1.0)))
     assert clean == []
@@ -562,7 +578,7 @@ def test_theory_row_reads_the_undisturbed_frozen_inputs(
 
     monkeypatch.setattr(recursive, "constant_inputs", counting)
     monkeypatch.setattr(harness, "constant_inputs", counting)
-    rows = harness._run_recursion_point(config, 3, spec, with_theory=True)
+    rows = harness._run_recursion_point(config, 3, spec)
     assert rows[-1] == (0, 0, "theory-bcrb-star", want)
     assert len(calls) == builds
 
@@ -602,6 +618,10 @@ def test_emit_figure_guards(scenario_file, tmp_path):
     empty = ResultTable(rows=(), manifest={"kind": "EOC_VS_SNR"})
     with pytest.raises(SchemaMismatch):
         emit_figure_data(empty, "fig4", str(tmp_path))
+    # a repeated (sweep value, t, k, metric) row leaves the figure value ambiguous
+    doubled = ResultTable(rows=table.rows + table.rows[:1], manifest=table.manifest)
+    with pytest.raises(SchemaMismatch, match="table repeats"):
+        emit_figure_data(doubled, "fig4", str(tmp_path))
     # an SNR figure needs an SNR sweep in the manifest
     sigma = run_kind(
         scenario_file, tmp_path, "EOC_VS_SNR", "sigma-s-inv2", (1.0, 10.0)
