@@ -47,7 +47,7 @@ from .coupling import (
     marginal_eoc,
     solve_nominal,
 )
-from .recursive import StepInputs, _temporal_carry, constant_inputs, stationary_point
+from .recursive import StepInputs, constant_inputs, stationary_point, temporal_carry
 from .scenario import ScenarioConfig, Trajectory
 
 __all__ = [
@@ -232,7 +232,7 @@ def limit_temporal_inf(
         config.with_temporal_precision(ASYMPTOTIC_LARGE), trajectory
     )
     m_full, gamma = finite.m_full, finite.gamma_full
-    j2 = m_full + gamma - _temporal_carry(m_full, gamma)
+    j2 = m_full + gamma - temporal_carry(m_full, gamma)
     finite_gap = float(np.max(_trace_gaps(_per_user_blocks(j2), 2.0 * predicted)))
 
     return AsymptoticReport(

@@ -8,7 +8,9 @@ user-minor, matching the stacking order of the state vector.
 A track's joint information is a time chain, block tridiagonal in steps:
 ``ChainEfim`` keeps its per-step slices and temporal links, and
 ``selected_inverse`` reads the diagonal blocks of its inverse in O(T);
-``ChainEfim.data`` and ``inverse_diag_blocks`` are the dense oracles.
+``spd_solve`` is the one factorisation of a chain matrix. ``ChainEfim.data``
+and ``inverse_diag_blocks`` are the dense oracles; the latter keeps scipy's
+``cho_factor``/``cho_solve``, independent of the route it checks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionMismatch, NotSpd, SingularEfim
 
@@ -119,6 +121,18 @@ def diag_blocks(mat: np.ndarray) -> np.ndarray:
     return np.stack(
         [mat[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] for k in range(K)], axis=-3
     )
+
+
+def spd_solve(mat: np.ndarray, rhs: np.ndarray, error: type, message: str) -> np.ndarray:
+    """Solve ``mat @ X = rhs`` for SPD ``mat`` by LAPACK's ``dpotrf``/``dpotrs``.
+
+    A failed pivot raises ``error(message)``, a ``LocTrackError`` class.
+    ``dpotrf`` passes a NaN diagonal, so non-finite entries raise ValueError.
+    """
+    chol, info = dpotrf(np.asarray_chkfinite(mat), lower=1, clean=0)
+    if info:
+        raise error(message)
+    return dpotrs(chol, rhs, lower=1)[0]
 
 
 def inverse_diag_blocks(mat: np.ndarray) -> np.ndarray:
@@ -235,19 +249,16 @@ def selected_inverse(efim: ChainEfim) -> np.ndarray:
     """(T, 2K, 2K) diagonal blocks Sigma_t of J^{-1}, without forming J.
 
     Forward: S_0 = A_0 and S_t = A_t - Gamma_{t-1} S_{t-1}^{-1} Gamma_{t-1},
-    one Cholesky per step; a failed pivot raises SingularEfim. Backward
+    one ``spd_solve`` per step; a failed pivot raises SingularEfim. Backward
     (Rauch, Tung & Striebel 1965; Takahashi, Fagan & Chin 1973):
     Sigma_t = S_t^{-1} + L_t Sigma_{t+1} L_t^T, L_t = S_t^{-1} Gamma_t.
     """
-    gamma = block_diag(np.asarray_chkfinite(efim.links))
+    gamma, eye = block_diag(efim.links), np.eye(2 * efim.n_users)
     sigma = np.empty_like(efim.own)  # S_t^{-1}, then Sigma_t from the last step back
-    for t, own in enumerate(np.asarray_chkfinite(efim.own)):
+    for t, own in enumerate(efim.own):
         schur = own - gamma[t - 1] @ sigma[t - 1] @ gamma[t - 1] if t else own
-        chol, info = dpotrf(schur, lower=1)
-        if info:
-            raise SingularEfim(f"EFIM is not positive definite: pivot of step {t} failed")
-        inv_chol = dtrtri(chol, lower=1)[0]
-        sigma[t] = inv_chol.T @ inv_chol
+        message = f"EFIM is not positive definite: pivot of step {t} failed"
+        sigma[t] = spd_solve(schur, eye, SingularEfim, message)
     gain = sigma[:-1] @ gamma
     for t in range(efim.n_steps - 2, -1, -1):
         sigma[t] += gain[t] @ sigma[t + 1] @ gain[t].T

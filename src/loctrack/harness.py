@@ -27,8 +27,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .asymptotics import ASYMPTOTIC_LARGE, ASYMPTOTIC_SMALL
+from .blocks import spd_solve
 from .coupling import eoc_report, split_d_a
-from .errors import CampaignAborted, LocTrackError, SchemaMismatch
+from .errors import CampaignAborted, LocTrackError, NotSpd, SchemaMismatch
 from .fim import assemble_efim, measurement_fim, prior_fim
 from .recursive import constant_inputs, run_recursion, stationary_point
 from .scenario import (
@@ -365,9 +366,9 @@ def _run_recursion_point(config: ScenarioConfig, seed: int, spec: ExperimentSpec
         inputs = frozen[0] if frozen else constant_inputs(
             config, trajectory, step=constant0, trajectory_ensemble=ensemble
         )
-        point = stationary_point(inputs.m_full, inputs.gamma_full)
-        theory = float(np.trace(np.linalg.inv(point.j_star))) / point.j_star.shape[0]
-        out.append((0, 0, "theory-bcrb-star", theory))
+        j_star = stationary_point(inputs.m_full, inputs.gamma_full).j_star
+        bound = spd_solve(j_star, np.eye(len(j_star)), NotSpd, "J* is not positive definite")
+        out.append((0, 0, "theory-bcrb-star", float(np.trace(bound)) / len(j_star)))
     return out
 
 

@@ -17,11 +17,11 @@ applied by ``run_recursion``.
 Everything but the carry G_{t-1} is fixed by the step's own inputs, so it
 is prepared once per distinct input (``step_inputs``): D_t, its block
 inverse, O_t and the block-diagonal Gamma. ``recursive_step`` then does
-only the work that depends on J_{t-1}, calling LAPACK's ``dpotrf`` and
-``dpotrs`` directly (bitwise equal to scipy's ``cho_factor``/``cho_solve``,
-which wrap them). Under constant inputs a run prepares at most three inputs
-(the first step, the ordinary steps and the disturbed steps); otherwise it
-prepares one per step.
+only the work that depends on J_{t-1}: the carry ``temporal_carry`` solves
+J_{t-1} + Gamma against Gamma and the bound J_t against I, each by one
+``blocks.spd_solve``. Under constant inputs a run prepares at most three
+inputs (the first step, the ordinary steps and the disturbed steps);
+otherwise it prepares one per step.
 
 ``constant_inputs`` freezes one step's inputs as that same ``StepInputs``:
 the ordinary steps of a constant-input run step on it, and the stationary
@@ -44,13 +44,13 @@ from functools import cached_property
 
 import numpy as np
 import numpy.linalg as npl
-from scipy.linalg import lapack
 
 from .blocks import (
     block_diag,
     diag_blocks,
     off_part,
     require_spd,
+    spd_solve,
     spd_sqrt_and_inv_sqrt,
     symmetrize,
 )
@@ -73,6 +73,7 @@ __all__ = [
     "run_recursion",
     "stationary_point",
     "step_inputs",
+    "temporal_carry",
 ]
 
 # Loewner comparisons tolerate eigenvalues this far below zero (relative to
@@ -131,15 +132,10 @@ class RecursiveState:
         return self._loewner[1]
 
 
-def _temporal_carry(prev_efim: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    inner = prev_efim + gamma
-    try:
-        solved = npl.solve(inner, gamma)
-    except npl.LinAlgError as exc:
-        raise SingularState(
-            "previous EFIM plus transition precision is singular"
-        ) from exc
-    return symmetrize(gamma @ solved)
+def temporal_carry(prev_efim: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Information lost over a temporal link: Gamma (J + Gamma)^{-1} Gamma."""
+    message = "temporal carry: J_{t-1} + Gamma is not positive definite"
+    return symmetrize(gamma @ spd_solve(prev_efim + gamma, gamma, SingularState, message))
 
 
 @dataclass(frozen=True)
@@ -226,20 +222,12 @@ def recursive_step(prev: RecursiveState | None, inputs: StepInputs) -> Recursive
         )
     eye = np.eye(2 * K)
     if prev is None:
-        t = 0
-        carry = np.zeros((2 * K, 2 * K))
+        t, carry = 0, np.zeros((2 * K, 2 * K))
     else:
-        t = prev.t + 1
-        carry = _temporal_carry(prev.efim, inputs.gamma_full)
+        t, carry = prev.t + 1, temporal_carry(prev.efim, inputs.gamma_full)
     efim = symmetrize(inputs.nominal_full - inputs.off - carry)
     efficiency = eye - inputs.nominal_inv_full @ (inputs.off + carry)
-
-    # dpotrf reports success on a NaN diagonal, so non-finite entries are
-    # rejected (ValueError) before it runs.
-    chol, info = lapack.dpotrf(np.asarray_chkfinite(efim), lower=1, clean=0)
-    if info != 0:
-        raise SingularState(f"recursive EFIM at step {t} lost positivity")
-    inverse, _ = lapack.dpotrs(chol, eye, lower=1)
+    inverse = spd_solve(efim, eye, SingularState, f"recursive EFIM at step {t} lost positivity")
 
     return RecursiveState(
         t=t,
@@ -308,7 +296,7 @@ class StationaryPoint:
 
 
 def _riccati_residual(m: np.ndarray, t_mat: np.ndarray, j: np.ndarray) -> float:
-    resid = m + t_mat - _temporal_carry(j, t_mat) - j
+    resid = m + t_mat - temporal_carry(j, t_mat) - j
     return float(np.linalg.norm(resid) / max(np.linalg.norm(j), 1e-300))
 
 

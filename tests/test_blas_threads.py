@@ -7,7 +7,9 @@ write must match byte for byte: ``table.csv`` and ``manifest.json`` of a
 toy EoC-vs-SNR campaign, a toy EoC-vs-surface-count campaign (aligned and
 random phases), an EoC-vs-SNR campaign the size of the ``eoc-coupled``
 benchmark workload (``paper_baseline.json``, T=40, K=3), a short
-error-propagation campaign, the raw bytes of ``measurement_fim`` on
+error-propagation campaign on the toy, a constant-input error-propagation
+campaign on ``paper_baseline.json`` (T=40, K=3, one disturbed step,
+temporal precision up to 1000), the raw bytes of ``measurement_fim`` on
 ``paper_baseline.json`` under aligned and random phases, and the raw
 bytes of one l1-norm toy ensemble (100 chains, the default burn-in).
 """
@@ -40,6 +42,7 @@ campaigns = {
     "eoc-vs-num-ris": ("toy.json", "EOC_VS_NUM_RIS", "num-ris", (1.0, 2.0, 4.0), 2),
     "eoc-coupled": ("paper_baseline.json", "EOC_VS_SNR", "snr-db", (20.0, 50.0, 80.0), 2),
     "ep-convergence": ("toy.json", "EP_CONVERGENCE", "sigma-t-inv2", (1.0, 10.0), None),
+    "ep-baseline": ("paper_baseline.json", "EP_CONVERGENCE", "sigma-t-inv2", (1.0, 1000.0), 2),
 }
 for name, (scenario, kind, parameter, values, constant) in campaigns.items():
     spec = ExperimentSpec(
@@ -98,7 +101,7 @@ def run_child(threads: int, out: Path) -> dict:
 def test_outputs_identical_at_one_and_two_blas_threads(tmp_path):
     one = run_child(1, tmp_path / "one")
     two = run_child(2, tmp_path / "two")
-    assert len(one) == 11, sorted(one)
+    assert len(one) == 13, sorted(one)
     assert sorted(one) == sorted(two)
     differing = [name for name in one if one[name] != two[name]]
     assert not differing, f"outputs differ between 1 and 2 BLAS threads: {differing}"

@@ -1,12 +1,14 @@
-"""No module imports a name it never reads, and the dense Cholesky stays
-on its two routes.
+"""No module imports a name it never reads, the Cholesky factorisations
+stay in ``blocks``, and no package module imports another's private name.
 
 Every ``.py`` file under ``src/loctrack``, ``tests`` and ``demos`` is
 parsed with ``ast``. A name bound by an import (outside ``__future__``)
 must be read somewhere in the file as a plain name, or be listed in the
-file's ``__all__``. In ``src/loctrack`` only ``blocks.py`` (the dense
-``inverse_diag_blocks``, which the dense oracles read) and ``fim.py`` may
-reach scipy's ``cho_factor``/``cho_solve``.
+file's ``__all__``. In ``src/loctrack`` only ``blocks.py`` (``spd_solve``
+and the dense oracle ``inverse_diag_blocks``) may reach scipy's
+``cho_factor``/``cho_solve`` or LAPACK (``scipy.linalg.lapack``,
+``dpotrf``, ``dpotrs``, ``dtrtri``), and no module imports an underscore
+name from another ``loctrack`` module.
 """
 
 import ast
@@ -54,16 +56,22 @@ def test_every_import_is_read(path):
     assert not unused, f"{path.name} imports {unused} and never reads them"
 
 
-CHOLESKY_NAMES = {"cho_factor", "cho_solve"}
-CHOLESKY_MODULES = {"blocks.py", "fim.py"}
+CHOLESKY_NAMES = {"cho_factor", "cho_solve", "dpotrf", "dpotrs", "dtrtri", "lapack"}
+CHOLESKY_MODULES = {"blocks.py"}
+PACKAGE = [path for path in FILES if path.parent.name == "loctrack"]
 
 
 def _cholesky_uses(tree: ast.Module) -> set[str]:
-    """``cho_factor``/``cho_solve`` imported by name or read as an attribute."""
+    """Names of ``CHOLESKY_NAMES`` imported (as a name or a module part) or
+    read as an attribute."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
+            used.update(CHOLESKY_NAMES.intersection((node.module or "").split(".")))
             used.update(alias.name for alias in node.names if alias.name in CHOLESKY_NAMES)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                used.update(CHOLESKY_NAMES.intersection(alias.name.split(".")))
         elif isinstance(node, ast.Attribute) and node.attr in CHOLESKY_NAMES:
             used.add(node.attr)
     return used
@@ -71,13 +79,23 @@ def _cholesky_uses(tree: ast.Module) -> set[str]:
 
 @pytest.mark.parametrize(
     "path",
-    [
-        path
-        for path in FILES
-        if path.parent.name == "loctrack" and path.name not in CHOLESKY_MODULES
-    ],
+    [path for path in PACKAGE if path.name not in CHOLESKY_MODULES],
     ids=lambda path: path.name,
 )
 def test_dense_cholesky_only_in_blocks_and_fim(path):
     used = _cholesky_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    assert not used, f"{path.name} uses {sorted(used)}; read blocks.inverse_diag_blocks"
+    assert not used, f"{path.name} uses {sorted(used)}; read blocks.spd_solve"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_private_name_imported_across_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("loctrack"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert not private, f"{path.name} imports private names {private}"

@@ -1,6 +1,8 @@
 """Per-step information recursion against batch algebra and closed forms."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import numpy.linalg as npl
@@ -115,7 +117,8 @@ def reference_recursion(config, traj, constant_from_step, disturbed, scale):
             satisfied, slack = True, math.inf
         else:
             gamma_full = scipy.linalg.block_diag(*gamma)
-            carry = gamma_full @ npl.solve(prev + gamma_full, gamma_full)
+            inner = scipy.linalg.cho_factor(prev + gamma_full, lower=True)
+            carry = gamma_full @ scipy.linalg.cho_solve(inner, gamma_full)
             carry = 0.5 * (carry + carry.T)
             diff = nominal_full - (prev + off + carry)
             eigs = npl.eigvalsh(0.5 * (diff + diff.T))
@@ -200,6 +203,29 @@ def test_non_finite_step_input_raises_value_error(bad):
     first = recursive_step(None, step_inputs(0, lam, np.eye(4), None))
     with pytest.raises(ValueError, match="infs or NaNs"):
         recursive_step(first, step_inputs(1, poisoned, np.eye(4), lam))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("indefinite-carry", "temporal carry: J_{t-1} + Gamma is not positive definite"),
+        ("lost-positivity", "recursive EFIM at step 1 lost positivity"),
+    ],
+    ids=["indefinite-carry", "lost-positivity"],
+)
+def test_singular_step_raises_singular_state(case, message):
+    """A predecessor whose J_{t-1} + Gamma is indefinite fails the carry's
+    factorisation (J_{t-1} = -2 Gamma, which an LU solve would carry as
+    -Gamma), and a step whose J_t is not positive definite fails the
+    bound's; both raise SingularState naming what failed."""
+    lam = gamma = np.stack([np.eye(2)] * 2)
+    first = recursive_step(None, step_inputs(0, lam, np.eye(4), None))
+    if case == "indefinite-carry":
+        prev, spatial = dataclasses.replace(first, efim=-2.0 * block_diag(gamma)), np.eye(4)
+    else:
+        prev, spatial = first, -10.0 * np.eye(4)
+    with pytest.raises(SingularState, match=re.escape(message)):
+        recursive_step(prev, step_inputs(1, lam, spatial, gamma))
 
 
 def test_per_user_accessor_and_series():
