@@ -127,7 +127,7 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray, error: type, message: str) -> np
     """Solve ``mat @ X = rhs`` for SPD ``mat`` by LAPACK's ``dpotrf``/``dpotrs``.
 
     A failed pivot raises ``error(message)``, a ``LocTrackError`` class.
-    ``dpotrf`` passes a NaN diagonal, so non-finite entries raise ValueError.
+    ``dpotrf`` accepts a NaN diagonal, so non-finite entries raise ValueError.
     """
     chol, info = dpotrf(np.asarray_chkfinite(mat), lower=1, clean=0)
     if info:
