@@ -15,6 +15,7 @@ and ``inverse_diag_blocks`` are the dense oracles; the latter keeps scipy's
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -126,11 +127,15 @@ def diag_blocks(mat: np.ndarray) -> np.ndarray:
 def spd_solve(mat: np.ndarray, rhs: np.ndarray, error: type, message: str) -> np.ndarray:
     """Solve ``mat @ X = rhs`` for SPD ``mat`` by LAPACK's ``dpotrf``/``dpotrs``.
 
-    A failed pivot raises ``error(message)``, a ``LocTrackError`` class.
-    ``dpotrf`` accepts a NaN diagonal, so non-finite entries raise ValueError.
+    Only the lower triangle of ``mat`` is read. A failed pivot raises
+    ``error(message)``, a ``LocTrackError`` class, and a non-finite entry
+    ValueError. ``dpotrf`` passes a NaN pivot with info 0, but a non-finite
+    entry of the lower triangle leaves a failed or non-finite diagonal, so
+    ``mat`` is scanned only then.
     """
-    chol, info = dpotrf(np.asarray_chkfinite(mat), lower=1, clean=0)
-    if info:
+    chol, info = dpotrf(mat, lower=1, clean=0)
+    if info or not all(map(math.isfinite, chol.diagonal().tolist())):
+        np.asarray_chkfinite(mat)
         raise error(message)
     return dpotrs(chol, rhs, lower=1)[0]
 

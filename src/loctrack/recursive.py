@@ -23,6 +23,14 @@ J_{t-1} + Gamma against Gamma and the bound J_t against I, each by one
 inputs (the first step, the ordinary steps and the disturbed steps);
 otherwise it prepares one per step.
 
+``recursive_step`` is a pure function of J_{t-1} and the step's inputs. In
+floating point the constant-input recursion lands exactly on its fixed
+point: once a step on the same ``StepInputs`` as its predecessor leaves J
+bit for bit unchanged, every later step on those inputs would return the
+same state, so ``run_recursion`` repeats it with ``t`` advanced until the
+inputs change (a disturbed step). Repeated states share their arrays,
+which ``recursive_step`` makes read-only.
+
 ``constant_inputs`` freezes one step's inputs as that same ``StepInputs``:
 the ordinary steps of a constant-input run step on it, and the stationary
 and asymptotic analyses read M = Lambda_D + Xi (``m_full``) and
@@ -39,7 +47,7 @@ j = (m + sqrt(m^2 + 4 m tau)) / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -228,6 +236,8 @@ def recursive_step(prev: RecursiveState | None, inputs: StepInputs) -> Recursive
     efim = symmetrize(inputs.nominal_full - inputs.off - carry)
     efficiency = eye - inputs.nominal_inv_full @ (inputs.off + carry)
     inverse = spd_solve(efim, eye, SingularState, f"recursive EFIM at step {t} lost positivity")
+    # run_recursion shares these arrays with the states that repeat this one
+    efim.flags.writeable = carry.flags.writeable = False
 
     return RecursiveState(
         t=t,
@@ -353,6 +363,12 @@ def run_recursion(
     ``disturbance_steps`` lists 0-based steps whose measurement information
     is scaled by ``disturbance_scale`` (at least 0); all other steps run at
     scale 1.
+
+    A step on the same inputs as its predecessor, when that predecessor's
+    J equals its own J_{t-1} byte for byte, is not stepped: its state is
+    the predecessor's with ``t`` advanced, bit for bit what
+    ``recursive_step`` would return. Inputs that change every step are
+    always stepped.
     """
     if disturbance_scale < 0.0:
         raise DimensionMismatch(
@@ -396,6 +412,16 @@ def run_recursion(
             inputs = prepared[key]
         else:
             inputs = prepare(t, scale)
-        prev = recursive_step(prev, inputs)
+        if prev is not None and inputs is prev.inputs and _at_fixed_point(prev):
+            # recursive_step would read the J and inputs the last step read
+            prev = replace(prev, t=t, previous_efim=prev.efim)
+        else:
+            prev = recursive_step(prev, inputs)
         states.append(prev)
     return states
+
+
+def _at_fixed_point(state: RecursiveState) -> bool:
+    """Whether ``state`` stepped from an EFIM byte-equal to its own."""
+    previous = state.previous_efim
+    return previous is not None and previous.tobytes() == state.efim.tobytes()

@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from loctrack.fim import measurement_fim, prior_fim
+from loctrack.recursive import constant_inputs, recursive_step, step_inputs
 from loctrack.scenario import (
     DEFAULT_BURN_IN,
     PRIOR_L2,
@@ -186,6 +188,57 @@ def iterate_fixed_point(
         if moved < tol:
             return j
     raise AssertionError(f"fixed-point iteration did not settle in {max_steps} steps")
+
+
+def stepwise_recursion(
+    config: ScenarioConfig,
+    trajectory,
+    constant_from_step: int | None = None,
+    disturbance_steps=(),
+    disturbance_scale: float = 1.0,
+    trajectory_ensemble=None,
+) -> list:
+    """Oracle ``run_recursion``: one ``recursive_step`` call at every step.
+
+    Prepares the same inputs as ``run_recursion`` (under constant inputs
+    one shared ``StepInputs`` per first-step flag and scale) but never
+    repeats a state, so a state that ``run_recursion`` repeats at a fixed
+    point must equal the step this runs there bit for bit.
+    """
+    disturbed = {int(s) for s in disturbance_steps}
+    constant = constant_from_step is not None
+    if constant:
+        frozen = constant_inputs(
+            config, trajectory, step=constant_from_step,
+            trajectory_ensemble=trajectory_ensemble,
+        )
+        prepared = {(False, 1.0): frozen}
+    else:
+        pfim = prior_fim(prior_model(config, include_anchor=False), trajectory_ensemble)
+        lambda_d = measurement_fim(config, trajectory)
+
+    def prepare(t: int, scale: float):
+        if constant:
+            lam, spatial = frozen.lambda_d, frozen.spatial_slice
+            gamma = frozen.gamma if t else None
+        else:
+            lam, spatial = lambda_d[t], pfim.spatial_slices[t]
+            gamma = pfim.temporal[t - 1] if t else None
+        return step_inputs(t, scale * lam, spatial, gamma)
+
+    states, prev = [], None
+    for t in range(config.num_steps):
+        scale = disturbance_scale if t in disturbed else 1.0
+        if constant:
+            key = (t == 0, scale)
+            if key not in prepared:
+                prepared[key] = prepare(t, scale)
+            inputs = prepared[key]
+        else:
+            inputs = prepare(t, scale)
+        prev = recursive_step(prev, inputs)
+        states.append(prev)
+    return states
 
 
 def _log_prior_terms_l1(

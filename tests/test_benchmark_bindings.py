@@ -4,8 +4,10 @@
 name the package no longer defines, so a renamed or deleted function would
 read as zero calls without any error. It wraps them on the module
 attribute, so a call that bypasses the attribute is not counted either:
-each run starts at the one ``harness.random_walk_trajectory`` call and
-each recursion step is one ``recursive.recursive_step`` call.
+each run starts at the one ``harness.random_walk_trajectory`` call, and
+each step of a recursion up to its first bitwise fixed point, each
+disturbed step and each step from there to the next fixed point is one
+``recursive.recursive_step`` call (the steps in between repeat a state).
 ``perfbench/child.py`` binds the arguments of ``coupling.eoc_report`` and
 ``scenario.sample_trajectory_ensemble`` by name and reads the report and
 split fields checked here. The spans module is read from its source, so
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import config_dict, count_calls, shipped_scenario
+from conftest import config_dict, count_calls, shipped_scenario, stepwise_recursion
 from loctrack import coupling, harness, recursive, scenario
 from loctrack.fim import assemble_efim, measurement_fim, prior_fim
 from loctrack.scenario import prior_model, static_trajectory
@@ -62,20 +64,41 @@ def test_split_and_report_fields_exist():
         assert hasattr(report, field), field
 
 
-@pytest.mark.parametrize("constant_from_step", [None, 1])
-def test_run_recursion_calls_recursive_step_once_per_step(
-    monkeypatch, constant_from_step
+@pytest.mark.parametrize(
+    "name, num_steps, constant_from_step, max_calls",
+    [("toy", 6, None, 6), ("toy", 6, 1, 6), ("paper_baseline_long", 1000, 1, 500)],
+    ids=["None", "1", "fixed-point"],
+)
+def test_run_recursion_calls_recursive_step_up_to_each_fixed_point(
+    monkeypatch, name, num_steps, constant_from_step, max_calls
 ):
-    config = shipped_scenario(num_steps=6)
-    calls = count_calls(monkeypatch, recursive, "recursive_step")
-    recursive.run_recursion(
-        config,
-        static_trajectory(config),
+    """The stepped steps are those the stepwise oracle predicts: every step
+    but those on the same inputs as a predecessor that repeated its own J."""
+    config = shipped_scenario(name, num_steps=num_steps).with_snr_offset_db(70.0)
+    trajectory = static_trajectory(config)
+    kwargs = dict(
         constant_from_step=constant_from_step,
-        disturbance_steps=(0, 3),
+        disturbance_steps=(0, 3, 20, 21),
         disturbance_scale=0.5,
     )
-    assert len(calls) == config.num_steps
+    want = stepwise_recursion(config, trajectory, **kwargs)
+    expected = [
+        t for t in range(num_steps)
+        if t < 2
+        or want[t].inputs is not want[t - 1].inputs
+        or want[t - 1].efim.tobytes() != want[t - 2].efim.tobytes()
+    ]
+    stepped = []
+    inner = recursive.recursive_step
+
+    def recording_step(prev, inputs):
+        stepped.append(0 if prev is None else prev.t + 1)
+        return inner(prev, inputs)
+
+    monkeypatch.setattr(recursive, "recursive_step", recording_step)
+    recursive.run_recursion(config, trajectory, **kwargs)
+    assert stepped == expected
+    assert len(stepped) <= max_calls
 
 
 def test_run_experiment_draws_one_walk_per_job(monkeypatch, tmp_path):

@@ -9,7 +9,10 @@ random phases), an EoC-vs-SNR campaign the size of the ``eoc-coupled``
 benchmark workload (``paper_baseline.json``, T=40, K=3), a short
 error-propagation campaign on the toy, a constant-input error-propagation
 campaign on ``paper_baseline.json`` (T=40, K=3, one disturbed step,
-temporal precision up to 1000), the raw bytes of ``measurement_fim`` on
+temporal precision up to 1000), one on ``paper_baseline_long.json``
+(T=1000 at +70 dB, 2 runs, temporal precision 1 and 100) whose recursion
+reaches a bitwise fixed point and repeats it after the disturbed step,
+the raw bytes of ``measurement_fim`` on
 ``paper_baseline.json`` under aligned and random phases, and the raw
 bytes of one l1-norm toy ensemble (100 chains, the default burn-in).
 """
@@ -38,20 +41,22 @@ from loctrack.scenario import (
 
 configs, out = Path(sys.argv[1]), Path(sys.argv[2])
 campaigns = {
-    "eoc-vs-snr": ("toy.json", "EOC_VS_SNR", "snr-db", (-10.0, 10.0, 30.0), 2),
-    "eoc-vs-num-ris": ("toy.json", "EOC_VS_NUM_RIS", "num-ris", (1.0, 2.0, 4.0), 2),
-    "eoc-coupled": ("paper_baseline.json", "EOC_VS_SNR", "snr-db", (20.0, 50.0, 80.0), 2),
-    "ep-convergence": ("toy.json", "EP_CONVERGENCE", "sigma-t-inv2", (1.0, 10.0), None),
-    "ep-baseline": ("paper_baseline.json", "EP_CONVERGENCE", "sigma-t-inv2", (1.0, 1000.0), 2),
+    "eoc-vs-snr": ("toy.json", "EOC_VS_SNR", "snr-db", (-10.0, 10.0, 30.0), 2, 4, 0.0),
+    "eoc-vs-num-ris": ("toy.json", "EOC_VS_NUM_RIS", "num-ris", (1.0, 2.0, 4.0), 2, 4, 0.0),
+    "eoc-coupled": ("paper_baseline.json", "EOC_VS_SNR", "snr-db", (20.0, 50.0, 80.0), 2, 4, 0.0),
+    "ep-convergence": ("toy.json", "EP_CONVERGENCE", "sigma-t-inv2", (1.0, 10.0), None, 4, 0.0),
+    "ep-baseline": ("paper_baseline.json", "EP_CONVERGENCE", "sigma-t-inv2", (1.0, 1000.0), 2, 4, 0.0),
+    "ep-fixed-point": ("paper_baseline_long.json", "EP_CONVERGENCE", "sigma-t-inv2", (1.0, 100.0), 2, 2, 70.0),
 }
-for name, (scenario, kind, parameter, values, constant) in campaigns.items():
+for name, (scenario, kind, parameter, values, constant, runs, offset) in campaigns.items():
     spec = ExperimentSpec(
         scenario_path=str(configs / scenario),
         kind=kind,
         sweep_parameter=parameter,
         sweep_values=values,
-        num_monte_carlo=4,
+        num_monte_carlo=runs,
         base_seed=7,
+        snr_db_offset=offset,
         output_dir=str(out / name),
         disturbance_steps=(2,) if kind == "EP_CONVERGENCE" else (),
         disturbance_scale=0.5 if kind == "EP_CONVERGENCE" else 1.0,
@@ -101,7 +106,7 @@ def run_child(threads: int, out: Path) -> dict:
 def test_outputs_identical_at_one_and_two_blas_threads(tmp_path):
     one = run_child(1, tmp_path / "one")
     two = run_child(2, tmp_path / "two")
-    assert len(one) == 13, sorted(one)
+    assert len(one) == 15, sorted(one)
     assert sorted(one) == sorted(two)
     differing = [name for name in one if one[name] != two[name]]
     assert not differing, f"outputs differ between 1 and 2 BLAS threads: {differing}"

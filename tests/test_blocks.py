@@ -15,6 +15,7 @@ from loctrack.blocks import (
     neumann_diag_block,
     require_spd,
     selected_inverse,
+    spd_solve,
     spd_sqrt_and_inv_sqrt,
     symmetrize,
 )
@@ -192,6 +193,22 @@ def test_selected_inverse_raises_at_the_failed_pivot(rng, step):
     bad = ChainEfim(slices, chain.links)
     with pytest.raises(SingularEfim, match=f"pivot of step {step} failed"):
         selected_inverse(bad)
+
+
+@pytest.mark.parametrize(
+    "row, col, bad",
+    [(3, 1, np.nan), (3, 1, np.inf), (2, 2, np.nan), (2, 2, np.inf), (2, 2, -np.inf)],
+    ids=["nan-below", "inf-below", "nan-on", "inf-on", "minus-inf-on"],
+)
+def test_spd_solve_rejects_non_finite_input(rng, row, col, bad):
+    """``dpotrf`` factors a NaN or infinite pivot with info 0 (a negative
+    infinite one fails it); each non-finite entry still raises ValueError
+    and never the caller's error, while the finite matrix solves."""
+    mat = random_spd(rng, 6)
+    assert np.allclose(spd_solve(mat, mat, SingularEfim, "unused"), np.eye(6))
+    mat[row, col] = mat[col, row] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spd_solve(mat, np.eye(6), SingularEfim, "unused")
 
 
 def test_neumann_sum_survives_zero_odd_terms():

@@ -11,19 +11,26 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import iterate_fixed_point, random_scenario, rel_frobenius, shipped_scenario
+from conftest import (
+    iterate_fixed_point,
+    random_scenario,
+    rel_frobenius,
+    shipped_scenario,
+    stepwise_recursion,
+)
 from loctrack.blocks import block_diag, neumann_diag_block, symmetrize
 from loctrack.errors import DimensionMismatch, NotSpd, SingularState
 from loctrack.fim import assemble_efim, measurement_blocks_at, measurement_fim, prior_fim
 from loctrack.recursive import (
     LOEWNER_SLACK,
+    StepInputs,
     constant_inputs,
     recursive_step,
     run_recursion,
     stationary_point,
     step_inputs,
 )
-from loctrack.scenario import prior_model, static_trajectory
+from loctrack.scenario import prior_model, random_walk_trajectory, static_trajectory
 
 
 def random_spd(rng, side, cond_span=2.0):
@@ -171,6 +178,84 @@ def test_prepared_steps_match_per_step_reference(
         assert state.eoc_mean == eoc
         assert state.slack == slack
         assert state.condition_satisfied == satisfied
+
+
+def bits(value) -> tuple | None:
+    """Shape and raw bytes of an array or float (None stays None)."""
+    return None if value is None else (np.shape(value), np.asarray(value).tobytes())
+
+
+def repeated_steps(states) -> list[int]:
+    """Steps whose state ``run_recursion`` repeated instead of stepping."""
+    return [t for t in range(1, len(states)) if states[t].efim is states[t - 1].efim]
+
+
+# track-long's settings: +70 dB, constant from step 2, steps 21 and 22 (1-based)
+# at 0.1; J reaches a bitwise fixed point at steps 50-300 of 1,000.
+LONG_DISTURBED = (20, 21)
+
+
+@pytest.mark.parametrize(
+    "sigma_t, constant, late, num_steps",
+    [
+        (1.0, True, (), 1000),
+        (100.0, True, (), 1000),
+        (1.0, True, (699,), 1000),
+        (100.0, True, (699,), 1000),
+        (100.0, False, (), 300),
+    ],
+    ids=["constant-1", "constant-100", "late-disturbance-1", "late-disturbance-100", "varying"],
+)
+def test_fixed_point_repeats_match_the_stepwise_oracle(sigma_t, constant, late, num_steps):
+    """Every field of every state equals the oracle's, which calls
+    ``recursive_step`` at every step. Constant inputs reach the fixed point
+    and repeat it; a later disturbed step, and the steps after it up to the
+    next fixed point, step again; inputs that change every step never
+    repeat a state."""
+    config = shipped_scenario("paper_baseline_long", num_steps=num_steps)
+    config = config.with_snr_offset_db(70.0).with_temporal_precision(sigma_t)
+    traj = random_walk_trajectory(config, 91)
+    kwargs = dict(
+        constant_from_step=1 if constant else None,
+        disturbance_steps=LONG_DISTURBED + late,
+        disturbance_scale=0.1,
+    )
+    states = run_recursion(config, traj, **kwargs)
+    want = stepwise_recursion(config, traj, **kwargs)
+    assert len(states) == len(want) == config.num_steps
+    for state, ref in zip(states, want):
+        assert state.t == ref.t
+        for name in ("efim", "temporal_carry", "previous_efim", "bcrb_mean", "eoc_mean"):
+            assert bits(getattr(state, name)) == bits(getattr(ref, name)), (state.t, name)
+        for field in dataclasses.fields(StepInputs):
+            got, ref_input = getattr(state.inputs, field.name), getattr(ref.inputs, field.name)
+            assert bits(got) == bits(ref_input), (state.t, field.name)
+        assert bits(state.slack) == bits(ref.slack)
+        assert state.condition_satisfied == ref.condition_satisfied
+
+    repeated = repeated_steps(states)
+    if not constant:
+        assert repeated == []
+        return
+    stepped = sorted(set(range(config.num_steps)) - set(repeated))
+    assert len(stepped) < config.num_steps // 2
+    for t in LONG_DISTURBED + late:
+        assert {t, t + 1} <= set(stepped)
+        assert max(repeated) > t + 1
+    if late:
+        assert min(repeated) < late[0]
+
+
+def test_state_arrays_are_read_only():
+    """``efim`` and ``temporal_carry`` are shared by the states that repeat a
+    fixed point, so no caller may write into them."""
+    lam = np.stack([np.eye(2)] * 2)
+    first = recursive_step(None, step_inputs(0, lam, np.eye(4), None))
+    second = recursive_step(first, step_inputs(1, lam, np.eye(4), lam))
+    for state in (first, second):
+        for array in (state.efim, state.temporal_carry):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] += 1.0
 
 
 def test_slack_is_computed_on_first_read(monkeypatch):
