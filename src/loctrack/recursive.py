@@ -412,16 +412,15 @@ def run_recursion(
             inputs = prepared[key]
         else:
             inputs = prepare(t, scale)
-        if prev is not None and inputs is prev.inputs and _at_fixed_point(prev):
-            # recursive_step would read the J and inputs the last step read
+        # Inputs shared with the last step put t >= 2, so prev has a
+        # predecessor; if prev repeated its J, this step would return prev.
+        if (
+            prev is not None
+            and inputs is prev.inputs
+            and prev.efim.tobytes() == prev.previous_efim.tobytes()
+        ):
             prev = replace(prev, t=t, previous_efim=prev.efim)
         else:
             prev = recursive_step(prev, inputs)
         states.append(prev)
     return states
-
-
-def _at_fixed_point(state: RecursiveState) -> bool:
-    """Whether ``state`` stepped from an EFIM byte-equal to its own."""
-    previous = state.previous_efim
-    return previous is not None and previous.tobytes() == state.efim.tobytes()
