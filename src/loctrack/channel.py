@@ -24,7 +24,10 @@ The formulas broadcast over leading axes. ``cascaded_channel``,
 user) cell; they are the oracles the finite-difference checks read.
 ``jacobian_factors`` evaluates every cell of a run of steps in one pass
 (link geometry, the (S, R, N_r) phase array, the reflection sums) and
-feeds the measurement kernel of ``loctrack.fim``.
+feeds the measurement kernel of ``loctrack.fim``. Within one call it reads
+the BS-RIS geometry once, for the aligned phases and the BS rows alike,
+and forms the user-hop steering vectors once: the reflection responses and
+their angle derivatives both read them.
 """
 
 from __future__ import annotations
@@ -98,9 +101,15 @@ def steering_vector(angle, n_elements: int) -> np.ndarray:
 
 def steering_derivative(angle, n_elements: int) -> np.ndarray:
     """Elementwise derivative of the ULA steering vector w.r.t. the angle."""
+    return _steering_derivative(angle, n_elements, steering_vector(angle, n_elements))
+
+
+def _steering_derivative(angle, n_elements: int, vector: np.ndarray) -> np.ndarray:
+    """``steering_derivative`` from the steering vector of ``angle``, so a
+    caller that holds the vector does not form it again."""
     m = np.arange(n_elements)
     sine = np.sin(np.asarray(angle))[..., None]
-    return -1j * np.pi * m * sine * steering_vector(angle, n_elements)
+    return -1j * np.pi * m * sine * vector
 
 
 def _served_users(config: ScenarioConfig) -> np.ndarray:
@@ -117,22 +126,26 @@ def resolve_phases(
     cascade phase elementwise, which drives the reflection response to its
     sqrt(N_r) maximum for the served user.
     """
-    served = None
+    served = aoa = None
     if isinstance(config.ris_phase_profiles, AlignedPhases):
         served = geometry_params(
             config.ris_positions,
             trajectory.positions[t, _served_users(config)],
             config.path_loss_exponent,
         ).angle[None]
-    return _phase_array(config, range(t, t + 1), served)[0]
+        aoa = config.bs_ris_geometry()[1]
+    return _phase_array(config, range(t, t + 1), served, aoa)[0]
 
 
-def _phase_array(config: ScenarioConfig, steps: range, served_angles) -> np.ndarray:
+def _phase_array(
+    config: ScenarioConfig, steps: range, served_angles, aoa
+) -> np.ndarray:
     """(S, R, N_r) phase shifts at ``steps``, radians.
 
     ``served_angles`` (S, R) holds the arrival angle of each surface's
-    served user at those steps; only the aligned policy reads it. Random
-    phases draw one seeded stream per (step, surface).
+    served user at those steps and ``aoa`` (R,) the BS-RIS arrival angles;
+    only the aligned policy reads them. Random phases draw one seeded
+    stream per (step, surface).
     """
     profile = config.ris_phase_profiles
     n = config.n_ris_elements
@@ -143,7 +156,6 @@ def _phase_array(config: ScenarioConfig, steps: range, served_angles) -> np.ndar
             [[profile.values_for(t, i, n) for i in range(config.num_ris)] for t in steps]
         )
     if isinstance(profile, AlignedPhases):
-        aoa = config.bs_ris_geometry()[1]
         return np.pi * np.arange(n) * (np.cos(aoa) - np.cos(served_angles))[..., None]
     raise DimensionMismatch(f"unknown phase profile {profile!r}")
 
@@ -199,21 +211,27 @@ class ChannelVector:
     effective_noise_variance: float
 
 
-def _surface_terms(config: ScenarioConfig, phases: np.ndarray, ru_angles: np.ndarray):
+def _surface_terms(
+    config: ScenarioConfig, phases: np.ndarray, ru_angles: np.ndarray, geometry
+):
     """Per-surface terms of the cascade, broadcast over leading axes.
 
-    For phases (..., R, N_r) and user-hop arrival angles (..., R), returns
-    the reflection responses g (..., R), their angle derivatives dg
-    (..., R), the BS rows rho_mix * g_br_i * a_bs(aod_i) as an (R, N_b)
-    array, so one cell's cascade is ``(ru_gains * g) @ rows``, and the
-    BS-RIS gains g_br (R,).
+    For phases (..., R, N_r), user-hop arrival angles (..., R) and the
+    ``config.bs_ris_geometry()`` triple, returns the reflection responses
+    g (..., R), their angle derivatives dg (..., R), the BS rows
+    rho_mix * g_br_i * a_bs(aod_i) as an (R, N_b) array, so one cell's
+    cascade is ``(ru_gains * g) @ rows``, and the BS-RIS gains g_br (R,).
     """
-    aod, aoa, br_gains = config.bs_ris_geometry()
+    aod, aoa, br_gains = geometry
     n_b, n_r = config.n_bs_antennas, config.n_ris_elements
     omega = np.exp(1j * phases) / np.sqrt(n_r)
     ris_in = steering_vector(aoa, n_r)
-    g = np.vecdot(ris_in, omega * steering_vector(ru_angles, n_r))
-    dg = np.vecdot(ris_in, omega * steering_derivative(ru_angles, n_r))
+    ris_out = steering_vector(ru_angles, n_r)
+    g = np.vecdot(ris_in, omega * ris_out)
+    # Rebinding frees the steering vector before the last product; holding
+    # it there raises the call's peak memory by one (..., R, N_r) array.
+    ris_out = _steering_derivative(ru_angles, n_r, ris_out)
+    dg = np.vecdot(ris_in, omega * ris_out)
     rows = (_rician_mix(config) * br_gains)[:, None] * steering_vector(aod, n_b)
     return g, dg, rows, br_gains
 
@@ -226,7 +244,8 @@ def cascaded_channel(
         config.ris_positions, trajectory.position(t, k), config.path_loss_exponent
     )
     g, _, rows, br_gains = _surface_terms(
-        config, resolve_phases(config, trajectory, t), geo.angle
+        config, resolve_phases(config, trajectory, t), geo.angle,
+        config.bs_ris_geometry(),
     )
     return ChannelVector(
         vector=(geo.gain * g) @ rows,
@@ -252,7 +271,8 @@ def cascade_from_parameters(
     channel Jacobian differentiates, so derivative checks go through here.
     """
     g, _, rows, _ = _surface_terms(
-        config, resolve_phases(config, trajectory, t), ru_angles
+        config, resolve_phases(config, trajectory, t), ru_angles,
+        config.bs_ris_geometry(),
     )
     return (np.asarray(ru_gains, dtype=float) * g) @ rows
 
@@ -281,7 +301,8 @@ def channel_jacobian(
         config.ris_positions, trajectory.position(t, k), config.path_loss_exponent
     )
     g, dg, rows, br_gains = _surface_terms(
-        config, resolve_phases(config, trajectory, t), geo.angle
+        config, resolve_phases(config, trajectory, t), geo.angle,
+        config.bs_ris_geometry(),
     )
     coeffs = np.concatenate([geo.gain * dg, g])
     return ChannelJacobian(
@@ -302,9 +323,10 @@ def jacobian_factors(
     coefficients [gain * dg, g] as (S, K, 2R), the (R, N_b) BS rows and the
     (S, K) effective noise variances.
     """
+    geometry = config.bs_ris_geometry()
     geo = _link_params(delta, dist, config.path_loss_exponent)
     served = geo.angle[:, _served_users(config), np.arange(config.num_ris)]
-    phases = _phase_array(config, steps, served)
-    g, dg, rows, br_gains = _surface_terms(config, phases[:, None], geo.angle)
+    phases = _phase_array(config, steps, served, geometry[1])
+    g, dg, rows, br_gains = _surface_terms(config, phases[:, None], geo.angle, geometry)
     coeffs = np.concatenate([geo.gain * dg, g], axis=-1)
     return coeffs, rows, effective_noise_variance(config, br_gains, geo.gain)

@@ -14,11 +14,14 @@ parts that this module builds separately and then sums:
 
 ``measurement_fim`` returns the measurement part as a plain (T, K, 2, 2)
 array from one array kernel over every (step, user) cell: the channel
-factors of ``channel.jacobian_factors``, one Gram matrix of the BS rows
-(the N_b axis summed once per call) and the (T, K, 2, 2R) T_u of
-``position_jacobian``. ``measurement_blocks_at`` is that kernel at one
-step, the recursion's per-step input. ``prior_fim`` returns the two prior
-parts, read from a ``scenario.PriorModel`` alone. ``assemble_efim``
+factors of ``channel.jacobian_factors`` (the BS-RIS geometry read once per
+call), one Gram matrix of the BS rows (the N_b axis summed once per call)
+and the (T, K, 2, 2R) T_u of ``position_jacobian``.
+``measurement_blocks_at`` is that kernel at one step, the recursion's
+per-step input. ``prior_fim`` returns the two prior parts, read from a
+``scenario.PriorModel`` (and, for the distance kind, an ensemble) alone,
+as read-only arrays, so one result can serve every run of a campaign that
+shares the prior (``loctrack.harness``). ``assemble_efim``
 returns the EFIM in chain form, a ``blocks.ChainEfim``: the per-step
 slices (spatial slice plus measurement blocks) and the temporal links.
 
@@ -164,7 +167,7 @@ class PriorFim:
     ``spatial_slices`` holds one (2K, 2K) matrix per step, with
     ``anchor_precision`` (0.0 when left out) folded into slice 0;
     ``temporal`` holds the (T-1, K, 2, 2) transition precisions, entry t
-    coupling steps t and t+1.
+    coupling steps t and t+1. ``prior_fim`` returns both read-only.
     """
 
     spatial_slices: np.ndarray
@@ -191,6 +194,7 @@ def prior_fim(prior: PriorModel, trajectory_ensemble=None) -> PriorFim:
     slices = np.zeros((T, 2 * K, 2 * K))
     for t in range(T):
         slices[t] = prior_slice(prior, t, ensemble)
+    slices.flags.writeable = False
     return PriorFim(
         spatial_slices=slices,
         temporal=prior.transition_precisions,

@@ -6,13 +6,20 @@ table plus a manifest.  Runs are independent work items keyed by
 aggregation is an ordered reduce over run indices. Reruns with the same
 spec and seed are byte-identical.
 
-With the ``l1-norm`` prior a run also reads an ensemble sampled from its
-seed. An ``snr-db`` sweep draws each seed's ensemble once and shares it,
-read-only, across the sweep values: an SNR shift changes only the noise
-variance, which the sampler never reads. Prior sweeps change the density
-sampled and ``num-ris`` sweeps the surfaces its separation check reads, so
-they draw once per run. ``TRAJECTORY`` runs write positions only and draw
-no ensemble.
+Runs share two things, read-only, each stored by the first run that needs
+it; a draw or build that raises is not stored, so every run that needs it
+fails the same way.
+
+* Each seed's l1 ensemble. With the ``l1-norm`` prior a run also reads an
+  ensemble sampled from its seed. An ``snr-db`` sweep draws it once per
+  seed: an SNR shift changes only the noise variance, which the sampler
+  never reads. Prior sweeps change the density sampled and ``num-ris``
+  sweeps the surfaces its separation check reads, so they draw once per
+  run. ``TRAJECTORY`` runs write positions only and draw no ensemble.
+* Each distinct prior's information. A quadratic prior's information
+  depends only on what ``prior_model`` reads, so EoC runs build it once
+  per campaign for ``snr-db`` and ``num-ris`` sweeps and once per value
+  for prior sweeps. An l1 prior reads its run's ensemble: built per run.
 """
 
 from __future__ import annotations
@@ -313,31 +320,54 @@ def _draw(config: ScenarioConfig, seed: int, ensembles: dict | None = None):
     return trajectory, ensembles[seed]
 
 
-def _eoc_pipeline(config: ScenarioConfig, trajectory: Trajectory, ensemble):
+@dataclasses.dataclass(frozen=True)
+class _Shared:
+    """What a campaign's runs share: ``_draw``'s ``ensembles`` (None when
+    every run draws its own) and the ``PriorFim`` of each ``_prior_key``."""
+
+    ensembles: dict | None
+    priors: dict
+
+
+def _prior_key(config: ScenarioConfig) -> tuple:
+    """Everything ``prior_model`` reads of ``config``."""
+    cov = config.temporal_covariance
+    return (config.prior_kind, config.spatial_edges, config.spatial_precision,
+            cov.shape, cov.tobytes(), config.first_step_anchor_variance)
+
+
+def _eoc_pipeline(config: ScenarioConfig, trajectory: Trajectory, ensemble,
+                  priors: dict):
     lambda_d = measurement_fim(config, trajectory)
-    pfim = prior_fim(prior_model(config, include_anchor=True), ensemble)
+    if config.prior_kind == PRIOR_L1:
+        pfim = prior_fim(prior_model(config, include_anchor=True), ensemble)
+    else:
+        key = _prior_key(config)
+        if key not in priors:
+            priors[key] = prior_fim(prior_model(config, include_anchor=True))
+        pfim = priors[key]
     efim = assemble_efim(lambda_d, pfim)
     return eoc_report(efim, split_d_a(efim, pfim))
 
 
-def _run_eoc_point(config: ScenarioConfig, seed: int, ensembles: dict | None):
-    trajectory, ensemble = _draw(config, seed, ensembles)
-    report = _eoc_pipeline(config, trajectory, ensemble)
+def _run_eoc_point(config: ScenarioConfig, seed: int, shared: _Shared):
+    trajectory, ensemble = _draw(config, seed, shared.ensembles)
+    report = _eoc_pipeline(config, trajectory, ensemble, shared.priors)
     return [
         (0, 0, "eoc-mean", report.mean_eoc),
         (0, 0, "bcrb-mean", report.mean_bcrb),
     ]
 
 
-def _run_num_ris_point(config: ScenarioConfig, seed: int):
-    # The prior does not involve the surfaces, so both beam families share
-    # one sampled trajectory and differ only in the phase profile.
+def _run_num_ris_point(config: ScenarioConfig, seed: int, priors: dict):
+    # ``config`` carries the aligned phases (``run_experiment``). The prior
+    # does not involve the surfaces, so both beam families share one
+    # sampled trajectory and differ only in the phase profile.
     trajectory, ensemble = _draw(config, seed)
+    random = dataclasses.replace(config, ris_phase_profiles=RandomPhases(seed))
     out = []
-    for mode in ("aligned", "random"):
-        profile = AlignedPhases() if mode == "aligned" else RandomPhases(seed)
-        cfg = dataclasses.replace(config, ris_phase_profiles=profile)
-        report = _eoc_pipeline(cfg, trajectory, ensemble)
+    for mode, cfg in (("aligned", config), ("random", random)):
+        report = _eoc_pipeline(cfg, trajectory, ensemble, priors)
         out.append((0, 0, f"eoc-mean-{mode}", report.mean_eoc))
         out.append((0, 0, f"bcrb-mean-{mode}", report.mean_bcrb))
     return out
@@ -384,13 +414,13 @@ def _run_trajectory_point(config: ScenarioConfig, seed: int):
 
 
 def _run_one(spec: ExperimentSpec, config: ScenarioConfig, seed: int,
-             ensembles: dict | None):
+             shared: _Shared):
     if spec.kind == KIND_EOC_VS_SNR:
-        return _run_eoc_point(config, seed, ensembles)
+        return _run_eoc_point(config, seed, shared)
     if spec.kind == KIND_EOC_VS_NUM_RIS:
-        return _run_num_ris_point(config, seed)
+        return _run_num_ris_point(config, seed, shared.priors)
     if spec.kind in _RECURSION_KINDS:
-        return _run_recursion_point(config, seed, spec, ensembles)
+        return _run_recursion_point(config, seed, spec, shared.ensembles)
     return _run_trajectory_point(config, seed)
 
 
@@ -488,6 +518,12 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     with open(spec.scenario_path, "rb") as fh:
         scenario_bytes = fh.read()
     base_config, configs = campaign_configs(spec)
+    if spec.kind == KIND_EOC_VS_NUM_RIS:
+        # The aligned beams do not depend on the seed: one config per value.
+        configs = {
+            value: dataclasses.replace(config, ris_phase_profiles=AlignedPhases())
+            for value, config in configs.items()
+        }
     jobs = [
         (value, spec.base_seed + run_idx)
         for value in configs
@@ -497,12 +533,14 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     # never reads, so each seed's ensemble is drawn once and shared by every
     # sweep value. A prior sweep changes the density sampled and a num-ris
     # sweep the surfaces the separation check reads: those draw per run.
-    ensembles = {} if spec.sweep_parameter == SWEEP_SNR_DB else None
+    shared = _Shared(
+        ensembles={} if spec.sweep_parameter == SWEEP_SNR_DB else None, priors={}
+    )
 
     def work(job):
         value, seed = job
         try:
-            return ("ok", job, _run_one(spec, configs[value], seed, ensembles))
+            return ("ok", job, _run_one(spec, configs[value], seed, shared))
         except (LocTrackError, np.linalg.LinAlgError) as exc:
             return ("fail", job, f"{type(exc).__name__}: {exc}")
 

@@ -47,7 +47,7 @@ j = (m + sqrt(m^2 + 4 m tau)) / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -414,12 +414,20 @@ def run_recursion(
             inputs = prepare(t, scale)
         # Inputs shared with the last step put t >= 2, so prev has a
         # predecessor; if prev repeated its J, this step would return prev.
+        # After the first repeat J_{t-1} is J itself, so no bytes are read.
         if (
             prev is not None
             and inputs is prev.inputs
-            and prev.efim.tobytes() == prev.previous_efim.tobytes()
+            and (
+                prev.previous_efim is prev.efim
+                or prev.efim.tobytes() == prev.previous_efim.tobytes()
+            )
         ):
-            prev = replace(prev, t=t, previous_efim=prev.efim)
+            prev = RecursiveState(
+                t=t, efim=prev.efim, inputs=inputs,
+                temporal_carry=prev.temporal_carry, bcrb_mean=prev.bcrb_mean,
+                eoc_mean=prev.eoc_mean, previous_efim=prev.efim,
+            )
         else:
             prev = recursive_step(prev, inputs)
         states.append(prev)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scenario, rel_frobenius, shipped_scenario
+import loctrack.channel as channel
+from conftest import count_calls, random_scenario, rel_frobenius, shipped_scenario
 from loctrack.channel import (
     cascade_from_parameters,
     cascaded_channel,
@@ -20,9 +21,11 @@ from loctrack.channel import (
     steering_vector,
 )
 from loctrack.errors import DegenerateGeometry
+from loctrack.fim import measurement_fim
 from loctrack.scenario import (
     ExplicitPhases,
     RandomPhases,
+    ScenarioConfig,
     static_trajectory,
 )
 
@@ -238,3 +241,36 @@ def test_random_scenario_jacobians_stay_regular(rng):
                 jac = channel_jacobian(config, traj, t, k)
                 assert np.all(np.isfinite(jac.matrix))
                 assert np.linalg.norm(jac.matrix) > 0.0
+
+
+@pytest.mark.parametrize("phase_style", ["aligned", "random", "explicit"])
+def test_kernel_derivative_reuses_the_steering_vector(rng, monkeypatch, phase_style):
+    """The measurement kernel forms each user-hop steering vector once and
+    differentiates from it; on the stacked (S, K, R) angles that is, bit for
+    bit, ``steering_derivative`` forming its own vector."""
+    config, traj = random_scenario(
+        rng, num_users=3, num_steps=4, num_ris=3, phase_style=phase_style
+    )
+    seen = []
+    inner = channel._steering_derivative
+
+    def capture(angle, n_elements, vector):
+        seen.append((angle, n_elements, vector, inner(angle, n_elements, vector)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(channel, "_steering_derivative", capture)
+    measurement_fim(config, traj)
+    monkeypatch.undo()
+    [(angle, n_r, vector, formed)] = seen
+    assert angle.shape == (config.num_steps, config.num_users, config.num_ris)
+    assert n_r == config.n_ris_elements
+    assert vector.tobytes() == steering_vector(angle, n_r).tobytes()
+    assert formed.tobytes() == steering_derivative(angle, n_r).tobytes()
+
+
+@pytest.mark.parametrize("phase_style", ["aligned", "random", "explicit"])
+def test_measurement_fim_reads_the_bs_ris_geometry_once(rng, monkeypatch, phase_style):
+    config, traj = random_scenario(rng, num_steps=3, phase_style=phase_style)
+    calls = count_calls(monkeypatch, ScenarioConfig, "bs_ris_geometry")
+    measurement_fim(config, traj)
+    assert len(calls) == 1

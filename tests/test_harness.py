@@ -18,6 +18,7 @@ from loctrack.coupling import eoc_report, split_d_a
 from loctrack.errors import (
     CampaignAborted,
     DegenerateGeometry,
+    NotSpd,
     SchemaMismatch,
     SingularEfim,
 )
@@ -373,6 +374,97 @@ def test_failed_l1_draw_fails_every_sweep_value(
     assert calls.count(bad_seed) == len(spec.sweep_values)
     assert len(calls) == spec.num_monte_carlo - 1 + len(spec.sweep_values)
     assert all(row.n == spec.num_monte_carlo - 1 for row in table.rows)
+
+
+@pytest.mark.parametrize(
+    "kind, parameter, values, builds",
+    [
+        ("EOC_VS_SNR", "snr-db", (0.0, 10.0, 20.0), 1),
+        ("EOC_VS_NUM_RIS", "num-ris", (1.0, 2.0, 4.0), 1),
+        ("EOC_VS_SNR", "sigma-s-inv2", (1.0, 2.0, 4.0), 3),
+        ("EOC_VS_SNR", "sigma-t-inv2", (1.0, 2.0, 4.0), 3),
+    ],
+)
+def test_quadratic_prior_is_built_once_per_distinct_prior(
+    scenario_file, tmp_path, monkeypatch, kind, parameter, values, builds
+):
+    """An SNR or surface-count sweep leaves the prior alone and builds its
+    information once per campaign; a prior sweep builds once per value.
+    The shared information gives, bit for bit, the rows of runs that each
+    build their own."""
+    calls = count_calls(monkeypatch, harness, "prior_fim")
+    spec = make_spec(scenario_file, tmp_path, kind=kind, sweep_parameter=parameter,
+                     sweep_values=values, num_monte_carlo=3)
+    table = run_experiment(spec)
+    assert len(calls) == builds
+    assert table.manifest["failures"] == []
+
+    real = harness._eoc_pipeline
+
+    def own_prior(config, trajectory, ensemble, priors):
+        return real(config, trajectory, ensemble, {})
+
+    monkeypatch.setattr(harness, "_eoc_pipeline", own_prior)
+    del calls[:]
+    assert run_experiment(spec).rows == table.rows
+    assert len(calls) == len(values) * spec.num_monte_carlo * (
+        2 if kind == "EOC_VS_NUM_RIS" else 1
+    )
+
+
+def test_l1_prior_is_built_once_per_run(l1_scenario_file, tmp_path, monkeypatch,
+                                        quick_sampler):
+    calls = count_calls(monkeypatch, harness, "prior_fim")
+    spec = make_spec(l1_scenario_file, tmp_path, sweep_values=(0.0, 10.0, 20.0),
+                     num_monte_carlo=2)
+    run_experiment(spec)
+    assert len(quick_sampler) == spec.num_monte_carlo
+    assert len(calls) == len(spec.sweep_values) * spec.num_monte_carlo
+
+
+def test_failed_prior_build_fails_every_run_of_its_value(
+    scenario_file, tmp_path, monkeypatch
+):
+    """A build that raises is not kept: each run at that sweep value builds
+    again and records the same failure; the other values build once."""
+    values = tuple(float(v) for v in range(1, 13))
+    spec = make_spec(scenario_file, tmp_path, sweep_parameter="sigma-s-inv2",
+                     sweep_values=values, num_monte_carlo=3)
+    bad = 5.0
+    calls = []
+
+    def flaky(prior, ensemble=None):
+        precision = prior.spatial_precision[0][0]
+        calls.append(precision)
+        if precision == bad:
+            raise NotSpd("synthetic indefinite prior")
+        return prior_fim(prior, ensemble)
+
+    monkeypatch.setattr(harness, "prior_fim", flaky)
+    table = run_experiment(spec)
+    assert table.manifest["failures"] == [
+        {"error": "NotSpd: synthetic indefinite prior",
+         "seed": spec.base_seed + r, "sweep-value": bad}
+        for r in range(spec.num_monte_carlo)
+    ]
+    assert calls.count(bad) == spec.num_monte_carlo
+    assert len(calls) == len(values) - 1 + spec.num_monte_carlo
+    assert {row.sweep_value for row in table.rows} == set(values) - {bad}
+
+
+def test_shared_prior_information_is_read_only(scenario_file, tmp_path, monkeypatch):
+    built = []
+
+    def keep(prior, ensemble=None):
+        built.append(prior_fim(prior, ensemble))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "prior_fim", keep)
+    run_experiment(make_spec(scenario_file, tmp_path))
+    [pfim] = built
+    for array in (pfim.spatial_slices, pfim.temporal):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] += 1.0
 
 
 def test_l1_ensemble_ignores_the_noise_level(quick_sampler):
