@@ -2,9 +2,12 @@
 
 A campaign turns a JSON experiment description into a long-format result
 table plus a manifest.  Runs are independent work items keyed by
-``base_seed + run_index``, executed in order on one worker thread;
-aggregation is an ordered reduce over run indices. Reruns with the same
-spec and seed are byte-identical.
+``base_seed + run_index``, executed in order on one worker thread. The
+``(t, k, metric)`` keys a run writes follow from the spec and the
+scenario's T and K alone, so ``_row_keys`` declares them once per
+campaign; each successful run fills one column of its sweep value's
+``(keys, runs)`` array, and each sweep value has one reduce over its
+filled columns. Reruns with the same spec and seed are byte-identical.
 
 Runs share two things, read-only, each stored by the first run that needs
 it; a draw or build that raises is not stored, so every run that needs it
@@ -86,7 +89,8 @@ _SWEEPABLE = {
     KIND_TRAJECTORY: (),
 }
 
-# Kinds that run the step recursion and so read ``constant_from_step``.
+# Kinds that run the step recursion and so read ``constant_from_step`` and
+# the disturbance.
 _RECURSION_KINDS = (
     KIND_EP_CONVERGENCE,
     KIND_ASYMPTOTIC_SPATIAL,
@@ -181,6 +185,8 @@ def experiment_from_json(payload: dict, base_dir: str = ".") -> ExperimentSpec:
         check(SWEEP_VALUE[parameter], f"{parameter} sweep value {_fmt(value)}", value)
     if any(a >= b for a, b in zip(values, values[1:])):
         raise SchemaMismatch("sweep values must be strictly ascending")
+    if v["disturbance"]["steps"] and kind not in _RECURSION_KINDS:
+        raise SchemaMismatch(f"kind {kind} runs no recursion, so it takes no disturbance.steps")
     # os.path.join keeps an absolute path as it is.
     return ExperimentSpec(
         scenario_path=os.path.join(base_dir, v["scenario"]),
@@ -350,13 +356,29 @@ def _eoc_pipeline(config: ScenarioConfig, trajectory: Trajectory, ensemble,
     return eoc_report(efim, split_d_a(efim, pfim))
 
 
+def _row_keys(spec: ExperimentSpec, config: ScenarioConfig) -> tuple:
+    """The sorted ``(t, k, metric)`` keys every run of ``spec`` writes, in
+    the order of the column its ``_run_*_point`` returns. No sweep changes
+    T or K, so the base config serves the whole campaign."""
+    steps = range(1, config.num_steps + 1)
+    if spec.kind == KIND_EOC_VS_SNR:
+        return ((0, 0, "bcrb-mean"), (0, 0, "eoc-mean"))
+    if spec.kind == KIND_EOC_VS_NUM_RIS:
+        return tuple((0, 0, f"{metric}-mean-{mode}")
+                     for metric in ("bcrb", "eoc") for mode in ("aligned", "random"))
+    if spec.kind == KIND_TRAJECTORY:
+        return tuple((t, k, axis) for t in steps
+                     for k in range(1, config.num_users + 1) for axis in ("x", "y"))
+    star = spec.kind == KIND_EP_CONVERGENCE and spec.constant_from_step is not None
+    return ((0, 0, "theory-bcrb-star"),) * star + tuple(
+        (t, 0, metric) for t in steps for metric in ("bcrb-mean", "eoc-mean")
+    )
+
+
 def _run_eoc_point(config: ScenarioConfig, seed: int, shared: _Shared):
     trajectory, ensemble = _draw(config, seed, shared.ensembles)
     report = _eoc_pipeline(config, trajectory, ensemble, shared.priors)
-    return [
-        (0, 0, "eoc-mean", report.mean_eoc),
-        (0, 0, "bcrb-mean", report.mean_bcrb),
-    ]
+    return np.array([report.mean_bcrb, report.mean_eoc])
 
 
 def _run_num_ris_point(config: ScenarioConfig, seed: int, priors: dict):
@@ -365,12 +387,8 @@ def _run_num_ris_point(config: ScenarioConfig, seed: int, priors: dict):
     # sampled trajectory and differ only in the phase profile.
     trajectory, ensemble = _draw(config, seed)
     random = dataclasses.replace(config, ris_phase_profiles=RandomPhases(seed))
-    out = []
-    for mode, cfg in (("aligned", config), ("random", random)):
-        report = _eoc_pipeline(cfg, trajectory, ensemble, priors)
-        out.append((0, 0, f"eoc-mean-{mode}", report.mean_eoc))
-        out.append((0, 0, f"bcrb-mean-{mode}", report.mean_bcrb))
-    return out
+    reports = [_eoc_pipeline(cfg, trajectory, ensemble, priors) for cfg in (config, random)]
+    return np.array([r.mean_bcrb for r in reports] + [r.mean_eoc for r in reports])
 
 
 def _run_recursion_point(config: ScenarioConfig, seed: int, spec: ExperimentSpec,
@@ -386,10 +404,7 @@ def _run_recursion_point(config: ScenarioConfig, seed: int, spec: ExperimentSpec
         disturbance_scale=spec.disturbance_scale,
         trajectory_ensemble=ensemble,
     )
-    out = []
-    for t_idx, state in enumerate(states):
-        out.append((t_idx + 1, 0, "bcrb-mean", state.bcrb_mean))
-        out.append((t_idx + 1, 0, "eoc-mean", state.eoc_mean))
+    column = [number for s in states for number in (s.bcrb_mean, s.eoc_mean)]
     if spec.kind == KIND_EP_CONVERGENCE and constant0 is not None:
         # Undisturbed steps after the first stepped on the frozen inputs.
         frozen = [s.inputs for s in states[1:] if s.t + 1 not in spec.disturbance_steps]
@@ -398,30 +413,21 @@ def _run_recursion_point(config: ScenarioConfig, seed: int, spec: ExperimentSpec
         )
         j_star = stationary_point(inputs.m_full, inputs.gamma_full).j_star
         bound = spd_solve(j_star, np.eye(len(j_star)), NotSpd, "J* is not positive definite")
-        out.append((0, 0, "theory-bcrb-star", float(np.trace(bound)) / len(j_star)))
-    return out
-
-
-def _run_trajectory_point(config: ScenarioConfig, seed: int):
-    # Positions only: no prior reads the track here, so no ensemble is drawn.
-    trajectory = random_walk_trajectory(config, seed)
-    out = []
-    for t in range(config.num_steps):
-        for k in range(config.num_users):
-            out.append((t + 1, k + 1, "x", float(trajectory.positions[t, k, 0])))
-            out.append((t + 1, k + 1, "y", float(trajectory.positions[t, k, 1])))
-    return out
+        column.insert(0, float(np.trace(bound)) / len(j_star))
+    return np.array(column)
 
 
 def _run_one(spec: ExperimentSpec, config: ScenarioConfig, seed: int,
              shared: _Shared):
+    """One run's column, in the order of ``_row_keys(spec, config)``."""
     if spec.kind == KIND_EOC_VS_SNR:
         return _run_eoc_point(config, seed, shared)
     if spec.kind == KIND_EOC_VS_NUM_RIS:
         return _run_num_ris_point(config, seed, shared.priors)
     if spec.kind in _RECURSION_KINDS:
         return _run_recursion_point(config, seed, spec, shared.ensembles)
-    return _run_trajectory_point(config, seed)
+    # Positions only: no prior reads the track here, so no ensemble is drawn.
+    return random_walk_trajectory(config, seed).positions.reshape(-1)
 
 
 def _uniform_spatial_precision(config: ScenarioConfig):
@@ -524,11 +530,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             value: dataclasses.replace(config, ris_phase_profiles=AlignedPhases())
             for value, config in configs.items()
         }
-    jobs = [
-        (value, spec.base_seed + run_idx)
-        for value in configs
-        for run_idx in range(spec.num_monte_carlo)
-    ]
     # An SNR shift changes only the noise variance, which the l1 sampler
     # never reads, so each seed's ensemble is drawn once and shared by every
     # sweep value. A prior sweep changes the density sampled and a num-ris
@@ -536,13 +537,22 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     shared = _Shared(
         ensembles={} if spec.sweep_parameter == SWEEP_SNR_DB else None, priors={}
     )
+    keys = _row_keys(spec, base_config)
+    samples = {value: np.empty((len(keys), spec.num_monte_carlo)) for value in configs}
+    filled = dict.fromkeys(configs, 0)
+    failures = []
 
-    def work(job):
-        value, seed = job
-        try:
-            return ("ok", job, _run_one(spec, configs[value], seed, shared))
-        except (LocTrackError, np.linalg.LinAlgError) as exc:
-            return ("fail", job, f"{type(exc).__name__}: {exc}")
+    def work():
+        for value, config in configs.items():
+            for seed in range(spec.base_seed, spec.base_seed + spec.num_monte_carlo):
+                try:
+                    column = _run_one(spec, config, seed, shared)
+                except (LocTrackError, np.linalg.LinAlgError) as exc:
+                    failures.append({"error": f"{type(exc).__name__}: {exc}",
+                                     "seed": seed, "sweep-value": float(value)})
+                    continue
+                samples[value][:, filled[value]] = column
+                filled[value] += 1
 
     # One worker thread runs the jobs in order. It is not the caller's
     # thread because perfbench's span recorder (perfbench/spans.py) counts
@@ -552,49 +562,32 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     # run, which costs about 36 context switches per run on 1,500-run
     # campaigns and makes their timing follow the machine's load.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        outcomes = pool.submit(lambda: [work(job) for job in jobs]).result()
+        pool.submit(work).result()
 
-    # Every run of a spec returns the same (t, k, metric) keys in the same
-    # order, so each sweep value's successful runs stack into one
-    # (groups, runs) array.
-    samples: dict = {}
-    failures = []
-    for status, (value, seed), payload in outcomes:
-        if status == "fail":
-            failures.append(
-                {"error": payload, "seed": seed, "sweep-value": float(value)}
-            )
-            continue
-        keys = [(t, k, metric) for t, k, metric, _ in payload]
-        value_keys, runs = samples.setdefault(value, (keys, []))
-        if keys != value_keys:
-            raise ValueError(
-                f"run with seed {seed} returned other metrics than the first "
-                f"run at sweep value {_fmt(value)}"
-            )
-        runs.append([float(number) for *_, number in payload])
-
-    if len(failures) >= FAILURE_ABORT_FRACTION * len(jobs):
+    runs = len(configs) * spec.num_monte_carlo
+    if len(failures) >= FAILURE_ABORT_FRACTION * runs:
         raise CampaignAborted(
-            f"{len(failures)} of {len(jobs)} runs failed; first: "
+            f"{len(failures)} of {runs} runs failed; first: "
             f"{failures[0]['error']}"
         )
 
     # Reduce along the last axis of a C-contiguous array: each row then sums
-    # in the same order as np.mean/np.std of its own list, bit for bit.
+    # in the same order as np.mean/np.std of its own list, bit for bit. A
+    # value whose every run failed writes no rows.
     rows = []
-    for value, (keys, runs) in samples.items():
-        data = np.ascontiguousarray(np.array(runs).T)
-        n = data.shape[1]
+    for value, n in filled.items():
+        if not n:
+            continue
+        data = np.ascontiguousarray(samples[value][:, :n])
         means = np.mean(data, axis=1)
         if n > 1:
             stderrs = np.std(data, axis=1, ddof=1) / math.sqrt(n)
         else:
             stderrs = np.zeros(len(keys))
-        for i in sorted(range(len(keys)), key=keys.__getitem__):
-            t, k, metric = keys[i]
-            rows.append(ResultRow(spec.kind, float(value), t, k, metric,
-                                  float(means[i]), float(stderrs[i]), n))
+        rows.extend(
+            ResultRow(spec.kind, float(value), t, k, metric, float(mean), float(stderr), n)
+            for (t, k, metric), mean, stderr in zip(keys, means, stderrs)
+        )
 
     manifest = {
         "base-seed": spec.base_seed,

@@ -5,8 +5,13 @@ Run from the repository root to rewrite ``tests/reference/``:
 
     PYTHONPATH=src python tests/reference_tables.py
 
-Each spec writes ``tests/reference/<name>/table.csv`` and
-``manifest.json``. ``tests/test_reference_tables.py`` reruns the same
+or give a directory to write the same tables there instead, leaving the
+committed ones as they are; ``cmp -r`` then compares two builds' tables:
+
+    PYTHONPATH=src python tests/reference_tables.py /tmp/tables
+
+Each spec writes ``<name>/table.csv`` and ``manifest.json`` under that
+directory. ``tests/test_reference_tables.py`` reruns the same
 specs and compares. A change that moves numbers on purpose reruns this
 script in the same change and records the largest relative move per spec.
 
@@ -85,11 +90,12 @@ def write_reference(name: str, work: Path) -> Path:
     return Path(spec.output_dir)
 
 
-def main() -> int:
+def main(argv: list) -> int:
+    out = Path(argv[0]).resolve() if argv else REFERENCE
     for name in NAMES:
-        print(write_reference(name, REFERENCE))
+        print(write_reference(name, out))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

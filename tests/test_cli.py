@@ -101,9 +101,9 @@ def _run_recursion_spec(tmp_path, monkeypatch, **extra):
     path.write_text(json.dumps(payload))
     started = []
 
-    def no_run(spec, config, seed, ensembles):
+    def no_run(spec, config, seed, shared):
         started.append(seed)
-        return []
+        return np.zeros(len(harness._row_keys(spec, config)))
 
     monkeypatch.setattr(harness, "_run_one", no_run)
     return cli.main(["run", str(path)]), len(started)
@@ -152,6 +152,31 @@ def test_run_rejects_fractional_constant_step(
     )
     assert (rc, started) == (2, 0)
     assert "constant-from-step label 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, sweep",
+    [
+        ("EOC_VS_SNR", {"parameter": "snr-db", "values": [0.0]}),
+        ("EOC_VS_NUM_RIS", {"parameter": "num-ris", "values": [1.0]}),
+        ("TRAJECTORY", {}),
+    ],
+)
+def test_run_rejects_disturbance_steps_no_run_reads(
+    scenario_file, tmp_path, monkeypatch, capsys, kind, sweep
+):
+    """Only the recursion kinds apply a disturbance; any other kind would
+    record steps in its manifest that no run applied."""
+    rc, started = _run_recursion_spec(
+        tmp_path, monkeypatch, kind=kind, sweep=sweep,
+        disturbance={"steps": [2], "scale": 0.1},
+    )
+    assert (rc, started) == (2, 0)
+    assert f"kind {kind} runs no recursion" in capsys.readouterr().err
+    rc, started = _run_recursion_spec(
+        tmp_path, monkeypatch, kind=kind, sweep=sweep, disturbance={"steps": []}
+    )
+    assert (rc, started) == (0, 3)
 
 
 @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])

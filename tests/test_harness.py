@@ -190,46 +190,78 @@ def test_reduce_matches_per_group_mean_and_stderr(
     scenario_file, tmp_path, monkeypatch
 ):
     """Each row is np.mean / np.std(ddof=1) of its group's successful runs,
-    bit for bit, with rows sorted by (t, k, metric) within a sweep value."""
-    spec = make_spec(scenario_file, tmp_path, num_monte_carlo=12)
-    keys = [(2, 1, "b"), (0, 0, "z"), (2, 1, "a"), (1, 3, "b")]
-    jobs = iter([(v, spec.base_seed + r) for v in spec.sweep_values for r in range(12)])
-    bad = (spec.sweep_values[1], spec.base_seed + 5)
-    draws = {}  # (sweep value, seed) -> one successful run's numbers
-    single = run_experiment(make_spec(scenario_file, tmp_path, num_monte_carlo=1))
-    assert all(row.n == 1 and row.stderr == 0.0 for row in single.rows)
+    bit for bit, with rows sorted by (t, k, metric) within a sweep value.
+    Checked on an EoC spec (2 keys) and a recursion spec (7 keys)."""
+    config = scenario_from_json(config_dict(num_steps=3))
+    for kind, parameter, values in (
+        ("EOC_VS_SNR", "snr-db", (0.0, 10.0)),
+        ("EP_CONVERGENCE", "sigma-t-inv2", (1.0, 10.0)),
+    ):
+        spec = make_spec(scenario_file, tmp_path, kind=kind, sweep_parameter=parameter,
+                         sweep_values=values, num_monte_carlo=12)
+        keys = harness._row_keys(spec, config)
+        assert list(keys) == sorted(keys) and len(set(keys)) == len(keys)
+        single = run_experiment(dataclasses.replace(spec, num_monte_carlo=1))
+        assert all(row.n == 1 and row.stderr == 0.0 for row in single.rows)
+        assert [(r.t, r.k, r.metric_name) for r in single.rows] == list(keys) * len(values)
+        jobs = iter([(v, spec.base_seed + r) for v in values for r in range(12)])
+        bad = (values[1], spec.base_seed + 5)
+        draws = {}  # (sweep value, seed) -> one successful run's numbers
 
-    def synthetic(inner_spec, config, seed, ensembles):
-        job = next(jobs)
-        assert job[1] == seed
-        if job == bad:
+        def synthetic(inner_spec, config, seed, shared):
+            job = next(jobs)
+            assert job[1] == seed
+            if job == bad:
+                raise SingularEfim("synthetic run failure")
+            rng = np.random.default_rng(len(draws))
+            size = len(keys)
+            draws[job] = rng.standard_normal(size) * 10.0 ** rng.uniform(-6, 6, size=size)
+            return draws[job]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_run_one", synthetic)
+            table = run_experiment(spec)
+        assert [f["seed"] for f in table.manifest["failures"]] == [bad[1]]
+        rows = iter(table.rows)
+        for value in values:
+            runs = [numbers for (v, _), numbers in draws.items() if v == value]
+            for i, key in enumerate(keys):
+                row = next(rows)
+                vals = [float(numbers[i]) for numbers in runs]
+                assert (row.sweep_value, row.t, row.k, row.metric_name) == (value, *key)
+                assert row.n == len(vals)
+                assert row.mean == float(np.mean(vals))
+                assert row.stderr == float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+        assert next(rows, None) is None
+
+
+def test_sweep_value_whose_every_run_fails_writes_no_rows(
+    scenario_file, tmp_path, monkeypatch
+):
+    """A value with no successful run has no rows, not NaN rows from an
+    empty column; the other values keep their rows, counts and order."""
+    values = tuple(float(v) for v in range(-50, 60, 10))
+    spec = make_spec(scenario_file, tmp_path, sweep_values=values, num_monte_carlo=1)
+    whole = run_experiment(spec)
+    real = harness._run_one
+    lost = values[5]
+
+    def fail_one_value(inner_spec, config, seed, shared):
+        if config.noise_variance == configs[lost].noise_variance:
             raise SingularEfim("synthetic run failure")
-        rng = np.random.default_rng(len(draws))
-        draws[job] = rng.standard_normal(4) * 10.0 ** rng.uniform(-6, 6, size=4)
-        return [(t, k, m, x) for (t, k, m), x in zip(keys, draws[job])]
+        return real(inner_spec, config, seed, shared)
 
-    monkeypatch.setattr(harness, "_run_one", synthetic)
+    _, configs = harness.campaign_configs(spec)
+    monkeypatch.setattr(harness, "_run_one", fail_one_value)
     table = run_experiment(spec)
-    assert [f["seed"] for f in table.manifest["failures"]] == [bad[1]]
-    rows = iter(table.rows)
-    for value in spec.sweep_values:
-        runs = [numbers for (v, _), numbers in draws.items() if v == value]
-        for key in sorted(keys):
-            row = next(rows)
-            vals = [float(numbers[keys.index(key)]) for numbers in runs]
-            assert (row.sweep_value, row.t, row.k, row.metric_name) == (value, *key)
-            assert row.n == len(vals)
-            assert row.mean == float(np.mean(vals))
-            assert row.stderr == float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-    assert next(rows, None) is None
-
-    def reordered(inner_spec, config, seed, ensembles):
-        order = keys if seed % 2 else keys[::-1]
-        return [(t, k, m, 1.0) for t, k, m in order]
-
-    monkeypatch.setattr(harness, "_run_one", reordered)
-    with pytest.raises(ValueError, match="other metrics than the first run"):
-        run_experiment(spec)
+    assert len(values) == 11 and 1 < harness.FAILURE_ABORT_FRACTION * len(values)
+    assert table.rows == tuple(row for row in whole.rows if row.sweep_value != lost)
+    assert all(math.isfinite(row.mean) and row.n == 1 for row in table.rows)
+    assert table.manifest["failures"] == [{
+        "error": "SingularEfim: synthetic run failure",
+        "seed": spec.base_seed,
+        "sweep-value": lost,
+    }]
 
 
 def test_abort_at_ten_percent_failures(scenario_file, tmp_path, monkeypatch):
@@ -672,8 +704,9 @@ def test_theory_row_reads_the_undisturbed_frozen_inputs(
 
     monkeypatch.setattr(recursive, "constant_inputs", counting)
     monkeypatch.setattr(harness, "constant_inputs", counting)
-    rows = harness._run_recursion_point(config, 3, spec)
-    assert rows[-1] == (0, 0, "theory-bcrb-star", want)
+    column = harness._run_recursion_point(config, 3, spec)
+    assert harness._row_keys(spec, config)[0] == (0, 0, "theory-bcrb-star")
+    assert column[0] == want
     assert len(calls) == builds
 
 
