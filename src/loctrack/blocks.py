@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 
 from .errors import DimensionMismatch, NotSpd, SingularEfim
 
@@ -125,7 +125,8 @@ def diag_blocks(mat: np.ndarray) -> np.ndarray:
 
 
 def spd_solve(mat: np.ndarray, rhs: np.ndarray, error: type, message: str) -> np.ndarray:
-    """Solve ``mat @ X = rhs`` for SPD ``mat`` by LAPACK's ``dpotrf``/``dpotrs``.
+    """Solve ``mat @ X = rhs`` for SPD ``mat`` by LAPACK's ``dposv``: the
+    Cholesky factorisation ``dpotrf`` and the solve ``dpotrs`` in one call.
 
     Only the lower triangle of ``mat`` is read. A failed pivot raises
     ``error(message)``, a ``LocTrackError`` class, and a non-finite entry
@@ -133,11 +134,42 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray, error: type, message: str) -> np
     entry of the lower triangle leaves a failed or non-finite diagonal, so
     ``mat`` is scanned only then.
     """
-    chol, info = dpotrf(mat, lower=1, clean=0)
+    chol, solution, info = dposv(mat, rhs, lower=1)
     if info or not all(map(math.isfinite, chol.diagonal().tolist())):
         np.asarray_chkfinite(mat)
         raise error(message)
-    return dpotrs(chol, rhs, lower=1)[0]
+    return solution
+
+
+def spd_solve_each(
+    mats: np.ndarray, rhs: np.ndarray, error: type, message: str, failed: dict
+) -> np.ndarray:
+    """``spd_solve`` of each ``mats[i]`` against ``rhs[i]``, one ``dposv``
+    call per matrix, skipping the indices already in ``failed``.
+
+    The checks run once over the stack. A matrix whose pivot fails, or
+    whose entries or solution are not all finite, is solved again by
+    ``spd_solve``, which returns the same solution or raises: ``error``
+    is stored in ``failed[i]`` and its row holds zeros, and ValueError
+    propagates. Every other matrix passes ``spd_solve``'s checks: a finite
+    lower triangle factored with info 0 leaves a finite or NaN pivot, and
+    a NaN pivot makes the whole solution NaN.
+    """
+    out = np.zeros(rhs.shape)
+    info = np.zeros(len(mats), dtype=int)
+    for i in range(len(mats)):
+        if i not in failed:
+            _, out[i], info[i] = dposv(mats[i], rhs[i], lower=1)
+    finite = np.isfinite(out).all(axis=(1, 2)) & np.isfinite(mats).all(axis=(1, 2))
+    for i in np.flatnonzero((info != 0) | ~finite).tolist():
+        if i in failed:
+            continue
+        try:
+            out[i] = spd_solve(mats[i], rhs[i], error, message)
+        except error as exc:
+            failed[i] = exc
+            out[i] = 0.0
+    return out
 
 
 def inverse_diag_blocks(mat: np.ndarray) -> np.ndarray:

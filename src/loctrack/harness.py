@@ -2,12 +2,17 @@
 
 A campaign turns a JSON experiment description into a long-format result
 table plus a manifest.  Runs are independent work items keyed by
-``base_seed + run_index``, executed in order on one worker thread. The
-``(t, k, metric)`` keys a run writes follow from the spec and the
-scenario's T and K alone, so ``_row_keys`` declares them once per
-campaign; each successful run fills one column of its sweep value's
-``(keys, runs)`` array, and each sweep value has one reduce over its
-filled columns. Reruns with the same spec and seed are byte-identical.
+``base_seed + run_index``, run on one worker thread. The ``(t, k, metric)``
+keys a run writes follow from the spec and the scenario's T and K alone,
+so ``_row_keys`` declares them once per campaign, and each job (sweep
+value, seed) fills one column of the campaign's ``(keys, jobs)`` array.
+Kinds without a recursion run their jobs one after another in (value,
+seed) order. The recursion kinds draw each job's track and build its
+inputs in that order, then step every run of the campaign together
+(``recursive.run_recursions``), which writes each run's steps straight into
+its column; a run that fails leaves the stack and fails only its own job.
+Each sweep value has one reduce over its successful columns. Reruns with
+the same spec and seed are byte-identical.
 
 Runs share two things, read-only, each stored by the first run that needs
 it; a draw or build that raises is not stored, so every run that needs it
@@ -20,9 +25,10 @@ fails the same way.
   sweeps the surfaces its separation check reads, so they draw once per
   run. ``TRAJECTORY`` runs write positions only and draw no ensemble.
 * Each distinct prior's information. A quadratic prior's information
-  depends only on what ``prior_model`` reads, so EoC runs build it once
-  per campaign for ``snr-db`` and ``num-ris`` sweeps and once per value
-  for prior sweeps. An l1 prior reads its run's ensemble: built per run.
+  depends only on what ``prior_model`` reads, so EoC runs, and recursion
+  runs without constant inputs, build it once per campaign for
+  ``snr-db`` and ``num-ris`` sweeps and once per value for prior sweeps.
+  An l1 prior reads its run's ensemble: built per run.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .blocks import spd_solve
 from .coupling import eoc_report, split_d_a
 from .errors import CampaignAborted, LocTrackError, NotSpd, SchemaMismatch
 from .fim import assemble_efim, measurement_fim, prior_fim
-from .recursive import constant_inputs, run_recursion, stationary_point
+from .recursive import run_inputs, run_recursions, stationary_point
 from .scenario import (
     PRIOR_L1,
     SCENARIO,
@@ -342,16 +348,22 @@ def _prior_key(config: ScenarioConfig) -> tuple:
             cov.shape, cov.tobytes(), config.first_step_anchor_variance)
 
 
+def _prior_information(config: ScenarioConfig, ensemble, priors: dict,
+                       include_anchor: bool):
+    """An l1 prior's information from the run's ensemble; a quadratic
+    prior's from ``priors``, where the first run that needs it stores it."""
+    if config.prior_kind == PRIOR_L1:
+        return prior_fim(prior_model(config, include_anchor), ensemble)
+    key = (include_anchor, *_prior_key(config))
+    if key not in priors:
+        priors[key] = prior_fim(prior_model(config, include_anchor))
+    return priors[key]
+
+
 def _eoc_pipeline(config: ScenarioConfig, trajectory: Trajectory, ensemble,
                   priors: dict):
     lambda_d = measurement_fim(config, trajectory)
-    if config.prior_kind == PRIOR_L1:
-        pfim = prior_fim(prior_model(config, include_anchor=True), ensemble)
-    else:
-        key = _prior_key(config)
-        if key not in priors:
-            priors[key] = prior_fim(prior_model(config, include_anchor=True))
-        pfim = priors[key]
+    pfim = _prior_information(config, ensemble, priors, include_anchor=True)
     efim = assemble_efim(lambda_d, pfim)
     return eoc_report(efim, split_d_a(efim, pfim))
 
@@ -391,41 +403,56 @@ def _run_num_ris_point(config: ScenarioConfig, seed: int, priors: dict):
     return np.array([r.mean_bcrb for r in reports] + [r.mean_eoc for r in reports])
 
 
-def _run_recursion_point(config: ScenarioConfig, seed: int, spec: ExperimentSpec,
-                         ensembles: dict | None = None):
-    trajectory, ensemble = _draw(config, seed, ensembles)
+def _run_recursions(spec: ExperimentSpec, jobs: list, shared: _Shared,
+                    samples: np.ndarray, errors: dict) -> None:
+    """Every run of a recursion kind: per job, in (value, seed) order, the
+    draw and the run's inputs; then one ``run_recursions`` over all of
+    them, writing job j's steps into column j of ``samples``; then, for
+    ``EP_CONVERGENCE`` under constant inputs, each run's
+    ``theory-bcrb-star``. A job that fails at any point leaves its error
+    in ``errors[j]``."""
     constant = spec.constant_from_step
     constant0 = None if constant is None else constant - 1
-    states = run_recursion(
-        config,
-        trajectory,
-        constant_from_step=constant0,
+    star = int(spec.kind == KIND_EP_CONVERGENCE and constant0 is not None)
+    runs, columns = [], []
+    for j, (_, config, seed) in enumerate(jobs):
+        try:
+            trajectory, ensemble = _draw(config, seed, shared.ensembles)
+            pfim = None if constant0 is not None else _prior_information(
+                config, ensemble, shared.priors, include_anchor=False)
+            runs.append(run_inputs(config, trajectory, constant0, ensemble, pfim))
+        except (LocTrackError, np.linalg.LinAlgError) as exc:
+            errors[j] = exc
+            continue
+        columns.append(j)
+    lost = run_recursions(
+        runs, samples[star:],
         disturbance_steps=tuple(s - 1 for s in spec.disturbance_steps),
         disturbance_scale=spec.disturbance_scale,
-        trajectory_ensemble=ensemble,
+        columns=columns,
     )
-    column = [number for s in states for number in (s.bcrb_mean, s.eoc_mean)]
-    if spec.kind == KIND_EP_CONVERGENCE and constant0 is not None:
-        # Undisturbed steps after the first stepped on the frozen inputs.
-        frozen = [s.inputs for s in states[1:] if s.t + 1 not in spec.disturbance_steps]
-        inputs = frozen[0] if frozen else constant_inputs(
-            config, trajectory, step=constant0, trajectory_ensemble=ensemble
-        )
-        j_star = stationary_point(inputs.m_full, inputs.gamma_full).j_star
-        bound = spd_solve(j_star, np.eye(len(j_star)), NotSpd, "J* is not positive definite")
-        column.insert(0, float(np.trace(bound)) / len(j_star))
-    return np.array(column)
+    for i, exc in lost.items():
+        errors[columns[i]] = exc
+    for i, run in enumerate(runs if star else ()):
+        if i in lost:
+            continue
+        try:
+            j_star = stationary_point(run.frozen.m_full, run.frozen.gamma_full).j_star
+            bound = spd_solve(j_star, np.eye(len(j_star)), NotSpd, "J* is not positive definite")
+        except (LocTrackError, np.linalg.LinAlgError) as exc:
+            errors[columns[i]] = exc
+            continue
+        samples[0, columns[i]] = float(np.trace(bound)) / len(j_star)
 
 
 def _run_one(spec: ExperimentSpec, config: ScenarioConfig, seed: int,
              shared: _Shared):
-    """One run's column, in the order of ``_row_keys(spec, config)``."""
+    """One run's column, in the order of ``_row_keys(spec, config)``, for
+    the kinds that run no recursion."""
     if spec.kind == KIND_EOC_VS_SNR:
         return _run_eoc_point(config, seed, shared)
     if spec.kind == KIND_EOC_VS_NUM_RIS:
         return _run_num_ris_point(config, seed, shared.priors)
-    if spec.kind in _RECURSION_KINDS:
-        return _run_recursion_point(config, seed, spec, shared.ensembles)
     # Positions only: no prior reads the track here, so no ensemble is drawn.
     return random_walk_trajectory(config, seed).positions.reshape(-1)
 
@@ -538,21 +565,20 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         ensembles={} if spec.sweep_parameter == SWEEP_SNR_DB else None, priors={}
     )
     keys = _row_keys(spec, base_config)
-    samples = {value: np.empty((len(keys), spec.num_monte_carlo)) for value in configs}
-    filled = dict.fromkeys(configs, 0)
-    failures = []
+    jobs = [(value, config, seed) for value, config in configs.items()
+            for seed in range(spec.base_seed, spec.base_seed + spec.num_monte_carlo)]
+    samples = np.empty((len(keys), len(jobs)))
+    errors = {}  # job index -> the error that failed it
 
     def work():
-        for value, config in configs.items():
-            for seed in range(spec.base_seed, spec.base_seed + spec.num_monte_carlo):
-                try:
-                    column = _run_one(spec, config, seed, shared)
-                except (LocTrackError, np.linalg.LinAlgError) as exc:
-                    failures.append({"error": f"{type(exc).__name__}: {exc}",
-                                     "seed": seed, "sweep-value": float(value)})
-                    continue
-                samples[value][:, filled[value]] = column
-                filled[value] += 1
+        if spec.kind in _RECURSION_KINDS:
+            _run_recursions(spec, jobs, shared, samples, errors)
+            return
+        for j, (_, config, seed) in enumerate(jobs):
+            try:
+                samples[:, j] = _run_one(spec, config, seed, shared)
+            except (LocTrackError, np.linalg.LinAlgError) as exc:
+                errors[j] = exc
 
     # One worker thread runs the jobs in order. It is not the caller's
     # thread because perfbench's span recorder (perfbench/spans.py) counts
@@ -564,10 +590,11 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     with ThreadPoolExecutor(max_workers=1) as pool:
         pool.submit(work).result()
 
-    runs = len(configs) * spec.num_monte_carlo
-    if len(failures) >= FAILURE_ABORT_FRACTION * runs:
+    failures = [{"error": f"{type(exc).__name__}: {exc}", "seed": jobs[j][2],
+                 "sweep-value": float(jobs[j][0])} for j, exc in sorted(errors.items())]
+    if len(failures) >= FAILURE_ABORT_FRACTION * len(jobs):
         raise CampaignAborted(
-            f"{len(failures)} of {runs} runs failed; first: "
+            f"{len(failures)} of {len(jobs)} runs failed; first: "
             f"{failures[0]['error']}"
         )
 
@@ -575,10 +602,13 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     # in the same order as np.mean/np.std of its own list, bit for bit. A
     # value whose every run failed writes no rows.
     rows = []
-    for value, n in filled.items():
+    for v, value in enumerate(configs):
+        ok = [j for j in range(v * spec.num_monte_carlo, (v + 1) * spec.num_monte_carlo)
+              if j not in errors]
+        n = len(ok)
         if not n:
             continue
-        data = np.ascontiguousarray(samples[value][:, :n])
+        data = np.ascontiguousarray(samples[:, ok])
         means = np.mean(data, axis=1)
         if n > 1:
             stderrs = np.std(data, axis=1, ddof=1) / math.sqrt(n)

@@ -27,6 +27,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -270,36 +271,42 @@ class PriorModel:
         ``l2-squared`` or ``l1-norm``.
     spatial_edges, spatial_precision : tuple
         Per-step edge lists and matching per-edge precisions.
-    transition_precisions : ndarray
+    transition_covariance : ndarray
         Shape (T-1, K, 2, 2); entry t couples steps t and t+1.
     anchor_precision : float
         Step-0 anchor precision; 0.0 when the anchor is left out.
+
+    ``transition_precisions`` inverts the whole covariance stack on first
+    read; ``transition_precision(t)`` inverts entry t alone, bit for bit
+    equal to row t of the stack.
     """
 
     kind: str
     spatial_edges: tuple
     spatial_precision: tuple
-    transition_precisions: np.ndarray
+    transition_covariance: np.ndarray
     anchor_precision: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "transition_precisions", _frozen_array(self.transition_precisions)
-        )
+    @cached_property
+    def transition_precisions(self) -> np.ndarray:
+        return _frozen_array(np.linalg.inv(self.transition_covariance))
+
+    def transition_precision(self, t: int) -> np.ndarray:
+        return np.linalg.inv(self.transition_covariance[t])
 
 
 def prior_model(config: ScenarioConfig, include_anchor: bool = True) -> PriorModel:
     """Extract the prior description a scenario implies.
 
     ``include_anchor`` keeps the step-0 anchor (EoC) or leaves it out (the
-    recursion). The only inversion of the transition covariances; consumers
-    read the stack.
+    recursion). The transition covariances are inverted only when read
+    (``PriorModel.transition_precisions``).
     """
     return PriorModel(
         kind=config.prior_kind,
         spatial_edges=config.spatial_edges,
         spatial_precision=config.spatial_precision,
-        transition_precisions=np.linalg.inv(config.temporal_covariance),
+        transition_covariance=config.temporal_covariance,
         anchor_precision=config.anchor_precision if include_anchor else 0.0,
     )
 
@@ -364,7 +371,7 @@ def prior_slice(
         ]
     else:
         raise DimensionMismatch(f"unknown prior kind {prior.kind!r}")
-    K = prior.transition_precisions.shape[1]
+    K = prior.transition_covariance.shape[1]
     mat = add_edge_blocks(np.zeros((2 * K, 2 * K)), edges, weights)
     if t == 0 and prior.anchor_precision > 0.0:
         mat += prior.anchor_precision * np.eye(2 * K)

@@ -4,10 +4,11 @@
 name the package no longer defines, so a renamed or deleted function would
 read as zero calls without any error. It wraps them on the module
 attribute, so a call that bypasses the attribute is not counted either:
-each run starts at the one ``harness.random_walk_trajectory`` call, and
-each step of a recursion up to its first bitwise fixed point, each
-disturbed step and each step from there to the next fixed point is one
-``recursive.recursive_step`` call (the steps in between repeat a state).
+each run starts at the one ``harness.random_walk_trajectory`` call. A
+campaign steps the recursion of all its runs together in
+``recursive.run_recursions``, which steps each run up to its first bitwise
+fixed point, at each disturbed step and from there to the next fixed point
+(the steps in between repeat a state); it makes no ``recursive_step`` call.
 ``perfbench/child.py`` binds the arguments of ``coupling.eoc_report`` and
 ``scenario.sample_trajectory_ensemble`` by name and reads the report and
 split fields checked here. The spans module is read from its source, so
@@ -20,6 +21,7 @@ import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import config_dict, count_calls, shipped_scenario, stepwise_recursion
@@ -65,40 +67,43 @@ def test_split_and_report_fields_exist():
 
 
 @pytest.mark.parametrize(
-    "name, num_steps, constant_from_step, max_calls",
+    "name, num_steps, constant_from_step, max_steps",
     [("toy", 6, None, 6), ("toy", 6, 1, 6), ("paper_baseline_long", 1000, 1, 500)],
     ids=["None", "1", "fixed-point"],
 )
-def test_run_recursion_calls_recursive_step_up_to_each_fixed_point(
-    monkeypatch, name, num_steps, constant_from_step, max_calls
+def test_stacked_recursion_steps_each_run_up_to_its_fixed_point(
+    name, num_steps, constant_from_step, max_steps
 ):
-    """The stepped steps are those the stepwise oracle predicts: every step
-    but those on the same inputs as a predecessor that repeated its own J."""
+    """Three runs stepped together: each run is stepped at exactly the steps
+    the stepwise oracle predicts, every step but those on the same inputs
+    as a predecessor that repeated its own J."""
     config = shipped_scenario(name, num_steps=num_steps).with_snr_offset_db(70.0)
-    trajectory = static_trajectory(config)
-    kwargs = dict(
-        constant_from_step=constant_from_step,
-        disturbance_steps=(0, 3, 20, 21),
-        disturbance_scale=0.5,
-    )
-    want = stepwise_recursion(config, trajectory, **kwargs)
-    expected = [
-        t for t in range(num_steps)
-        if t < 2
-        or want[t].inputs is not want[t - 1].inputs
-        or want[t - 1].efim.tobytes() != want[t - 2].efim.tobytes()
+    trajectories = [static_trajectory(config)] + [
+        scenario.random_walk_trajectory(config, seed) for seed in (7, 8)
     ]
-    stepped = []
-    inner = recursive.recursive_step
+    kwargs = dict(disturbance_steps=(0, 3, 20, 21), disturbance_scale=0.5)
+    runs = [recursive.run_inputs(config, trajectory, constant_from_step)
+            for trajectory in trajectories]
+    stepped = [[] for _ in runs]
 
-    def recording_step(prev, inputs):
-        stepped.append(0 if prev is None else prev.t + 1)
-        return inner(prev, inputs)
+    def record(t, idx, inputs, efim, carry):
+        for i in idx:
+            stepped[i].append(t)
 
-    monkeypatch.setattr(recursive, "recursive_step", recording_step)
-    recursive.run_recursion(config, trajectory, **kwargs)
-    assert stepped == expected
-    assert len(stepped) <= max_calls
+    out = np.empty((2 * num_steps, len(runs)))
+    assert recursive.run_recursions(runs, out, on_step=record, **kwargs) == {}
+    for run, trajectory in enumerate(trajectories):
+        want = stepwise_recursion(
+            config, trajectory, constant_from_step=constant_from_step, **kwargs
+        )
+        expected = [
+            t for t in range(num_steps)
+            if t < 2
+            or want[t].inputs is not want[t - 1].inputs
+            or want[t - 1].efim.tobytes() != want[t - 2].efim.tobytes()
+        ]
+        assert stepped[run] == expected, run
+        assert len(expected) <= max_steps
 
 
 def test_run_experiment_draws_one_walk_per_job(monkeypatch, tmp_path):

@@ -16,6 +16,7 @@ from loctrack.blocks import (
     require_spd,
     selected_inverse,
     spd_solve,
+    spd_solve_each,
     spd_sqrt_and_inv_sqrt,
     symmetrize,
 )
@@ -209,6 +210,32 @@ def test_spd_solve_rejects_non_finite_input(rng, row, col, bad):
     mat[row, col] = mat[col, row] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         spd_solve(mat, np.eye(6), SingularEfim, "unused")
+
+
+def test_spd_solve_each_is_spd_solve_of_each_matrix(rng):
+    """Each row equals ``spd_solve`` of its matrix bit for bit; a failed
+    pivot (an indefinite matrix, a NaN pivot from a finite matrix that
+    overflows) stores the error of that row alone, a skipped row is not
+    solved, and a non-finite entry still raises ValueError."""
+    mats = np.stack([random_spd(rng, 6) for _ in range(5)])
+    mats[1] = -mats[1]
+    # L[2, 0] overflows and L[2, 1] = (0 - inf * 0) / 1: dposv returns info 0
+    mats[3] = np.eye(6)
+    mats[3, 0, 0], mats[3, 2, 0], mats[3, 0, 2] = 1e-300, 1e300, 1e300
+    rhs = rng.standard_normal((5, 6, 6))
+    failed = {4: "skipped"}
+    out = spd_solve_each(mats, rhs, SingularEfim, "lost", failed)
+    assert sorted(failed) == [1, 3, 4] and failed[4] == "skipped"
+    for i in (1, 3):
+        assert isinstance(failed[i], SingularEfim) and str(failed[i]) == "lost"
+        with pytest.raises(SingularEfim):
+            spd_solve(mats[i], rhs[i], SingularEfim, "lost")
+    for i in (0, 2):
+        assert out[i].tobytes() == spd_solve(mats[i], rhs[i], SingularEfim, "").tobytes()
+    assert not out[[1, 3, 4]].any()
+    mats[2, 4, 1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spd_solve_each(mats, rhs, SingularEfim, "lost", {})
 
 
 def test_neumann_sum_survives_zero_odd_terms():

@@ -87,7 +87,8 @@ def test_run_abort_maps_to_exit_3(spec_file, monkeypatch, capsys):
 
 def _run_recursion_spec(tmp_path, monkeypatch, **extra):
     """Run a 3-step EP_CONVERGENCE spec; returns the exit code and how many
-    runs started."""
+    runs started. A run starts at its ``_run_one`` call or, for the
+    recursion kinds, at its draw."""
     payload = {
         "scenario": "scene.json",
         "kind": "EP_CONVERGENCE",
@@ -105,7 +106,14 @@ def _run_recursion_spec(tmp_path, monkeypatch, **extra):
         started.append(seed)
         return np.zeros(len(harness._row_keys(spec, config)))
 
+    real_draw = harness._draw
+
+    def counted_draw(config, seed, ensembles=None):
+        started.append(seed)
+        return real_draw(config, seed, ensembles)
+
     monkeypatch.setattr(harness, "_run_one", no_run)
+    monkeypatch.setattr(harness, "_draw", counted_draw)
     return cli.main(["run", str(path)]), len(started)
 
 
@@ -574,6 +582,7 @@ def test_each_table_key_rejects_what_its_kind_does_not_admit(
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     started = []
     monkeypatch.setattr(harness, "_run_one", lambda *args: started.append(args))
+    monkeypatch.setattr(harness, "_draw", lambda *args: started.append(args))
     monkeypatch.setattr(cli, "stationary_point", lambda *args: started.append(args))
     capsys.readouterr()
     if table == "stationary":

@@ -218,8 +218,17 @@ def test_reduce_matches_per_group_mean_and_stderr(
             draws[job] = rng.standard_normal(size) * 10.0 ** rng.uniform(-6, 6, size=size)
             return draws[job]
 
+        def synthetic_recursions(inner_spec, campaign_jobs, shared, samples, errors):
+            """Stands in for the stacked recursion: job j fills column j."""
+            for j, (value, config, seed) in enumerate(campaign_jobs):
+                try:
+                    samples[:, j] = synthetic(inner_spec, config, seed, shared)
+                except SingularEfim as exc:
+                    errors[j] = exc
+
         with monkeypatch.context() as patch:
             patch.setattr(harness, "_run_one", synthetic)
+            patch.setattr(harness, "_run_recursions", synthetic_recursions)
             table = run_experiment(spec)
         assert [f["seed"] for f in table.manifest["failures"]] == [bad[1]]
         rows = iter(table.rows)
@@ -233,6 +242,68 @@ def test_reduce_matches_per_group_mean_and_stderr(
                 assert row.mean == float(np.mean(vals))
                 assert row.stderr == float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
         assert next(rows, None) is None
+
+
+def test_a_failing_run_fails_alone_in_a_stacked_campaign(tmp_path, monkeypatch):
+    """Of 22 runs stepped together, one seed fails in its draw and another
+    by a pivot that loses positivity mid-run, at its disturbed step. Each
+    fails only its own (value, seed), with the message it raises alone;
+    every other column equals the clean campaign's bit for bit, and the
+    manifest lists the failures in (value, seed) order, though the draw
+    failure of the later value comes first."""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(config_dict(num_steps=6)))
+    spec = make_spec(
+        str(path), tmp_path, kind="EP_CONVERGENCE", sweep_parameter="sigma-t-inv2",
+        sweep_values=(1.0, 10.0), num_monte_carlo=11, disturbance_steps=(4,),
+        disturbance_scale=0.0,
+    )
+    base = spec.base_seed
+    filled = []
+    real_runs = harness._run_recursions
+
+    def keep_samples(inner_spec, jobs, shared, samples, errors):
+        real_runs(inner_spec, jobs, shared, samples, errors)
+        filled.append((samples.copy(), dict(errors)))
+
+    monkeypatch.setattr(harness, "_run_recursions", keep_samples)
+    clean = run_experiment(spec)
+
+    # Job 13 is (10.0, base + 2); job 7 is (1.0, base + 7), whose inputs
+    # step from J_0 = 90 I but hold J_3 = -9 I - G once step 3 (label 4)
+    # loses its measurement.
+    draws, builds = [], []
+    real_draw, real_build = harness.random_walk_trajectory, recursive.constant_inputs
+
+    def failing_draw(config, seed):
+        draws.append(seed)
+        if len(draws) == 14:
+            raise DegenerateGeometry("synthetic draw failure")
+        return real_draw(config, seed)
+
+    def losing_build(*args, **kwargs):
+        builds.append(args)
+        if len(builds) == 8:
+            eye = np.stack([np.eye(2)] * 2)
+            return recursive.step_inputs(1, 100.0 * eye, -10.0 * np.eye(4), eye)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "random_walk_trajectory", failing_draw)
+    monkeypatch.setattr(recursive, "constant_inputs", losing_build)
+    table = run_experiment(spec)
+    assert table.manifest["failures"] == [
+        {"error": "SingularState: recursive EFIM at step 3 lost positivity",
+         "seed": base + 7, "sweep-value": 1.0},
+        {"error": "DegenerateGeometry: synthetic draw failure",
+         "seed": base + 2, "sweep-value": 10.0},
+    ]
+    assert table.manifest == {**clean.manifest, "failures": table.manifest["failures"]}
+    (want, _), (got, errors) = filled
+    assert sorted(errors) == [7, 13]
+    for j in range(22):
+        if j not in errors:
+            assert got[:, j].tobytes() == want[:, j].tobytes(), j
+    assert {row.n for row in table.rows} == {10}
 
 
 def test_sweep_value_whose_every_run_fails_writes_no_rows(
@@ -442,6 +513,32 @@ def test_quadratic_prior_is_built_once_per_distinct_prior(
     assert len(calls) == len(values) * spec.num_monte_carlo * (
         2 if kind == "EOC_VS_NUM_RIS" else 1
     )
+
+
+@pytest.mark.parametrize("parameter, builds", [("snr-db", 1), ("sigma-t-inv2", 2)])
+def test_varying_input_runs_share_a_quadratic_prior(
+    scenario_file, tmp_path, monkeypatch, parameter, builds
+):
+    """Without constant inputs every step reads the prior information, so
+    the runs of one quadratic prior share one build: once per campaign for
+    an SNR sweep, once per value for a prior sweep. Each row equals, bit
+    for bit, the mean over one-run recursions that build their own."""
+    calls = count_calls(monkeypatch, harness, "prior_fim")
+    spec = make_spec(scenario_file, tmp_path, kind="EP_CONVERGENCE",
+                     sweep_parameter=parameter, sweep_values=(1.0, 10.0),
+                     num_monte_carlo=3, constant_from_step=None)
+    table = run_experiment(spec)
+    assert len(calls) == builds
+    assert table.manifest["failures"] == []
+    _, configs = harness.campaign_configs(spec)
+    rows = iter(table.rows)
+    for value, config in configs.items():
+        states = [recursive.run_recursion(config, harness._draw(config, seed)[0])
+                  for seed in range(spec.base_seed, spec.base_seed + 3)]
+        for t in range(config.num_steps):
+            for metric in ("bcrb_mean", "eoc_mean"):
+                row = next(rows)
+                assert row.mean == float(np.mean([getattr(s[t], metric) for s in states]))
 
 
 def test_l1_prior_is_built_once_per_run(l1_scenario_file, tmp_path, monkeypatch,
@@ -681,19 +778,24 @@ def test_theory_row_reads_the_undisturbed_frozen_inputs(
     tmp_path, monkeypatch, num_steps, disturbed, builds
 ):
     """``theory-bcrb-star`` is the fixed point of the frozen inputs
-    ``constant_inputs`` builds, also when a disturbance covers the last step.
-    The run's own frozen inputs are reused; they are built a second time only
-    when every step after the first is disturbed."""
+    ``constant_inputs`` builds, also when a disturbance covers the last step
+    or every step after the first. ``builds`` runs are stepped together;
+    each builds its frozen inputs once, and its row reads its own."""
     config = scenario_from_json(config_dict(num_steps=num_steps))
     spec = make_spec(
         "unused", tmp_path, kind="EP_CONVERGENCE", sweep_parameter="sigma-t-inv2",
         sweep_values=(1.0,), disturbance_steps=disturbed, disturbance_scale=0.25,
     )
-    trajectory, _ = harness._draw(config, 3)
-    inputs = recursive.constant_inputs(config, trajectory, step=1)
-    j_star = recursive.stationary_point(inputs.m_full, inputs.gamma_full).j_star
-    chol = scipy.linalg.cho_factor(j_star, lower=True)
-    want = float(np.trace(scipy.linalg.cho_solve(chol, np.eye(len(j_star))))) / len(j_star)
+    seeds = range(3, 3 + builds)
+    want = []
+    for seed in seeds:
+        trajectory, _ = harness._draw(config, seed)
+        inputs = recursive.constant_inputs(config, trajectory, step=1)
+        j_star = recursive.stationary_point(inputs.m_full, inputs.gamma_full).j_star
+        chol = scipy.linalg.cho_factor(j_star, lower=True)
+        bound = scipy.linalg.cho_solve(chol, np.eye(len(j_star)))
+        want.append(float(np.trace(bound)) / len(j_star))
+    assert builds == 1 or want[0] != want[1]
 
     calls = []
     real = recursive.constant_inputs
@@ -703,10 +805,13 @@ def test_theory_row_reads_the_undisturbed_frozen_inputs(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(recursive, "constant_inputs", counting)
-    monkeypatch.setattr(harness, "constant_inputs", counting)
-    column = harness._run_recursion_point(config, 3, spec)
-    assert harness._row_keys(spec, config)[0] == (0, 0, "theory-bcrb-star")
-    assert column[0] == want
+    keys = harness._row_keys(spec, config)
+    samples, errors = np.empty((len(keys), builds)), {}
+    jobs = [(1.0, config, seed) for seed in seeds]
+    harness._run_recursions(spec, jobs, harness._Shared(None, {}), samples, errors)
+    assert errors == {}
+    assert keys[0] == (0, 0, "theory-bcrb-star")
+    assert list(samples[0]) == want
     assert len(calls) == builds
 
 

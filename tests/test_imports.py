@@ -7,7 +7,7 @@ must be read somewhere in the file as a plain name, or be listed in the
 file's ``__all__``. In ``src/loctrack`` only ``blocks.py`` (``spd_solve``
 and the dense oracle ``inverse_diag_blocks``) may reach scipy's
 ``cho_factor``/``cho_solve`` or LAPACK (``scipy.linalg.lapack``,
-``dpotrf``, ``dpotrs``, ``dtrtri``), and no module imports an underscore
+``dposv``, ``dpotrf``, ``dpotrs``, ``dtrtri``), and no module imports an underscore
 name from another ``loctrack`` module.
 """
 
@@ -56,7 +56,7 @@ def test_every_import_is_read(path):
     assert not unused, f"{path.name} imports {unused} and never reads them"
 
 
-CHOLESKY_NAMES = {"cho_factor", "cho_solve", "dpotrf", "dpotrs", "dtrtri", "lapack"}
+CHOLESKY_NAMES = {"cho_factor", "cho_solve", "dposv", "dpotrf", "dpotrs", "dtrtri", "lapack"}
 CHOLESKY_MODULES = {"blocks.py"}
 PACKAGE = [path for path in FILES if path.parent.name == "loctrack"]
 

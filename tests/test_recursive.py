@@ -26,7 +26,9 @@ from loctrack.recursive import (
     StepInputs,
     constant_inputs,
     recursive_step,
+    run_inputs,
     run_recursion,
+    run_recursions,
     stationary_point,
     step_inputs,
 )
@@ -244,6 +246,96 @@ def test_fixed_point_repeats_match_the_stepwise_oracle(sigma_t, constant, late, 
         assert max(repeated) > t + 1
     if late:
         assert min(repeated) < late[0]
+
+
+def stacked(runs, num_steps, **kwargs):
+    """``run_recursions`` over ``runs``: its (2T, runs) output, its failures
+    and the steps it stepped for each run."""
+    out = np.empty((2 * num_steps, len(runs)))
+    stepped = [[] for _ in runs]
+
+    def record(t, idx, inputs, efim, carry):
+        for i in idx:
+            stepped[i].append(t)
+
+    failed = run_recursions(runs, out, on_step=record, **kwargs)
+    return out, failed, stepped
+
+
+def oracle_column(config, trajectory, constant_from_step, **kwargs):
+    """The stepwise oracle's (bcrb_mean, eoc_mean) per step, interleaved as
+    ``run_recursions`` writes them."""
+    states = stepwise_recursion(config, trajectory, constant_from_step, **kwargs)
+    return np.array([x for s in states for x in (s.bcrb_mean, s.eoc_mean)])
+
+
+def error_of(call):
+    """(type, message) of what ``call`` raises, or None."""
+    try:
+        call()
+    except (SingularState, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("constant_from_step", [None, 1])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
+    precisions=st.lists(st.sampled_from([0.5, 10.0]), min_size=4, max_size=4),
+    offset=st.sampled_from([0.0, 70.0]),
+    disturbed=st.sets(st.integers(0, 39), max_size=3),
+    scale=st.sampled_from([0.0, 0.1, 1.0]),
+)
+def test_a_batch_of_runs_equals_each_run_alone_and_the_oracle(
+    constant_from_step, seeds, precisions, offset, disturbed, scale
+):
+    """Stacking runs changes no run's numbers: each column of a batch of S
+    equals that run's batch of 1 and the stepwise oracle bit for bit, at
+    every step, through the disturbed steps and the fixed-point repeats
+    (the toy at +70 dB lands on its fixed point within about 30 steps, each
+    run at its own step). A run that fails, fails alone with the oracle's
+    error."""
+    base = shipped_scenario(num_steps=40).with_snr_offset_db(offset)
+    configs = [base.with_spatial_precision(p) for p in precisions[:len(seeds)]]
+    trajectories = [random_walk_trajectory(c, seed) for c, seed in zip(configs, seeds)]
+    runs = [run_inputs(c, tr, constant_from_step) for c, tr in zip(configs, trajectories)]
+    kwargs = dict(disturbance_steps=sorted(disturbed), disturbance_scale=scale)
+    out, failed, stepped = stacked(runs, 40, **kwargs)
+    for i, (config, trajectory) in enumerate(zip(configs, trajectories)):
+        alone, alone_failed, alone_stepped = stacked([runs[i]], 40, **kwargs)
+        want = error_of(lambda: stepwise_recursion(config, trajectory, constant_from_step, **kwargs))
+        if want is not None:
+            assert (type(failed[i]), str(failed[i])) == want
+            assert (type(alone_failed[0]), str(alone_failed[0])) == want
+            continue
+        assert i not in failed and alone_failed == {}
+        assert out[:, i].tobytes() == alone[:, 0].tobytes()
+        assert out[:, i].tobytes() == oracle_column(
+            config, trajectory, constant_from_step, **kwargs).tobytes()
+        assert stepped[i] == alone_stepped[0]
+
+
+@pytest.mark.parametrize("late", [(), (699,)], ids=["settled", "late-disturbance"])
+def test_stacked_long_runs_repeat_their_own_fixed_points(late):
+    """track-long's settings on four runs of two temporal precisions: every
+    column equals the stepwise oracle bit for bit, each run leaves the
+    stack at its own fixed point, and a disturbed step steps every run
+    again."""
+    base = shipped_scenario("paper_baseline_long").with_snr_offset_db(70.0)
+    configs = [base.with_temporal_precision(p) for p in (1.0, 100.0, 1.0, 100.0)]
+    trajectories = [random_walk_trajectory(c, seed) for c, seed in zip(configs, (91, 91, 5, 6))]
+    runs = [run_inputs(c, tr, 1) for c, tr in zip(configs, trajectories)]
+    kwargs = dict(disturbance_steps=LONG_DISTURBED + late, disturbance_scale=0.1)
+    out, failed, stepped = stacked(runs, 1000, **kwargs)
+    assert failed == {}
+    for i, (config, trajectory) in enumerate(zip(configs, trajectories)):
+        assert out[:, i].tobytes() == oracle_column(config, trajectory, 1, **kwargs).tobytes()
+        assert len(stepped[i]) < 500
+        for t in LONG_DISTURBED + late:
+            assert {t, t + 1} <= set(stepped[i])
+    last_before = [max(t for t in steps if t < 699) for steps in stepped]
+    assert len(set(last_before)) > 1
 
 
 def test_state_arrays_are_read_only():

@@ -79,6 +79,17 @@ def test_transition_precision_inverts_covariance():
         assert np.allclose(cov[k] @ prec[k], np.eye(2), atol=1e-12)
 
 
+def test_one_transition_precision_equals_its_row_of_the_stack(rng):
+    """``transition_precision(t)`` inverts entry t alone, bit for bit what
+    the whole stack's inversion holds at row t."""
+    config = shipped_scenario("paper_baseline", num_steps=6)
+    factors = rng.standard_normal((5, config.num_users, 2, 2))
+    cov = factors @ np.swapaxes(factors, -1, -2) + 0.1 * np.eye(2)
+    prior = dataclasses.replace(prior_model(config), transition_covariance=cov)
+    for t in range(5):
+        assert prior.transition_precision(t).tobytes() == prior.transition_precisions[t].tobytes()
+
+
 def test_check_separation_raises_on_ris_collision():
     config = shipped_scenario()
     pos = np.broadcast_to(
