@@ -67,6 +67,48 @@ def test_split_and_report_fields_exist():
 
 
 @pytest.mark.parametrize(
+    "name, num_steps, constant_from_step, max_calls",
+    [("toy", 6, None, 6), ("toy", 6, 1, 6), ("paper_baseline_long", 1000, 1, 500)],
+    ids=["None", "1", "fixed-point"],
+)
+def test_run_recursion_calls_recursive_step_up_to_each_fixed_point(
+    monkeypatch, name, num_steps, constant_from_step, max_calls
+):
+    """The one-run view: ``run_recursion`` does a ``recursive_step``'s work
+    (through ``run_recursions``, whose ``on_step`` hook reports it) at
+    exactly the steps the stepwise oracle predicts: every step but those on
+    the same inputs as a predecessor that repeated its own J."""
+    config = shipped_scenario(name, num_steps=num_steps).with_snr_offset_db(70.0)
+    trajectory = static_trajectory(config)
+    kwargs = dict(
+        constant_from_step=constant_from_step,
+        disturbance_steps=(0, 3, 20, 21),
+        disturbance_scale=0.5,
+    )
+    want = stepwise_recursion(config, trajectory, **kwargs)
+    expected = [
+        t for t in range(num_steps)
+        if t < 2
+        or want[t].inputs is not want[t - 1].inputs
+        or want[t - 1].efim.tobytes() != want[t - 2].efim.tobytes()
+    ]
+    stepped = []
+    inner = recursive.run_recursions
+
+    def recording_recursions(runs, out, *args, on_step=None, **kw):
+        def record(t, idx, inputs, efim, carry):
+            stepped.append(t)
+            on_step(t, idx, inputs, efim, carry)
+
+        return inner(runs, out, *args, on_step=record, **kw)
+
+    monkeypatch.setattr(recursive, "run_recursions", recording_recursions)
+    recursive.run_recursion(config, trajectory, **kwargs)
+    assert stepped == expected
+    assert len(stepped) <= max_calls
+
+
+@pytest.mark.parametrize(
     "name, num_steps, constant_from_step, max_steps",
     [("toy", 6, None, 6), ("toy", 6, 1, 6), ("paper_baseline_long", 1000, 1, 500)],
     ids=["None", "1", "fixed-point"],
